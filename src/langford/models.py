@@ -94,15 +94,6 @@ class VariantConfig:
             if self.model == "positional" and self.sym == "d":
                 raise ValueError("sym 'd' needs sequence variables")
 
-    def key(self) -> tuple:
-        return (
-            self.model,
-            self.branch or "",
-            self.sym,
-            self.cons or "",
-            self.heuristic.value,
-        )
-
     def label(self) -> str:
         if self.model == "channelled":
             return (
@@ -276,6 +267,10 @@ def build_channelled(instance: Instance, config: VariantConfig) -> Model:
     first = _make_first_vars(b, instance) if with_direct else None
 
     props: list[Propagator] = []
+    # InverseChannel rules (b) and (c) already prune as much as these k*n
+    # element links, but the links stay: each is a propagator of its own,
+    # with its own scope and failure weight, so removing them changes wdeg
+    # scores and failure blame, and with them wdeg and dom/wdeg node counts.
     for m in range(1, n + 1):
         for j in range(1, k + 1):
             props.append(ElementOffsetConst(seq, pos[m - 1][j - 1], 0, m))

@@ -10,6 +10,12 @@ Positions and values are 1-based throughout.
 `weight` is the failure counter used by weighted-degree heuristics: it
 starts at 1 and is incremented by the engine each time this propagator
 reports a failure.
+
+A filter's commit sequence (which `(var, mask)` pairs it hands to
+`store.commit`, in which order, and where it stops on a wipeout) is part
+of its contract, not just the domains it leaves. The order decides which
+propagator fails first, hence which one is blamed and weighted, hence the
+wdeg and dom/wdeg node counts. A faster filter must keep it exactly.
 """
 
 from __future__ import annotations
@@ -165,6 +171,7 @@ class AllDifferent(Propagator):
                         return False  # two variables share one value
                     assigned |= d
             progressed = False
+            union = 0  # only read after a pass that pruned nothing
             for v in scope:
                 d = doms[v]
                 if d & (d - 1):
@@ -173,12 +180,9 @@ class AllDifferent(Propagator):
                         if not store.commit(v, nd):
                             return False
                         progressed = True
+                union |= d
             if not progressed:
-                break
-        union = 0
-        for v in scope:
-            union |= doms[v]
-        return union.bit_count() >= len(scope)
+                return union.bit_count() >= len(scope)
 
     def check(self, values) -> bool:
         seen = set()
@@ -354,40 +358,56 @@ class InverseChannel(Propagator):
         seq = self.seq
         slots = self.slots
         kn = len(seq)
+        numbers = (2 << n) - 2  # bits 1..n
 
-        unions = []
-        for row in slots:
+        # Transpose the cell domains: can[m] holds bit i iff seq[i] can
+        # still hold m. `dirty` marks the positions whose cell loses a value
+        # under (a); a value outside 1..n is always lost.
+        can = [0] * (n + 1)
+        dirty = 0
+        position_bit = 2
+        for cell in seq:
+            d = doms[cell]
+            rest = d & numbers
+            if rest != d:
+                dirty |= position_bit
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                can[low.bit_length() - 1] |= position_bit
+            position_bit <<= 1
+
+        # (a) number m leaves the cells at can[m] minus every slot of m.
+        lost = [0] * (kn + 1)
+        for m, row in enumerate(slots, 1):
             u = 0
             for sv in row:
                 u |= doms[sv]
-            unions.append(u)
-        for i in range(1, kn + 1):
+            gone = can[m] & ~u
+            if gone:
+                dirty |= gone
+                number_bit = 1 << m
+                while gone:
+                    low = gone & -gone
+                    gone ^= low
+                    lost[low.bit_length() - 1] |= number_bit
+        while dirty:
+            low = dirty & -dirty
+            dirty ^= low
+            i = low.bit_length() - 1
             cell = seq[i - 1]
-            d = doms[cell]
-            allowed = 0
-            number_bit = 2
-            for u in unions:
-                if (u >> i) & 1:
-                    allowed |= number_bit
-                number_bit <<= 1
-            nd = d & allowed
-            if nd != d and not store.commit(cell, nd):
+            if not store.commit(cell, doms[cell] & numbers & ~lost[i]):
                 return False
 
-        number_bit = 2
-        for row in slots:
-            positions = 0
-            position_bit = 2
-            for cell in seq:
-                if doms[cell] & number_bit:
-                    positions |= position_bit
-                position_bit <<= 1
+        # (b) every slot of m lies within their union, so narrowing it to
+        # can[m] leaves it the positions whose cell still holds m after (a).
+        for m, row in enumerate(slots, 1):
+            positions = can[m]
             for sv in row:
                 d = doms[sv]
                 nd = d & positions
                 if nd != d and not store.commit(sv, nd):
                     return False
-            number_bit <<= 1
 
         number_bit = 2
         for row in slots:

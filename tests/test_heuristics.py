@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import random
 
-from langford.engine import Store
+import pytest
+
+from langford.engine import Store, solve_all
 from langford.heuristics import HeuristicKind, select_variable, wdeg_scores
-from langford.models import Instance, VariantConfig, build_channelled, build_positional
+from langford.models import Instance, VariantConfig, build_channelled, build_model, build_positional
 from langford.propagators import LessThan
 
 from util import TinyModel, doms
@@ -133,3 +135,28 @@ def test_root_selection_depends_only_on_structure():
         store_one = Store(one.initial_domains)
         store_two = Store(two.initial_domains)
         assert select_variable(store_one, one, kind) == select_variable(store_two, two, kind)
+
+
+# (k, n, model, branch, sym, cons, heuristic) -> (nodes, failures, solutions),
+# copied from benchmarks/pinned.json. wdeg and dom/wdeg counts move whenever
+# a filter's commit order or a model's propagator set changes.
+PINNED_COUNTS = {
+    (2, 6, "channelled", "p", "p", "p", "domoverwdeg"): (120, 61, 0),
+    (3, 6, "channelled", "p", "p", "p", "domoverwdeg"): (58, 30, 0),
+    (4, 6, "channelled", "p", "p", "p", "domoverwdeg"): (28, 15, 0),
+    (3, 6, "channelled", "d", "p", "both", "sdf"): (42, 22, 0),
+    (3, 8, "channelled", "d", "d", "both", "static"): (154, 78, 0),
+    (3, 6, "positional", None, "p", None, "wdeg"): (86, 44, 0),
+    (2, 6, "positional", None, "p", None, "sdf"): (124, 63, 0),
+    (2, 6, "direct", None, "d", None, "domoverwdeg"): (2804, 1403, 0),
+}
+
+
+@pytest.mark.parametrize("cell", PINNED_COUNTS, ids=lambda c: ",".join(str(f or "") for f in c))
+def test_counts_pinned_per_heuristic(cell):
+    k, n, model, branch, sym, cons, heuristic = cell
+    config = VariantConfig(model, branch=branch, sym=sym, cons=cons, heuristic=heuristic)
+    built = build_model(Instance(k, n), config)
+    solutions, stats = solve_all(built, config.heuristic)
+    assert not stats.timed_out
+    assert (stats.nodes, stats.failures, len(solutions)) == PINNED_COUNTS[cell]

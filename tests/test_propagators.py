@@ -18,11 +18,14 @@ from langford.propagators import (
 
 from util import (
     PROPAGATOR_KINDS,
+    RecordingStore,
     assert_checker_agreement,
     assert_filter_sound,
     assert_monotone,
     doms,
     random_case,
+    random_channel_case,
+    reference_inverse_channel_filter,
 )
 
 
@@ -231,6 +234,25 @@ class TestInverseChannel:
     def test_rectangularity_enforced(self):
         with pytest.raises(ValueError):
             InverseChannel([[0, 1], [2]], [3, 4, 5])
+
+    def test_commits_match_reference_filter(self):
+        # Same result and the same (var, mask) commits in the same order as
+        # the full-rescan filter, out-of-range cell and slot values included.
+        rng = random.Random(1808)
+        failed = stripped = 0
+        for _ in range(600):
+            k, n = rng.choice((2, 3)), rng.choice((2, 3, 4))
+            domains, prop = random_channel_case(rng, k, n)
+            fast, ref = RecordingStore(domains), RecordingStore(domains)
+            ok = prop.filter(fast)
+            assert ok == reference_inverse_channel_filter(prop, ref)
+            assert fast.log == ref.log
+            failed += not ok
+            outside = ~((2 << n) - 2)
+            stripped += any(d.mask & outside for d in (domains[c] for c in prop.seq))
+        # the sample reaches both outcomes, with and without out-of-range cells
+        assert 100 <= failed <= 500
+        assert 200 <= stripped <= 400
 
 
 class TestRandomizedProperties:

@@ -138,6 +138,116 @@ def random_case(rng: random.Random, kind: str):
     raise ValueError(kind)
 
 
+class RecordingStore(Store):
+    """Store that logs every `(var, mask)` handed to `commit`, in order."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, domains):
+        super().__init__(domains)
+        self.log: list[tuple[int, int]] = []
+
+    def commit(self, var: int, new_mask: int) -> bool:
+        self.log.append((var, new_mask))
+        return super().commit(var, new_mask)
+
+
+def reference_inverse_channel_filter(prop: InverseChannel, store: Store) -> bool:
+    """The full-rescan InverseChannel filter: rules (a) and (b) each test
+    every (number, cell) pair. The bit-parallel filter must make exactly
+    the same commits, in the same order, with the same result."""
+    doms = store.doms
+    seq = prop.seq
+    slots = prop.slots
+    kn = len(seq)
+
+    unions = []
+    for row in slots:
+        u = 0
+        for sv in row:
+            u |= doms[sv]
+        unions.append(u)
+    for i in range(1, kn + 1):
+        cell = seq[i - 1]
+        d = doms[cell]
+        allowed = 0
+        number_bit = 2
+        for u in unions:
+            if (u >> i) & 1:
+                allowed |= number_bit
+            number_bit <<= 1
+        nd = d & allowed
+        if nd != d and not store.commit(cell, nd):
+            return False
+
+    number_bit = 2
+    for row in slots:
+        positions = 0
+        position_bit = 2
+        for cell in seq:
+            if doms[cell] & number_bit:
+                positions |= position_bit
+            position_bit <<= 1
+        for sv in row:
+            d = doms[sv]
+            nd = d & positions
+            if nd != d and not store.commit(sv, nd):
+                return False
+        number_bit <<= 1
+
+    number_bit = 2
+    for row in slots:
+        for sv in row:
+            d = doms[sv]
+            if d and d & (d - 1) == 0:
+                cell = seq[d.bit_length() - 2]
+                dc = doms[cell]
+                if dc != number_bit and not store.commit(cell, dc & number_bit):
+                    return False
+        number_bit <<= 1
+
+    for i in range(1, kn + 1):
+        d = doms[seq[i - 1]]
+        if d and d & (d - 1) == 0:
+            row = slots[d.bit_length() - 2]
+            support = -1
+            for sv in row:
+                if (doms[sv] >> i) & 1:
+                    if support >= 0:
+                        support = -2  # more than one slot still open
+                        break
+                    support = sv
+            if support == -1:
+                return False
+            if support >= 0:
+                ds = doms[support]
+                bit = 1 << i
+                if ds != bit and not store.commit(support, ds & bit):
+                    return False
+    return True
+
+
+def random_channel_case(rng: random.Random, k: int, n: int):
+    """(domains, InverseChannel) over shuffled variable ids. In about half
+    the cases cells draw from 0..n+1 and slots from 0..kn+1, values outside
+    the channel's range; otherwise from 1..n and 1..kn. Density varies from
+    near-assigned to near-full."""
+    kn = k * n
+    ids = list(range(2 * kn))
+    rng.shuffle(ids)
+    slots = [ids[m * k:(m + 1) * k] for m in range(n)]
+    slots_flat = ids[:kn]
+    seq = ids[kn:]
+    density = rng.choice((0.15, 0.35, 0.6, 0.85))
+    spill = int(rng.random() < 0.5)
+    domains = [DomainSet()] * (2 * kn)
+    for var, top in [(v, n) for v in seq] + [(v, kn) for v in slots_flat]:
+        lo, hi = 1 - spill, top + spill
+        values = [v for v in range(lo, hi + 1) if rng.random() < density]
+        domains[var] = DomainSet(values or [rng.randint(lo, hi)])
+    return domains, InverseChannel(slots, seq)
+
+
 def assert_filter_sound(domains: list[DomainSet], prop) -> None:
     """One filtering step never drops a value that some satisfying total
     assignment (within the pre-filter domains) uses."""
