@@ -40,12 +40,12 @@ CSV_FIELDS = [
 TRIVIAL_NODE_BOUND = 5
 
 DEFAULT_SWEEP_VARIANTS = [
-    {"model": "positional", "sym": "p", "heuristic": "domoverwdeg"},
-    {"model": "channelled", "branch": "d", "sym": "d", "cons": "both", "heuristic": "static"},
-    {"model": "channelled", "branch": "d", "sym": "d", "cons": "p", "heuristic": "static"},
-    {"model": "channelled", "branch": "d", "sym": "p", "cons": "both", "heuristic": "static"},
-    {"model": "channelled", "branch": "d", "sym": "p", "cons": "p", "heuristic": "static"},
-    {"model": "channelled", "branch": "d", "sym": "d", "cons": "both", "heuristic": "sdf"},
+    "model=positional,sym=p,heuristic=domoverwdeg",
+    "model=channelled,branch=d,sym=d,cons=both,heuristic=static",
+    "model=channelled,branch=d,sym=d,cons=p,heuristic=static",
+    "model=channelled,branch=d,sym=p,cons=both,heuristic=static",
+    "model=channelled,branch=d,sym=p,cons=p,heuristic=static",
+    "model=channelled,branch=d,sym=d,cons=both,heuristic=sdf",
 ]
 
 
@@ -146,23 +146,18 @@ def _default_sym(model: str) -> str:
     return {"direct": "d", "positional": "p", "channelled": "d"}[model]
 
 
-def _run_variant(task) -> RunRecord:
-    k, n, variant, node_limit, time_limit = task
-    config = VariantConfig(
-        model=variant["model"],
-        branch=variant.get("branch"),
-        sym=variant.get("sym", "none"),
-        cons=variant.get("cons"),
-        heuristic=HeuristicKind(variant.get("heuristic", "static")),
-        implied=variant.get("implied", True),
-    )
-    model = build_model(Instance(k, n), config)
-    solutions, stats = solve_all(
-        model, config.heuristic, node_limit=node_limit, time_limit=time_limit
-    )
-    return RunRecord(
-        k=k,
-        n=n,
+def run(
+    instance: Instance,
+    config: VariantConfig,
+    node_limit: Optional[int] = None,
+    time_limit: Optional[float] = None,
+):
+    """Build and solve one cell: returns (model, solutions, RunRecord)."""
+    model = build_model(instance, config)
+    solutions, stats = solve_all(model, node_limit=node_limit, time_limit=time_limit)
+    record = RunRecord(
+        k=instance.k,
+        n=instance.n,
         model=config.model,
         branch=config.branch,
         sym=config.sym,
@@ -174,6 +169,11 @@ def _run_variant(task) -> RunRecord:
         time_ms=stats.elapsed_ms,
         timed_out=stats.timed_out,
     )
+    return model, solutions, record
+
+
+def _sweep_cell(task) -> RunRecord:
+    return run(*task)[2]
 
 
 def _write_csv(path: Path, records: list[RunRecord]) -> None:
@@ -204,27 +204,15 @@ def _read_csv(path: Path) -> list[RunRecord]:
 
 def cmd_solve(parser, args) -> int:
     config = _variant_from_args(parser, args)
-    model = build_model(Instance(args.k, args.n), config)
-    solutions, stats = solve_all(
-        model,
-        config.heuristic,
-        node_limit=args.node_limit,
-        time_limit=args.timeout,
-    )
-    record = RunRecord(
-        k=args.k,
-        n=args.n,
-        model=config.model,
-        branch=config.branch,
-        sym=config.sym,
-        cons=config.cons,
-        heuristic=config.heuristic.value,
-        solutions=len(solutions),
-        nodes=stats.nodes,
-        failures=stats.failures,
-        time_ms=stats.elapsed_ms,
-        timed_out=stats.timed_out,
-    )
+    out = Path(args.out) if args.out else None
+    fresh = out is None or not out.exists() or out.stat().st_size == 0
+    if not fresh:
+        try:
+            _read_csv(out)  # append only to a CSV that report and sweep can read
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    model, solutions, record = run(Instance(args.k, args.n), config, args.node_limit, args.timeout)
     print(
         f"{record.label} {config.label()}: solutions={record.solutions} "
         f"nodes={record.nodes} failures={record.failures} "
@@ -233,10 +221,8 @@ def cmd_solve(parser, args) -> int:
     if args.print_solutions:
         for sol in solutions:
             print(" ".join(map(str, model.sequence_of(sol))))
-    if args.out:
-        path = Path(args.out)
-        fresh = not path.exists() or path.stat().st_size == 0
-        with open(path, "a", newline="") as fh:
+    if out:
+        with open(out, "a", newline="") as fh:
             writer = csv.writer(fh)
             if fresh:
                 writer.writerow(CSV_FIELDS)
@@ -257,10 +243,33 @@ def _parse_variant_spec(parser, text: str) -> dict:
         value = value.strip()
         if key not in ("model", "branch", "sym", "cons", "heuristic", "implied"):
             parser.error(f"unknown variant key {key!r}")
-        variant[key] = value == "true" if key == "implied" else value
+        if key == "implied":
+            if value not in ("true", "false"):
+                parser.error(f"implied takes true or false, not {value!r}")
+            value = value == "true"
+        variant[key] = value
     if "model" not in variant:
         parser.error(f"variant spec {text!r} needs model=...")
     return variant
+
+
+def _sweep_configs(parser, args) -> dict[tuple, tuple[str, VariantConfig]]:
+    """The sweep's variants by CSV key (less k and n), each built once. A
+    spec that VariantConfig rejects is skipped with a message; two specs
+    with the same key are a usage error."""
+    configs: dict[tuple, tuple[str, VariantConfig]] = {}
+    for text in args.variant or DEFAULT_SWEEP_VARIANTS:
+        try:
+            config = VariantConfig(**_parse_variant_spec(parser, text))
+        except ValueError as exc:
+            print(f"skipping variant {text!r}: {exc}", file=sys.stderr)
+            continue
+        key = (config.model, config.branch or "", config.sym, config.cons or "",
+               config.heuristic.value)
+        if key in configs:
+            parser.error(f"variants {configs[key][0]!r} and {text!r} write the same CSV rows")
+        configs[key] = (text, config)
+    return configs
 
 
 def cmd_sweep(parser, args) -> int:
@@ -270,10 +279,7 @@ def cmd_sweep(parser, args) -> int:
     else:
         k_range = range(args.k_min, args.k_max + 1)
         n_range = range(args.n_min, args.n_max + 1)
-    if args.variant:
-        variants = [_parse_variant_spec(parser, spec) for spec in args.variant]
-    else:
-        variants = DEFAULT_SWEEP_VARIANTS
+    configs = _sweep_configs(parser, args)
 
     out = Path(args.out)
     existing: dict[tuple, RunRecord] = {}
@@ -285,34 +291,19 @@ def cmd_sweep(parser, args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 
-    tasks = []
-    for k in k_range:
-        for n in n_range:
-            for variant in variants:
-                try:
-                    config = VariantConfig(
-                        model=variant["model"],
-                        branch=variant.get("branch"),
-                        sym=variant.get("sym", "none"),
-                        cons=variant.get("cons"),
-                        heuristic=HeuristicKind(variant.get("heuristic", "static")),
-                        implied=variant.get("implied", True),
-                    )
-                except ValueError:
-                    continue  # invalid combo for this model kind
-                key = (k, n, config.model, config.branch or "", config.sym,
-                       config.cons or "", config.heuristic.value)
-                if key in existing:
-                    continue
-                tasks.append((k, n, variant, args.node_limit, args.timeout))
-
+    tasks = [
+        (Instance(k, n), config, args.node_limit, args.timeout)
+        for k in k_range
+        for n in n_range
+        for key, (_, config) in configs.items()
+        if (k, n) + key not in existing
+    ]
     records = list(existing.values())
-    if tasks:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                records.extend(pool.map(_run_variant, tasks))
-        else:
-            records.extend(_run_variant(task) for task in tasks)
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            records.extend(pool.map(_sweep_cell, tasks))
+    else:
+        records.extend(map(_sweep_cell, tasks))
     try:
         _write_csv(out, records)
     except OSError as exc:

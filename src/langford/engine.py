@@ -369,18 +369,21 @@ def validate_model(model) -> None:
 
 def solve_all(
     model,
-    heuristic: HeuristicKind = HeuristicKind.STATIC,
+    heuristic: Optional[HeuristicKind] = None,
     node_limit: Optional[int] = None,
     time_limit: Optional[float] = None,
 ) -> tuple[list[Solution], SearchStats]:
     """Enumerate every solution of `model`, depth first.
 
-    2-way branching: the left child assigns the selected variable its
-    minimum value, the right child removes that value. Each committed child
-    counts one node. A wipeout during a commit's propagation counts one
-    failure. On hitting a node or time limit the partial solution list is
-    returned with `timed_out` set.
+    Variables are selected by `model.config.heuristic`; a `heuristic`
+    argument overrides it. 2-way branching: the left child assigns the
+    selected variable its minimum value, the right child removes that
+    value. Each committed child counts one node. A wipeout during a
+    commit's propagation counts one failure. On hitting a node or time
+    limit the partial solution list is returned with `timed_out` set.
     """
+    if heuristic is None:
+        heuristic = model.config.heuristic
     validate_model(model)
     propagators = model.propagators
     for p in propagators:

@@ -1,4 +1,4 @@
-"""Langford model builders.
+"""Langford models, all built by one `build_model` body.
 
 Two viewpoints of L(k, n) and their channelled combination:
 
@@ -10,6 +10,11 @@ Two viewpoints of L(k, n) and their channelled combination:
 * channelled: both variable sets linked by element constraints and an
   inverse channel, with either, both, or one side's problem constraints
   and exactly one reflection-breaking constraint.
+
+The channelled model is both base viewpoints plus the links, so
+`build_model` posts each piece wherever the variant needs it;
+`build_direct`, `build_positional` and `build_channelled` are thin
+wrappers that name the variant.
 """
 
 from __future__ import annotations
@@ -148,30 +153,6 @@ class _Builder:
         return len(self.names) - 1
 
 
-def _make_seq_vars(b: _Builder, instance: Instance) -> list[int]:
-    return [b.var(f"seq_{i}", 1, instance.n) for i in range(1, instance.seq_length + 1)]
-
-
-def _make_pos_vars(b: _Builder, instance: Instance) -> list[list[int]]:
-    kn = instance.seq_length
-    return [
-        [b.var(f"pos_{m}_{j}", 1, kn) for j in range(1, instance.k + 1)]
-        for m in range(1, instance.n + 1)
-    ]
-
-
-def _make_first_vars(b: _Builder, instance: Instance) -> list[int]:
-    k, n, kn = instance.k, instance.n, instance.seq_length
-    out = []
-    for m in range(1, n + 1):
-        # Latest start still fitting the whole chain; when the chain cannot
-        # fit at all (n < k) the placeholder {1} is wiped at root by the
-        # element bounds rule.
-        hi = kn - (k - 1) * (m + 1)
-        out.append(b.var(f"first_{m}", 1, max(hi, 1)))
-    return out
-
-
 def _direct_constraints(instance, seq, first, implied: bool) -> list[Propagator]:
     k, n = instance.k, instance.n
     props: list[Propagator] = []
@@ -194,90 +175,48 @@ def _positional_constraints(instance, pos) -> list[Propagator]:
     return props
 
 
-def build_direct(
-    instance: Instance,
-    sym: bool = True,
-    implied: bool = True,
-    heuristic: HeuristicKind = HeuristicKind.STATIC,
-) -> Model:
-    """Sequence-cell viewpoint with per-number chain start auxiliaries."""
-    b = _Builder()
-    seq = _make_seq_vars(b, instance)
-    first = _make_first_vars(b, instance)
-    props: list[Propagator] = []
-    k, n = instance.k, instance.n
-    for m in range(1, n + 1):
-        for t in range(k):
-            props.append(ElementOffsetConst(seq, first[m - 1], t * (m + 1), m))
-    if sym:
-        props.append(LessThan(seq[0], seq[-1]))
-    if implied:
-        for m in range(1, n + 1):
-            props.append(Occurrence(seq, m, k))
-    config = VariantConfig(
-        "direct", sym="d" if sym else "none", heuristic=heuristic, implied=implied
-    )
-    return Model(
-        instance=instance,
-        config=config,
-        names=b.names,
-        initial_domains=b.domains,
-        propagators=props,
-        branch_order=seq + first,
-        seq_vars=seq,
-        first_occ=first,
-    )
+def build_model(instance: Instance, config: VariantConfig) -> Model:
+    """Build the model `config` names; all three viewpoints come from here.
 
-
-def build_positional(
-    instance: Instance,
-    sym: bool = True,
-    heuristic: HeuristicKind = HeuristicKind.STATIC,
-) -> Model:
-    """Position-per-copy viewpoint: injective slots plus fixed gaps."""
-    b = _Builder()
-    pos = _make_pos_vars(b, instance)
-    props = _positional_constraints(instance, pos)
-    if sym:
-        props.append(SumLeq(pos[0][0], pos[0][-1], instance.seq_length))
-    flat = [v for row in pos for v in row]
-    config = VariantConfig("positional", sym="p" if sym else "none", heuristic=heuristic)
-    return Model(
-        instance=instance,
-        config=config,
-        names=b.names,
-        initial_domains=b.domains,
-        propagators=props,
-        branch_order=flat,
-        pos_vars=pos,
-    )
-
-
-def build_channelled(instance: Instance, config: VariantConfig) -> Model:
-    """Both viewpoints, linked tightly; problem constraints per `config.cons`."""
-    if config.model != "channelled":
-        raise ValueError("config.model must be 'channelled'")
+    Sequence cells are posted unless the model is positional, slots unless
+    it is direct. Wherever the direct constraints are posted (direct, or
+    channelled with cons both/d) they come with the chain starts; a
+    channelled model also links cells and slots. The symmetry constraint
+    is posted last. Cells branch before slots except for branch p, and
+    chain starts come last.
+    """
     k, n, kn = instance.k, instance.n, instance.seq_length
-    with_direct = config.cons in ("both", "d")
-    with_positional = config.cons in ("both", "p")
+    with_direct = config.model == "direct" or config.cons in ("both", "d")
+    with_positional = config.model == "positional" or config.cons in ("both", "p")
 
     b = _Builder()
-    seq = _make_seq_vars(b, instance)
-    pos = _make_pos_vars(b, instance)
-    first = _make_first_vars(b, instance) if with_direct else None
+    seq = pos = first = None
+    if config.model != "positional":
+        seq = [b.var(f"seq_{i}", 1, n) for i in range(1, kn + 1)]
+    if config.model != "direct":
+        pos = [[b.var(f"pos_{m}_{j}", 1, kn) for j in range(1, k + 1)] for m in range(1, n + 1)]
+    if with_direct:
+        # Latest start still fitting the whole chain; when the chain cannot
+        # fit at all (n < k) the placeholder {1} is wiped at root by the
+        # element bounds rule.
+        first = [
+            b.var(f"first_{m}", 1, max(kn - (k - 1) * (m + 1), 1)) for m in range(1, n + 1)
+        ]
 
     props: list[Propagator] = []
-    # InverseChannel rules (b) and (c) already prune as much as these k*n
-    # element links, but the links stay: each is a propagator of its own,
-    # with its own scope and failure weight, so removing them changes wdeg
-    # scores and failure blame, and with them wdeg and dom/wdeg node counts.
-    for m in range(1, n + 1):
-        for j in range(1, k + 1):
-            props.append(ElementOffsetConst(seq, pos[m - 1][j - 1], 0, m))
-    props.append(InverseChannel(pos, seq))
-    for m in range(1, n + 1):
-        for j in range(2, k + 1):
-            props.append(LessThan(pos[m - 1][j - 2], pos[m - 1][j - 1]))
+    if config.model == "channelled":
+        # InverseChannel rules (b) and (c) already prune as much as these
+        # k*n element links, but the links stay: each is a propagator of its
+        # own, with its own scope and failure weight, so removing them
+        # changes wdeg scores and failure blame, and with them wdeg and
+        # dom/wdeg node counts.
+        for m in range(1, n + 1):
+            for j in range(1, k + 1):
+                props.append(ElementOffsetConst(seq, pos[m - 1][j - 1], 0, m))
+        props.append(InverseChannel(pos, seq))
+        for m in range(1, n + 1):
+            for j in range(2, k + 1):
+                props.append(LessThan(pos[m - 1][j - 2], pos[m - 1][j - 1]))
     if with_direct:
         props.extend(_direct_constraints(instance, seq, first, config.implied))
     if with_positional:
@@ -287,35 +226,47 @@ def build_channelled(instance: Instance, config: VariantConfig) -> Model:
     elif config.sym == "p":
         props.append(SumLeq(pos[0][0], pos[0][-1], kn))
 
-    flat = [v for row in pos for v in row]
-    if config.branch == "d":
-        order = seq + flat
-    else:
-        order = flat + seq
-    if first is not None:
-        order = order + first
+    cells = seq or []
+    slots = [v for row in pos for v in row] if pos else []
+    order = slots + cells if config.branch == "p" else cells + slots
     return Model(
         instance=instance,
         config=config,
         names=b.names,
         initial_domains=b.domains,
         propagators=props,
-        branch_order=order,
+        branch_order=order + (first or []),
         seq_vars=seq,
         pos_vars=pos,
         first_occ=first,
     )
 
 
-def build_model(instance: Instance, config: VariantConfig) -> Model:
-    """Dispatch on `config.model`."""
-    if config.model == "direct":
-        return build_direct(
-            instance,
-            sym=config.sym == "d",
-            implied=config.implied,
-            heuristic=config.heuristic,
-        )
-    if config.model == "positional":
-        return build_positional(instance, sym=config.sym == "p", heuristic=config.heuristic)
-    return build_channelled(instance, config)
+def build_direct(
+    instance: Instance,
+    sym: bool = True,
+    implied: bool = True,
+    heuristic: HeuristicKind = HeuristicKind.STATIC,
+) -> Model:
+    """Sequence-cell viewpoint with per-number chain start auxiliaries."""
+    config = VariantConfig(
+        "direct", sym="d" if sym else "none", heuristic=heuristic, implied=implied
+    )
+    return build_model(instance, config)
+
+
+def build_positional(
+    instance: Instance,
+    sym: bool = True,
+    heuristic: HeuristicKind = HeuristicKind.STATIC,
+) -> Model:
+    """Position-per-copy viewpoint: injective slots plus fixed gaps."""
+    config = VariantConfig("positional", sym="p" if sym else "none", heuristic=heuristic)
+    return build_model(instance, config)
+
+
+def build_channelled(instance: Instance, config: VariantConfig) -> Model:
+    """Both viewpoints, linked tightly; problem constraints per `config.cons`."""
+    if config.model != "channelled":
+        raise ValueError("config.model must be 'channelled'")
+    return build_model(instance, config)

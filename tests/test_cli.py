@@ -66,6 +66,15 @@ class TestSolve:
         assert rows[1][:3] == ["2", "3", "direct"]
         assert rows[1][11] == "false"
 
+    def test_csv_append_refuses_foreign_header(self, tmp_path, capsys):
+        out = tmp_path / "runs.csv"
+        out.write_text("a,b,c\n1,2,3\n")
+        code = main(["solve", "--k", "2", "--n", "3", "--model", "direct", "--sym", "d",
+                     "--out", str(out)])
+        assert code == 1
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "a,b,c\n1,2,3\n"
+
     def test_config_file(self, tmp_path, capsys):
         config = tmp_path / "run.conf"
         config.write_text("k=2\nn=3\nmodel=direct\nsym=d\n")
@@ -112,6 +121,31 @@ class TestSweep:
         )
         assert code == 0
         assert len(read_rows(out)) == 1  # header only
+        assert "skipping variant 'model=direct,sym=p'" in capsys.readouterr().err
+
+    def test_unknown_heuristic_named(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(
+            ["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
+             "--variant", "model=positional,sym=p,heuristic=domwdeg", "--out", str(out)]
+        )
+        assert code == 0
+        assert "'domwdeg'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("specs", [
+        ["model=direct,sym=d,implied=yes"],
+        ["model=direct,sym=d", "model=direct,sym=d,implied=false"],
+    ], ids=["implied-not-boolean", "duplicate-csv-key"])
+    def test_bad_variant_specs_exit_1(self, tmp_path, capsys, specs):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
+                "--out", str(out)]
+        for spec in specs:
+            argv += ["--variant", spec]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert not out.exists()
 
     def test_parallel_matches_serial(self, tmp_path, capsys):
         serial = tmp_path / "serial.csv"

@@ -139,7 +139,7 @@ def test_root_selection_depends_only_on_structure():
 
 # (k, n, model, branch, sym, cons, heuristic) -> (nodes, failures, solutions),
 # copied from benchmarks/pinned.json. wdeg and dom/wdeg counts move whenever
-# a filter's commit order or a model's propagator set changes.
+# a filter's commit order or a model's propagator set or order changes.
 PINNED_COUNTS = {
     (2, 6, "channelled", "p", "p", "p", "domoverwdeg"): (120, 61, 0),
     (3, 6, "channelled", "p", "p", "p", "domoverwdeg"): (58, 30, 0),
@@ -149,6 +149,9 @@ PINNED_COUNTS = {
     (3, 6, "positional", None, "p", None, "wdeg"): (86, 44, 0),
     (2, 6, "positional", None, "p", None, "sdf"): (124, 63, 0),
     (2, 6, "direct", None, "d", None, "domoverwdeg"): (2804, 1403, 0),
+    (2, 8, "positional", None, "p", None, "domoverwdeg"): (2064, 883, 150),
+    (3, 6, "direct", None, "d", None, "domoverwdeg"): (4632, 2317, 0),
+    (4, 6, "direct", None, "d", None, "domoverwdeg"): (3374, 1688, 0),
 }
 
 
@@ -157,6 +160,6 @@ def test_counts_pinned_per_heuristic(cell):
     k, n, model, branch, sym, cons, heuristic = cell
     config = VariantConfig(model, branch=branch, sym=sym, cons=cons, heuristic=heuristic)
     built = build_model(Instance(k, n), config)
-    solutions, stats = solve_all(built, config.heuristic)
+    solutions, stats = solve_all(built)  # the heuristic comes from built.config
     assert not stats.timed_out
     assert (stats.nodes, stats.failures, len(solutions)) == PINNED_COUNTS[cell]

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from langford.engine import DomainSet, Store, solve_all
 from langford.heuristics import HeuristicKind
@@ -38,6 +39,8 @@ class TinyModel:
     propagators: list
     branch_order: list = field(default_factory=list)
     names: list = field(default_factory=list)
+    # solve_all reads the heuristic from here when none is passed
+    config = SimpleNamespace(heuristic=HeuristicKind.STATIC)
 
     def __post_init__(self):
         if not self.branch_order:
