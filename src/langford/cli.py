@@ -185,6 +185,21 @@ def _write_csv(path: Path, records: list[RunRecord]) -> None:
             writer.writerow(rec.to_csv())
 
 
+def _cannot_write(path, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+    return 1
+
+
+def _probe_writable(path: Path) -> None:
+    """Raise OSError unless `path` can be written. An existing file is
+    opened for appending and left as it was; a new one is removed again."""
+    if path.exists():
+        open(path, "a").close()
+    else:
+        open(path, "x").close()
+        path.unlink()
+
+
 def _read_csv(path: Path) -> list[RunRecord]:
     records = []
     with open(path, newline="") as fh:
@@ -212,6 +227,11 @@ def cmd_solve(parser, args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+    if out:
+        try:
+            _probe_writable(out)  # before the search, whose result would be lost
+        except OSError as exc:
+            return _cannot_write(out, exc)
     model, solutions, record = run(Instance(args.k, args.n), config, args.node_limit, args.timeout)
     print(
         f"{record.label} {config.label()}: solutions={record.solutions} "
@@ -222,11 +242,14 @@ def cmd_solve(parser, args) -> int:
         for sol in solutions:
             print(" ".join(map(str, model.sequence_of(sol))))
     if out:
-        with open(out, "a", newline="") as fh:
-            writer = csv.writer(fh)
-            if fresh:
-                writer.writerow(CSV_FIELDS)
-            writer.writerow(record.to_csv())
+        try:
+            with open(out, "a", newline="") as fh:
+                writer = csv.writer(fh)
+                if fresh:
+                    writer.writerow(CSV_FIELDS)
+                writer.writerow(record.to_csv())
+        except OSError as exc:
+            return _cannot_write(out, exc)
     return 2 if record.timed_out else 0
 
 
@@ -282,6 +305,10 @@ def cmd_sweep(parser, args) -> int:
     configs = _sweep_configs(parser, args)
 
     out = Path(args.out)
+    try:
+        _probe_writable(out)  # before the first cell, not after the whole grid
+    except OSError as exc:
+        return _cannot_write(out, exc)
     existing: dict[tuple, RunRecord] = {}
     if args.skip_existing and out.exists():
         try:
@@ -307,8 +334,7 @@ def cmd_sweep(parser, args) -> int:
     try:
         _write_csv(out, records)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return 1
+        return _cannot_write(out, exc)
     print(f"wrote {len(records)} rows to {out}")
     return 0
 
@@ -383,7 +409,10 @@ def cmd_report(parser, args) -> int:
         return 1
     text = render_report(records)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
     else:
         print(text, end="")
     return 0
@@ -409,8 +438,7 @@ def cmd_export_dimacs(parser, args) -> int:
     try:
         write_dimacs(cnf, args.out)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+        return _cannot_write(args.out, exc)
     print(f"wrote {cnf.num_vars} vars, {len(cnf.clauses)} clauses to {args.out}")
     return 0
 

@@ -96,11 +96,11 @@ class Store:
 
     Domains are raw bitmasks for speed. Every reduction is trailed as a
     (var, removed-bits) record; undoing to a mark restores each domain
-    bit-exactly. Vars whose domain changed since the last drain are kept in
-    `changed` so the propagation loop can wake watchers.
+    bit-exactly. The trail doubles as the wake-event queue: the entries
+    past `seen` are the reductions that have not yet woken their watchers.
     """
 
-    __slots__ = ("doms", "trail", "trail_bits", "marks", "changed", "changed_bits")
+    __slots__ = ("doms", "trail", "trail_bits", "marks", "seen")
 
     def __init__(self, domains: Sequence):
         self.doms = [d.mask if isinstance(d, DomainSet) else int(d) for d in domains]
@@ -108,8 +108,7 @@ class Store:
         self.trail: list[int] = []
         self.trail_bits: list[int] = []
         self.marks: list[int] = []
-        self.changed: list[int] = []
-        self.changed_bits: list[int] = []
+        self.seen = 0
 
     def commit(self, var: int, new_mask: int) -> bool:
         """Install a reduced domain, trailing the removed bits.
@@ -117,12 +116,9 @@ class Store:
         Returns False on wipeout; the empty domain is left in place for the
         caller to unwind.
         """
-        removed = self.doms[var] ^ new_mask
         self.trail.append(var)
-        self.trail_bits.append(removed)
+        self.trail_bits.append(self.doms[var] ^ new_mask)
         self.doms[var] = new_mask
-        self.changed.append(var)
-        self.changed_bits.append(removed)
         return new_mask != 0
 
     def intersect(self, var: int, mask: int) -> bool:
@@ -148,15 +144,11 @@ class Store:
         doms = self.doms
         while len(trail) > depth:
             doms[trail.pop()] |= bits.pop()
-        self.changed.clear()
-        self.changed_bits.clear()
+        self.seen = depth
 
-    def drain_changed(self) -> tuple[list[int], list[int]]:
-        vars_, bits = self.changed, self.changed_bits
-        if vars_:
-            self.changed = []
-            self.changed_bits = []
-        return vars_, bits
+    def drain_changed(self) -> None:
+        """Drop the pending wake events: every trail entry counts as seen."""
+        self.seen = len(self.trail)
 
     def domain(self, var: int) -> DomainSet:
         return DomainSet(mask=self.doms[var])
@@ -191,6 +183,8 @@ class SearchStats:
 class Watchers:
     """Wake tables: which propagators to queue when a domain changes.
 
+    The changes are the store's trail entries past `seen`, each a var and
+    the bits it lost; the fixpoint loop looks them up here in trail order.
     A propagator may watch a variable unconditionally, for the removal of
     specific values (an element constraint only cares about its target value
     disappearing from an array cell), or for the variable becoming assigned.
@@ -281,8 +275,10 @@ def propagate_to_fixpoint(
 ) -> int:
     """Run queued propagators until no domain changes or one fails.
 
-    Pending `store.changed` entries are absorbed into the queue first, so a
-    freshly committed branching step seeds its own wake set. Returns
+    Wake events are the trail entries past `store.seen`, dispatched in trail
+    order: first the pending ones, so a freshly committed branching step
+    seeds its own wake set, then after each filter the ones it committed.
+    Every return, failing ones included, leaves them all seen. Returns
     FIXPOINT, or the failing propagator's id after bumping its weight.
     """
     if queue is None:
@@ -296,21 +292,25 @@ def propagate_to_fixpoint(
     assign_any_of = watchers.assign_any_of
     assign_value_of = watchers.assign_value_of
     doms = store.doms
-    changed, changed_bits = store.drain_changed()
+    trail = store.trail
+    trail_bits = store.trail_bits
+    seen = store.seen
     if queue_pids is not None:
         for pid in queue_pids:
             if not in_queue[pid]:
                 in_queue[pid] = 1
                 (heavy if priority[pid] else cheap).append(pid)
     while True:
-        for event, var in enumerate(changed):
+        end = len(trail)
+        for event in range(seen, end):
+            var = trail[event]
             for pid in any_of[var]:
                 if not in_queue[pid]:
                     in_queue[pid] = 1
                     (heavy if priority[pid] else cheap).append(pid)
             table = value_of[var]
             if table is not None:
-                rest = changed_bits[event]
+                rest = trail_bits[event]
                 while rest:
                     low = rest & -rest
                     rest ^= low
@@ -337,17 +337,18 @@ def propagate_to_fixpoint(
                                 if not in_queue[pid]:
                                     in_queue[pid] = 1
                                     (heavy if priority[pid] else cheap).append(pid)
+        seen = end
         if cheap:
             pid = cheap.popleft()
         elif heavy:
             pid = heavy.popleft()
         else:
+            store.seen = seen
             return FIXPOINT
         in_queue[pid] = 0
         prop = propagators[pid]
-        ok = prop.filter(store)
-        changed, changed_bits = store.drain_changed()
-        if not ok:
+        if not prop.filter(store):
+            store.seen = len(trail)
             prop.weight += 1
             queue.clear()
             return pid

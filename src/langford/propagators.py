@@ -149,7 +149,16 @@ class SumLeq(Propagator):
 
 
 class AllDifferent(Propagator):
-    """Pairwise-distinct values; forward checking plus a pigeonhole test."""
+    """Pairwise-distinct values; forward checking plus a pigeonhole test.
+
+    One scan sorts the scope into assigned values (a repeated one fails)
+    and open variables, kept in scope order. Then rounds run: each removes
+    the values fixed by the round before from the still-open variables, the
+    first round removing every assigned value. An open variable has already
+    lost every value fixed earlier, so only the newest ones can prune it.
+    A round that fixes one value twice fails once it ends. When no round is
+    left, the pigeonhole test counts the values of the whole scope.
+    """
 
     kind = "all_different"
     __slots__ = ()
@@ -161,28 +170,41 @@ class AllDifferent(Propagator):
 
     def filter(self, store) -> bool:
         doms = store.doms
-        scope = self.scope
-        while True:
-            assigned = 0
-            for v in scope:
+        assigned = 0
+        open_vars = []
+        for v in self.scope:
+            d = doms[v]
+            if d & (d - 1):
+                open_vars.append(v)
+            elif d & assigned:
+                return False  # two variables share one value
+            else:
+                assigned |= d
+        fixed = assigned
+        while fixed:
+            newly = 0
+            clash = 0
+            still_open = []
+            for v in open_vars:
                 d = doms[v]
-                if d & (d - 1) == 0:
-                    if d & assigned:
-                        return False  # two variables share one value
-                    assigned |= d
-            progressed = False
-            union = 0  # only read after a pass that pruned nothing
-            for v in scope:
-                d = doms[v]
-                if d & (d - 1):
-                    nd = d & ~assigned
-                    if nd != d:
-                        if not store.commit(v, nd):
-                            return False
-                        progressed = True
-                union |= d
-            if not progressed:
-                return union.bit_count() >= len(scope)
+                if d & fixed:
+                    d &= ~fixed
+                    if not store.commit(v, d):
+                        return False
+                    if d & (d - 1) == 0:
+                        clash |= d & newly
+                        newly |= d
+                        continue
+                still_open.append(v)
+            if clash:
+                return False  # two variables were forced to one value
+            assigned |= newly
+            fixed = newly
+            open_vars = still_open
+        union = assigned
+        for v in open_vars:
+            union |= doms[v]
+        return union.bit_count() >= len(self.scope)
 
     def check(self, values) -> bool:
         seen = set()

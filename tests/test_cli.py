@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from langford import cli
 from langford.cli import CSV_FIELDS, RunRecord, main, render_report
 from langford.satgen import read_dimacs_map
 
@@ -74,6 +75,15 @@ class TestSolve:
         assert code == 1
         assert str(out) in capsys.readouterr().err
         assert out.read_text() == "a,b,c\n1,2,3\n"
+
+    def test_unwritable_out_fails_before_search(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "runs.csv"
+        code = main(["solve", "--k", "2", "--n", "3", "--model", "direct", "--sym", "d",
+                     "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no result line: the search never ran
+        assert captured.err.startswith(f"error: cannot write {out}: ")
 
     def test_config_file(self, tmp_path, capsys):
         config = tmp_path / "run.conf"
@@ -147,6 +157,17 @@ class TestSweep:
         assert info.value.code == 1
         assert not out.exists()
 
+    def test_unwritable_out_runs_no_cell(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *task: calls.append(task))
+        out = tmp_path / "missing" / "sweep.csv"
+        code = main(["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "4",
+                     "--variant", "model=direct,sym=d", "--out", str(out)])
+        assert code == 1
+        assert calls == []
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_parallel_matches_serial(self, tmp_path, capsys):
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
@@ -213,6 +234,13 @@ class TestReport:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n")
         assert main(["report", str(bad)]) == 1
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        csv_path = tmp_path / "sweep.csv"
+        csv_path.write_text(",".join(CSV_FIELDS) + "\n2,3,direct,,d,,static,1,0,0,1,false\n")
+        out = tmp_path / "missing" / "report.md"
+        assert main(["report", str(csv_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
 class TestOracleCmd:

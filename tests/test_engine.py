@@ -16,9 +16,26 @@ from langford.engine import (
 from langford.heuristics import HeuristicKind
 from langford.models import Instance, VariantConfig, build_channelled, build_direct, build_positional
 from langford.oracle import enumerate_bruteforce
-from langford.propagators import EqOffset, LessThan
+from langford.propagators import EqOffset, LessThan, Propagator
 
 from util import TinyModel, doms, naive_fixpoint
+
+
+class Probe(Propagator):
+    """Counts its filter calls. With `wipe` set, it empties the last var of
+    its scope and so fails."""
+
+    kind = "probe"
+    __slots__ = ("calls", "wipe")
+
+    def __init__(self, scope, wipe=False):
+        super().__init__(scope)
+        self.calls = 0
+        self.wipe = wipe
+
+    def filter(self, store) -> bool:
+        self.calls += 1
+        return not self.wipe or store.commit(self.scope[-1], 0)
 
 
 def run_fixpoint(store, props):
@@ -137,6 +154,48 @@ class TestPropagateToFixpoint:
         assert run_fixpoint(store, model.propagators) == FIXPOINT
         assert store.doms == settled
         assert len(store.trail) == trail_depth  # zero removals the second time
+
+    def test_commits_between_calls_wake_watchers_once(self):
+        # commits made outside a propagation, without a mark, are pending
+        # wake events: the next call dispatches each once, the one after none
+        first, second = Probe([0]), Probe([1])
+        props = [first, second]
+        store = Store(doms({1, 2, 3, 4}, {1, 2, 3}))
+        watchers = build_watchers(2, props)
+        assert propagate_to_fixpoint(store, props, watchers, range(2)) == FIXPOINT
+        assert (first.calls, second.calls) == (1, 1)
+        store.remove_value(0, 1)
+        store.remove_value(0, 2)
+        store.remove_value(1, 3)
+        assert propagate_to_fixpoint(store, props, watchers) == FIXPOINT
+        assert (first.calls, second.calls) == (2, 2)
+        assert propagate_to_fixpoint(store, props, watchers) == FIXPOINT
+        assert (first.calls, second.calls) == (2, 2)
+
+    def test_no_stale_events_after_failure(self):
+        # a failing propagation leaves no event behind, and neither does the
+        # undo after it; a commit right after an undo wakes its watchers
+        watcher, wiper = Probe([0, 1]), Probe([0, 1], wipe=True)
+        props = [watcher, wiper]
+        store = Store(doms({1, 2, 3}, {1, 2, 3}))
+        watchers = build_watchers(2, props)
+        assert propagate_to_fixpoint(store, props, watchers) == FIXPOINT
+        store.push_mark()
+        store.remove_value(0, 1)
+        assert propagate_to_fixpoint(store, props, watchers) == 1
+        assert (watcher.calls, wiper.calls) == (1, 1)
+        assert propagate_to_fixpoint(store, props, watchers) == FIXPOINT
+        store.undo_to_mark()
+        assert propagate_to_fixpoint(store, props, watchers) == FIXPOINT
+        assert (watcher.calls, wiper.calls) == (1, 1)
+        store.push_mark()
+        store.remove_value(0, 1)
+        assert propagate_to_fixpoint(store, props, watchers) == 1
+        store.undo_to_mark()
+        wiper.wipe = False
+        store.remove_value(1, 3)
+        assert propagate_to_fixpoint(store, props, watchers) == FIXPOINT
+        assert (watcher.calls, wiper.calls) == (3, 3)
 
     def test_naive_agreement_on_random_restrictions(self):
         rng = random.Random(99)

@@ -23,8 +23,10 @@ from util import (
     assert_filter_sound,
     assert_monotone,
     doms,
+    random_all_different_case,
     random_case,
     random_channel_case,
+    reference_all_different_filter,
     reference_inverse_channel_filter,
 )
 
@@ -122,6 +124,37 @@ class TestAllDifferent:
         prop = AllDifferent([0, 1, 2])
         assert prop.check([1, 2, 3])
         assert not prop.check([1, 2, 1])
+
+    def test_commits_match_reference_filter(self):
+        # Same result and the same (var, mask) commits in the same order as
+        # the rescanning filter.
+        rng = random.Random(1809)
+        outcomes = dict.fromkeys(("duplicate", "chain", "wipeout", "clash", "pigeonhole"), 0)
+        for _ in range(600):
+            domains, prop = random_all_different_case(rng)
+            fast, ref = RecordingStore(domains), RecordingStore(domains)
+            ok = prop.filter(fast)
+            assert ok == reference_all_different_filter(prop, ref)
+            assert fast.log == ref.log
+            singletons = [d.mask for d in domains if d.is_singleton()]
+            duplicate = len(set(singletons)) < len(singletons)
+            # a commit that removes a value some earlier commit fixed
+            chain = any(
+                ref.trail_bits[j] & mask
+                for i, (_, mask) in enumerate(ref.log)
+                if mask and mask & (mask - 1) == 0
+                for j in range(i + 1, len(ref.log))
+            )
+            wipeout = bool(ref.log) and ref.log[-1][1] == 0
+            fixed = [d for d in ref.doms if d and d & (d - 1) == 0]
+            clash = not duplicate and len(set(fixed)) < len(fixed)
+            outcomes["duplicate"] += duplicate
+            outcomes["chain"] += chain
+            outcomes["wipeout"] += wipeout
+            outcomes["clash"] += clash
+            outcomes["pigeonhole"] += not ok and not (duplicate or wipeout or clash)
+        # the sample reaches every way to fail and singletons forced in turn
+        assert all(count >= 20 for count in outcomes.values()), outcomes
 
 
 class TestElementOffsetConst:

@@ -155,6 +155,63 @@ class RecordingStore(Store):
         return super().commit(var, new_mask)
 
 
+def reference_all_different_filter(prop: AllDifferent, store: Store) -> bool:
+    """The rescanning AllDifferent filter: every round collects the assigned
+    values over the whole scope (a repeated one fails), then removes all of
+    them from every unassigned variable, until a round removes nothing. The
+    one-scan filter must make exactly the same commits, in the same order,
+    with the same result."""
+    doms = store.doms
+    scope = prop.scope
+    while True:
+        assigned = 0
+        for v in scope:
+            d = doms[v]
+            if d & (d - 1) == 0:
+                if d & assigned:
+                    return False
+                assigned |= d
+        progressed = False
+        union = 0
+        for v in scope:
+            d = doms[v]
+            if d & (d - 1):
+                nd = d & ~assigned
+                if nd != d:
+                    if not store.commit(v, nd):
+                        return False
+                    progressed = True
+            union |= d
+        if not progressed:
+            return union.bit_count() >= len(scope)
+
+
+def random_all_different_case(rng: random.Random):
+    """(domains, AllDifferent) over 2-12 variables. Each case mixes three
+    kinds of domain, in shuffled scope order: chain links {p[i-1], p[i]}
+    over a random value order p, whose first link's singleton forces the
+    next one in turn; singletons, which may repeat a value; and random sets
+    of varied density. Few values per variable give wipeouts and pigeonhole
+    failures."""
+    count = rng.randint(2, 12)
+    values = list(range(1, count + rng.choice((-1, 0, 0, 1, 3)) + 1))
+    rng.shuffle(values)
+    domains = []
+    density = rng.choice((0.2, 0.4, 0.7))
+    for i in range(count):
+        kind = rng.random()
+        if kind < 0.4 and i < len(values):
+            link = {values[i]} if i == 0 else {values[i - 1], values[i]}
+            domains.append(DomainSet(link))
+        elif kind < 0.55:
+            domains.append(DomainSet((rng.choice(values),)))
+        else:
+            picked = [v for v in values if rng.random() < density]
+            domains.append(DomainSet(picked or [rng.choice(values)]))
+    rng.shuffle(domains)
+    return domains, AllDifferent(list(range(count)))
+
+
 def reference_inverse_channel_filter(prop: InverseChannel, store: Store) -> bool:
     """The full-rescan InverseChannel filter: rules (a) and (b) each test
     every (number, cell) pair. The bit-parallel filter must make exactly
