@@ -1,6 +1,6 @@
 """Finite-domain solver and experiment harness for Langford pairings."""
 
-from .engine import DomainSet, SearchStats, Store, propagate_to_fixpoint, solve_all
+from .engine import SearchStats, Store, propagate_to_fixpoint, solve_all
 from .heuristics import HeuristicKind, select_variable
 from .models import (
     Instance,
@@ -14,7 +14,6 @@ from .models import (
 from .oracle import count_table, enumerate_bruteforce
 
 __all__ = [
-    "DomainSet",
     "HeuristicKind",
     "Instance",
     "Model",

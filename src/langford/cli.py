@@ -185,9 +185,13 @@ def _write_csv(path: Path, records: list[RunRecord]) -> None:
             writer.writerow(rec.to_csv())
 
 
-def _cannot_write(path, exc: OSError) -> int:
-    print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+def _error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
     return 1
+
+
+def _cannot_write(path, exc: OSError) -> int:
+    return _error(f"cannot write {path}: {exc}")
 
 
 def _probe_writable(path: Path) -> None:
@@ -219,20 +223,23 @@ def _read_csv(path: Path) -> list[RunRecord]:
 
 def cmd_solve(parser, args) -> int:
     config = _variant_from_args(parser, args)
+    try:
+        instance = Instance(args.k, args.n)
+    except ValueError as exc:
+        return _error(exc)
     out = Path(args.out) if args.out else None
     fresh = out is None or not out.exists() or out.stat().st_size == 0
     if not fresh:
         try:
             _read_csv(out)  # append only to a CSV that report and sweep can read
         except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _error(exc)
     if out:
         try:
             _probe_writable(out)  # before the search, whose result would be lost
         except OSError as exc:
             return _cannot_write(out, exc)
-    model, solutions, record = run(Instance(args.k, args.n), config, args.node_limit, args.timeout)
+    model, solutions, record = run(instance, config, args.node_limit, args.timeout)
     print(
         f"{record.label} {config.label()}: solutions={record.solutions} "
         f"nodes={record.nodes} failures={record.failures} "
@@ -302,6 +309,10 @@ def cmd_sweep(parser, args) -> int:
     else:
         k_range = range(args.k_min, args.k_max + 1)
         n_range = range(args.n_min, args.n_max + 1)
+    try:
+        instances = [Instance(k, n) for k in k_range for n in n_range]
+    except ValueError as exc:
+        return _error(exc)
     configs = _sweep_configs(parser, args)
 
     out = Path(args.out)
@@ -315,15 +326,13 @@ def cmd_sweep(parser, args) -> int:
             for rec in _read_csv(out):
                 existing[rec.sort_key()] = rec
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _error(exc)
 
     tasks = [
-        (Instance(k, n), config, args.node_limit, args.timeout)
-        for k in k_range
-        for n in n_range
+        (instance, config, args.node_limit, args.timeout)
+        for instance in instances
         for key, (_, config) in configs.items()
-        if (k, n) + key not in existing
+        if (instance.k, instance.n) + key not in existing
     ]
     records = list(existing.values())
     if args.jobs > 1:
@@ -405,8 +414,7 @@ def cmd_report(parser, args) -> int:
     try:
         records = _read_csv(Path(args.csv))
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     text = render_report(records)
     if args.out:
         try:
@@ -422,8 +430,7 @@ def cmd_oracle(parser, args) -> int:
     try:
         arrangements = enumerate_bruteforce(args.k, args.n, args.sym)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     print(len(arrangements))
     if args.print_solutions:
         for arr in arrangements:
@@ -433,8 +440,11 @@ def cmd_oracle(parser, args) -> int:
 
 def cmd_export_dimacs(parser, args) -> int:
     config = _variant_from_args(parser, args)
-    model = build_model(Instance(args.k, args.n), config)
-    cnf = encode(model)
+    try:
+        instance = Instance(args.k, args.n)
+    except ValueError as exc:
+        return _error(exc)
+    cnf = encode(build_model(instance, config))
     try:
         write_dimacs(cnf, args.out)
     except OSError as exc:
@@ -447,13 +457,21 @@ _FLAG_ONLY_KEYS = {"print-solutions", "skip-existing", "full", "no-implied"}
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Expand `--config FILE` (key=value lines mirroring long flag names)
-    into flags appended after the explicit ones; explicit flags win."""
-    if "--config" not in argv:
+    """Expand `--config FILE` or `--config=FILE` (key=value lines mirroring
+    long flag names) into flags appended after the explicit ones; explicit
+    flags, `--flag value` and `--flag=value` alike, win."""
+    for at, token in enumerate(argv):
+        if token == "--config":
+            path = argv[at + 1]
+            argv = argv[:at] + argv[at + 2 :]
+            break
+        if token.startswith("--config="):
+            path = token.split("=", 1)[1]
+            argv = argv[:at] + argv[at + 1 :]
+            break
+    else:
         return argv
-    at = argv.index("--config")
-    path = argv[at + 1]
-    argv = argv[:at] + argv[at + 2 :]
+    given = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -462,7 +480,7 @@ def _apply_config(argv: list[str]) -> list[str]:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
-        if flag in argv:
+        if flag in given:
             continue
         if key.replace("_", "-") in _FLAG_ONLY_KEYS:
             if value.lower() in ("1", "true", "yes"):
@@ -544,8 +562,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         argv = _apply_config(argv)
     except (OSError, ValueError, IndexError) as exc:
-        print(f"error: bad config file: {exc}", file=sys.stderr)
-        return 1
+        return _error(f"bad config file: {exc}")
     args = parser.parse_args(argv)
     return args.func(parser, args)
 

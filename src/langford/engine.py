@@ -1,8 +1,10 @@
 """Finite-domain backtracking core.
 
-Bitmask domains, a trailed store with bit-exact restore, propagation to
-fixpoint over a propagator queue, and all-solution depth-first search with
-2-way (assign / remove-min) branching.
+A domain is a plain int bitmask: bit v is set iff value v is in it. A
+trailed store with bit-exact restore, propagation to fixpoint over a
+propagator queue, and all-solution depth-first search with 2-way
+(assign / remove-min) branching. A search never writes to the model it
+runs on: its domains, trail and failure weights are its own.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .heuristics import HeuristicKind, select_variable
 
@@ -19,82 +21,20 @@ FIXPOINT = -1
 Solution = tuple  # dense assignment, indexed by VarId
 
 
-class DomainSet:
-    """Finite set of small non-negative ints backed by a bitmask.
-
-    Bit v is set iff value v is in the set. Removing an absent value is a
-    no-op. Callers never leave a domain empty except transiently inside a
-    propagation step that then reports failure.
-    """
-
-    __slots__ = ("mask",)
-
-    def __init__(self, values: Iterable[int] = (), mask: Optional[int] = None):
-        if mask is not None:
-            self.mask = mask
-        else:
-            m = 0
-            for v in values:
-                if v < 0:
-                    raise ValueError("domain values must be non-negative")
-                m |= 1 << v
-            self.mask = m
-
-    @classmethod
-    def range(cls, lo: int, hi: int) -> "DomainSet":
-        """Inclusive integer interval [lo, hi]; empty when hi < lo."""
-        if hi < lo:
-            return cls(mask=0)
-        return cls(mask=((1 << (hi - lo + 1)) - 1) << lo)
-
-    def __contains__(self, v: int) -> bool:
-        return v >= 0 and (self.mask >> v) & 1 == 1
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __iter__(self):
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DomainSet) and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash(self.mask)
-
-    def __repr__(self) -> str:
-        return f"DomainSet({{{', '.join(map(str, self))}}})"
-
-    def min(self) -> int:
-        if not self.mask:
-            raise ValueError("empty domain has no min")
-        return (self.mask & -self.mask).bit_length() - 1
-
-    def max(self) -> int:
-        if not self.mask:
-            raise ValueError("empty domain has no max")
-        return self.mask.bit_length() - 1
-
-    def is_singleton(self) -> bool:
-        m = self.mask
-        return m != 0 and m & (m - 1) == 0
-
-    def remove(self, v: int) -> None:
-        if v >= 0:
-            self.mask &= ~(1 << v)
-
-    def copy(self) -> "DomainSet":
-        return DomainSet(mask=self.mask)
+def values(mask: int) -> list[int]:
+    """The values in a domain mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class Store:
     """Trailed domain store.
 
-    Domains are raw bitmasks for speed. Every reduction is trailed as a
+    `doms` holds one bitmask per variable. Every reduction is trailed as a
     (var, removed-bits) record; undoing to a mark restores each domain
     bit-exactly. The trail doubles as the wake-event queue: the entries
     past `seen` are the reductions that have not yet woken their watchers.
@@ -102,8 +42,8 @@ class Store:
 
     __slots__ = ("doms", "trail", "trail_bits", "marks", "seen")
 
-    def __init__(self, domains: Sequence):
-        self.doms = [d.mask if isinstance(d, DomainSet) else int(d) for d in domains]
+    def __init__(self, domains: Sequence[int]):
+        self.doms = list(domains)
         # parallel lists, one removal event each: the var and the bits removed
         self.trail: list[int] = []
         self.trail_bits: list[int] = []
@@ -145,13 +85,6 @@ class Store:
         while len(trail) > depth:
             doms[trail.pop()] |= bits.pop()
         self.seen = depth
-
-    def drain_changed(self) -> None:
-        """Drop the pending wake events: every trail entry counts as seen."""
-        self.seen = len(self.trail)
-
-    def domain(self, var: int) -> DomainSet:
-        return DomainSet(mask=self.doms[var])
 
     def min_value(self, var: int) -> int:
         d = self.doms[var]
@@ -279,7 +212,7 @@ def propagate_to_fixpoint(
     order: first the pending ones, so a freshly committed branching step
     seeds its own wake set, then after each filter the ones it committed.
     Every return, failing ones included, leaves them all seen. Returns
-    FIXPOINT, or the failing propagator's id after bumping its weight.
+    FIXPOINT, or the failing propagator's id.
     """
     if queue is None:
         queue = _Queue(len(propagators))
@@ -346,10 +279,8 @@ def propagate_to_fixpoint(
             store.seen = seen
             return FIXPOINT
         in_queue[pid] = 0
-        prop = propagators[pid]
-        if not prop.filter(store):
+        if not propagators[pid].filter(store):
             store.seen = len(trail)
-            prop.weight += 1
             queue.clear()
             return pid
 
@@ -380,15 +311,17 @@ def solve_all(
     argument overrides it. 2-way branching: the left child assigns the
     selected variable its minimum value, the right child removes that
     value. Each committed child counts one node. A wipeout during a
-    commit's propagation counts one failure. On hitting a node or time
-    limit the partial solution list is returned with `timed_out` set.
+    commit's propagation counts one failure and bumps the failing
+    propagator's weight. The weights belong to this search: each starts
+    at 1, so repeated or concurrent searches of one model agree. On
+    hitting a node or time limit the partial solution list is returned
+    with `timed_out` set.
     """
     if heuristic is None:
         heuristic = model.config.heuristic
     validate_model(model)
     propagators = model.propagators
-    for p in propagators:
-        p.weight = 1
+    weights = [1] * len(propagators)
     num_vars = len(model.initial_domains)
     store = Store(model.initial_domains)
     watchers = build_watchers(num_vars, propagators)
@@ -419,7 +352,7 @@ def solve_all(
         descend = True
         while True:
             if descend:
-                var = select_variable(store, model, heuristic)
+                var = select_variable(store, model, heuristic, weights)
                 if var is None:
                     solutions.append(tuple(store.value(v) for v in range(num_vars)))
                     stats.solutions += 1
@@ -433,8 +366,10 @@ def solve_all(
                 stats.nodes += 1
                 frames.append((var, value, 1))
                 store.assign(var, value)
-                if propagate_to_fixpoint(store, propagators, watchers, None, queue) != FIXPOINT:
+                failed = propagate_to_fixpoint(store, propagators, watchers, None, queue)
+                if failed != FIXPOINT:
                     stats.failures += 1
+                    weights[failed] += 1
                     descend = False
             else:
                 if not frames:
@@ -449,10 +384,12 @@ def solve_all(
                     stats.nodes += 1
                     frames.append((var, value, 2))
                     store.remove_value(var, value)
-                    if propagate_to_fixpoint(store, propagators, watchers, None, queue) == FIXPOINT:
+                    failed = propagate_to_fixpoint(store, propagators, watchers, None, queue)
+                    if failed == FIXPOINT:
                         descend = True
                     else:
                         stats.failures += 1
+                        weights[failed] += 1
                 # phase 2 finished: keep unwinding
     finally:
         stats.elapsed_ms = int((time.monotonic() - t0) * 1000)

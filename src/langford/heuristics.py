@@ -17,30 +17,33 @@ class HeuristicKind(str, Enum):
     DOM_OVER_WDEG = "domoverwdeg"
 
 
-def wdeg_scores(store, model) -> list[int]:
+def wdeg_scores(store, model, weights) -> list[int]:
     """Weighted-degree score per variable.
 
-    A propagator contributes its weight to every unassigned variable in its
+    `weights[pid]` is the search's failure weight of propagator pid. A
+    propagator contributes its weight to every unassigned variable in its
     scope, but only while it still constrains the search, i.e. has at least
     two unassigned scope variables.
     """
     doms = store.doms
     scores = [0] * len(doms)
-    for p in model.propagators:
+    for p, w in zip(model.propagators, weights):
         unassigned = []
         for v in p.scope:
             d = doms[v]
             if d & (d - 1):
                 unassigned.append(v)
         if len(unassigned) >= 2:
-            w = p.weight
             for v in unassigned:
                 scores[v] += w
     return scores
 
 
-def select_variable(store, model, kind: HeuristicKind):
-    """Pick the next branching variable, or None when all are assigned."""
+def select_variable(store, model, kind: HeuristicKind, weights):
+    """Pick the next branching variable, or None when all are assigned.
+
+    `weights` are the failure weights that wdeg and dom/wdeg read.
+    """
     doms = store.doms
     order = model.branch_order
 
@@ -64,7 +67,7 @@ def select_variable(store, model, kind: HeuristicKind):
         return best
 
     if kind is HeuristicKind.WDEG:
-        scores = wdeg_scores(store, model)
+        scores = wdeg_scores(store, model, weights)
         best = None
         best_score = -1
         for v in order:
@@ -75,7 +78,7 @@ def select_variable(store, model, kind: HeuristicKind):
         return best
 
     if kind is HeuristicKind.DOM_OVER_WDEG:
-        scores = wdeg_scores(store, model)
+        scores = wdeg_scores(store, model, weights)
         best = None
         best_size = 0
         best_score = 1

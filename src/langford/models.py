@@ -19,10 +19,9 @@ wrappers that name the variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .engine import DomainSet
 from .heuristics import HeuristicKind
 from .propagators import (
     AllDifferent,
@@ -113,14 +112,16 @@ class Model:
     """Variables, propagators and branching order for one variant.
 
     Variable ids are dense and assigned in construction order, which defines
-    order of appearance. `initial_domains` is never mutated by the engine;
-    searches copy it into a store.
+    order of appearance. `initial_domains` holds one int bitmask per
+    variable (bit v set iff v is in the domain). A built model is data that
+    no search writes to: a search copies the domains into its own store and
+    keeps its own failure weights, so one model can serve many searches.
     """
 
     instance: Instance
     config: VariantConfig
     names: list[str]
-    initial_domains: list[DomainSet]
+    initial_domains: list[int]
     propagators: list[Propagator]
     branch_order: list[int]
     seq_vars: Optional[list[int]] = None
@@ -145,11 +146,11 @@ class Model:
 class _Builder:
     def __init__(self):
         self.names: list[str] = []
-        self.domains: list[DomainSet] = []
+        self.domains: list[int] = []
 
     def var(self, name: str, lo: int, hi: int) -> int:
         self.names.append(name)
-        self.domains.append(DomainSet.range(lo, hi))
+        self.domains.append(((1 << (hi - lo + 1)) - 1) << lo)
         return len(self.names) - 1
 
 

@@ -7,10 +7,6 @@ consistent on their pruned side, less_than and sum_leq are bounds
 consistent, all_different does forward checking plus a pigeonhole test.
 Positions and values are 1-based throughout.
 
-`weight` is the failure counter used by weighted-degree heuristics: it
-starts at 1 and is incremented by the engine each time this propagator
-reports a failure.
-
 A filter's commit sequence (which `(var, mask)` pairs it hands to
 `store.commit`, in which order, and where it stops on a wipeout) is part
 of its contract, not just the domains it leaves. The order decides which
@@ -27,11 +23,10 @@ class Propagator:
     kind = "abstract"
     cost_tier = 0  # heavy propagators use 1: queued after cheap ones settle
 
-    __slots__ = ("scope", "weight")
+    __slots__ = ("scope",)
 
     def __init__(self, scope: Sequence[int]):
         self.scope = tuple(scope)
-        self.weight = 1
 
     def filter(self, store) -> bool:
         """Reduce domains; False on wipeout or detected inconsistency."""

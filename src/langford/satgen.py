@@ -11,10 +11,10 @@ blocking clauses.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .engine import values
 from .propagators import (
     AllDifferent,
     ElementOffsetConst,
@@ -112,11 +112,12 @@ def _exactly_k(lits: Sequence[int], k: int, new_var, clauses: list[list[int]]) -
 
 def encode(model) -> Cnf:
     """Boolean encoding of a freshly built model's root domains."""
-    domains = model.initial_domains
+    domains = model.initial_domains  # masks, for membership tests
+    listed = [values(d) for d in domains]  # the same, ascending, to iterate
     lit_of: dict[tuple[int, int], int] = {}
     csp_of: list[Optional[tuple[int, int]]] = [None]  # 1-based
-    for var, dom in enumerate(domains):
-        for v in dom:
+    for var, vals in enumerate(listed):
+        for v in vals:
             lit_of[(var, v)] = len(csp_of)
             csp_of.append((var, v))
     num_csp = len(csp_of) - 1
@@ -128,8 +129,8 @@ def encode(model) -> Cnf:
         return counter[0]
 
     clauses: list[list[int]] = []
-    for var, dom in enumerate(domains):
-        lits = [lit_of[(var, v)] for v in dom]
+    for var, vals in enumerate(listed):
+        lits = [lit_of[(var, v)] for v in vals]
         clauses.append(lits[:])
         for a in range(len(lits)):
             for b in range(a + 1, len(lits)):
@@ -139,9 +140,9 @@ def encode(model) -> Cnf:
     for prop in model.propagators:
         if isinstance(prop, (EqOffset, LessThan, SumLeq)):
             x, y = prop.scope
-            for a in domains[x]:
+            for a in listed[x]:
                 scratch[x] = a
-                for b in domains[y]:
+                for b in listed[y]:
                     scratch[y] = b
                     if not prop.check(scratch):
                         clauses.append([-lit_of[(x, a)], -lit_of[(y, b)]])
@@ -150,15 +151,15 @@ def encode(model) -> Cnf:
             for i in range(len(scope)):
                 for j in range(i + 1, len(scope)):
                     x, y = scope[i], scope[j]
-                    for v in domains[x]:
-                        if v in domains[y]:
+                    for v in listed[x]:
+                        if domains[y] >> v & 1:
                             clauses.append([-lit_of[(x, v)], -lit_of[(y, v)]])
         elif isinstance(prop, ElementOffsetConst):
             c = prop.value
-            for p in domains[prop.index]:
+            for p in listed[prop.index]:
                 pos = p + prop.offset
                 idx_lit = lit_of[(prop.index, p)]
-                if 1 <= pos <= len(prop.array) and c in domains[prop.array[pos - 1]]:
+                if 1 <= pos <= len(prop.array) and domains[prop.array[pos - 1]] >> c & 1:
                     clauses.append([-idx_lit, lit_of[(prop.array[pos - 1], c)]])
                 else:
                     clauses.append([-idx_lit])
@@ -166,24 +167,24 @@ def encode(model) -> Cnf:
             kn = len(prop.seq)
             for i in range(1, kn + 1):
                 cell = prop.seq[i - 1]
-                for m in domains[cell]:
+                for m in listed[cell]:
                     heads = [
                         lit_of[(sv, i)]
                         for sv in prop.slots[m - 1]
-                        if i in domains[sv]
+                        if domains[sv] >> i & 1
                     ]
                     clauses.append([-lit_of[(cell, m)]] + heads)
             for m0, row in enumerate(prop.slots):
                 for sv in row:
-                    for i in domains[sv]:
+                    for i in listed[sv]:
                         cell = prop.seq[i - 1]
                         slot_lit = lit_of[(sv, i)]
-                        if m0 + 1 in domains[cell]:
+                        if domains[cell] >> (m0 + 1) & 1:
                             clauses.append([-slot_lit, lit_of[(cell, m0 + 1)]])
                         else:
                             clauses.append([-slot_lit])
         elif isinstance(prop, Occurrence):
-            lits = [lit_of[(v, prop.value)] for v in prop.scope if prop.value in domains[v]]
+            lits = [lit_of[(v, prop.value)] for v in prop.scope if domains[v] >> prop.value & 1]
             _exactly_k(lits, prop.count, new_var, clauses)
         else:
             raise ValueError(f"no encoding for propagator kind {prop.kind!r}")
@@ -192,7 +193,7 @@ def encode(model) -> Cnf:
     slot_vars = [v for row in pos_vars for v in row] if pos_vars is not None else []
     slot_set = set(slot_vars)
     decision_order = [
-        lit_of[(var, v)] for var in slot_vars for v in domains[var]
+        lit_of[(var, v)] for var in slot_vars for v in listed[var]
     ]
     decision_order += [
         idx

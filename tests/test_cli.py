@@ -97,6 +97,24 @@ class TestSolve:
         assert main(["solve", "--config", str(config), "--n", "5"]) == 0
         assert "solutions=0" in capsys.readouterr().out
 
+    def test_config_equals_form(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("k=2\nn=3\nmodel=direct\nsym=d\n")
+        assert main(["solve", f"--config={config}"]) == 0
+        assert "solutions=1" in capsys.readouterr().out
+
+    def test_config_flag_equals_form_override(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("k=2\nn=3\nmodel=direct\nsym=d\n")
+        assert main(["solve", "--config", str(config), "--n=5"]) == 0
+        assert capsys.readouterr().out.startswith("02_05 ")
+
+    def test_out_of_range_instance(self, capsys):
+        assert main(["solve", "--k", "1", "--n", "3", "--model", "direct"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k must be at least 2\n"
+
 
 class TestSweep:
     def test_tiny_grid_schema_and_order(self, tmp_path, capsys):
@@ -167,6 +185,17 @@ class TestSweep:
         assert calls == []
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_range_runs_no_cell(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *task: calls.append(task))
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--k-min", "1", "--k-max", "2", "--n-min", "3", "--n-max", "3",
+                     "--variant", "model=direct,sym=d", "--out", str(out)])
+        assert code == 1
+        assert calls == []
+        assert capsys.readouterr().err == "error: k must be at least 2\n"
+        assert not out.exists()
 
     def test_parallel_matches_serial(self, tmp_path, capsys):
         serial = tmp_path / "serial.csv"
@@ -266,6 +295,14 @@ class TestExportDimacs:
         assert "p cnf " in text
         mapping = read_dimacs_map(out)
         assert mapping[1] == ("pos_1_1", 1)
+
+    def test_out_of_range_instance(self, tmp_path, capsys):
+        out = tmp_path / "model.cnf"
+        code = main(["export-dimacs", "--k", "2", "--n", "0", "--model", "positional",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: n must be at least 1\n"
+        assert not out.exists()
 
 
 def test_trivial_flag_rule():

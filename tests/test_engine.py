@@ -1,24 +1,33 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
 from langford.engine import (
     FIXPOINT,
-    DomainSet,
     Store,
     build_watchers,
     propagate_to_fixpoint,
     solve_all,
     validate_model,
+    values,
 )
 from langford.heuristics import HeuristicKind
-from langford.models import Instance, VariantConfig, build_channelled, build_direct, build_positional
+from langford.models import (
+    Instance,
+    VariantConfig,
+    build_channelled,
+    build_direct,
+    build_model,
+    build_positional,
+)
 from langford.oracle import enumerate_bruteforce
 from langford.propagators import EqOffset, LessThan, Propagator
 
-from util import TinyModel, doms, naive_fixpoint
+from util import TinyModel, doms, mask_of, naive_fixpoint
 
 
 class Probe(Propagator):
@@ -43,38 +52,6 @@ def run_fixpoint(store, props):
     return propagate_to_fixpoint(store, props, watchers, range(len(props)))
 
 
-class TestDomainSet:
-    def test_range_and_membership(self):
-        d = DomainSet.range(2, 5)
-        assert sorted(d) == [2, 3, 4, 5]
-        assert 2 in d and 5 in d and 1 not in d and 6 not in d
-        assert len(d) == 4
-        assert d.min() == 2 and d.max() == 5
-
-    def test_remove_absent_value_is_noop(self):
-        d = DomainSet((1, 3))
-        d.remove(2)
-        assert sorted(d) == [1, 3]
-        d.remove(3)
-        assert sorted(d) == [1]
-
-    def test_min_max_agree_with_membership(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            values = sorted({rng.randint(0, 40) for _ in range(rng.randint(1, 12))})
-            d = DomainSet(values)
-            assert d.min() == values[0]
-            assert d.max() == values[-1]
-            assert sorted(d) == values
-
-    def test_empty_range(self):
-        assert len(DomainSet.range(3, 2)) == 0
-
-    def test_singleton(self):
-        assert DomainSet((4,)).is_singleton()
-        assert not DomainSet((4, 5)).is_singleton()
-
-
 class TestStore:
     def test_assign_and_value(self):
         store = Store(doms({1, 2, 3}))
@@ -89,7 +66,7 @@ class TestStore:
     def test_undo_restores_bit_exactly(self):
         rng = random.Random(13)
         for _ in range(100):
-            masks = [DomainSet(rng.sample(range(1, 12), rng.randint(2, 8))) for _ in range(5)]
+            masks = [mask_of(rng.sample(range(1, 12), rng.randint(2, 8))) for _ in range(5)]
             store = Store(masks)
             snapshot = list(store.doms)
             store.push_mark()
@@ -98,8 +75,7 @@ class TestStore:
                 d = store.doms[var]
                 if d and not (d & (d - 1)):
                     continue
-                values = [v for v in DomainSet(mask=d)]
-                store.remove_value(var, rng.choice(values))
+                store.remove_value(var, rng.choice(values(d)))
             store.undo_to_mark()
             assert store.doms == snapshot
 
@@ -114,7 +90,7 @@ class TestStore:
         store.undo_to_mark()
         assert store.doms == inner
         store.undo_to_mark()
-        assert store.doms == [DomainSet({1, 2, 3, 4}).mask]
+        assert store.doms == doms({1, 2, 3, 4})
 
 
 class TestPropagateToFixpoint:
@@ -123,15 +99,14 @@ class TestPropagateToFixpoint:
         store = Store(doms({1, 2, 3}, {1, 2, 3}))
         props = [EqOffset(0, 1, 2)]
         assert run_fixpoint(store, props) == FIXPOINT
-        assert sorted(store.domain(0)) == [3]
-        assert sorted(store.domain(1)) == [1]
+        assert values(store.doms[0]) == [3]
+        assert values(store.doms[1]) == [1]
 
     def test_failure_increments_weight(self):
+        # the search bumps the weight of the propagator id returned here
         store = Store(doms({1}, {1}))
         props = [LessThan(0, 1)]
-        assert props[0].weight == 1
         assert run_fixpoint(store, props) == 0
-        assert props[0].weight == 2
 
     def test_channelled_root_matches_naive_fixpoint(self):
         # queue-driven fixpoint must agree with plain round-robin filtering
@@ -202,12 +177,11 @@ class TestPropagateToFixpoint:
         cfg = VariantConfig("channelled", branch="d", sym="d", cons="both")
         model = build_channelled(Instance(2, 4), cfg)
         for _ in range(40):
-            base = [d.copy() for d in model.initial_domains]
-            for d in base:
-                values = sorted(d)
-                for v in values:
-                    if len(d) > 1 and rng.random() < 0.2:
-                        d.remove(v)
+            base = list(model.initial_domains)
+            for var, d in enumerate(base):
+                for v in values(d):
+                    if base[var].bit_count() > 1 and rng.random() < 0.2:
+                        base[var] &= ~(1 << v)
             fast = Store(base)
             slow = Store(base)
             got = run_fixpoint(fast, model.propagators)
@@ -298,8 +272,7 @@ class TestSolveAll:
         for _ in range(50):
             store.push_mark()
             var = rng.randrange(model.num_vars)
-            d = store.domain(var)
-            store.assign(var, rng.choice(sorted(d)))
+            store.assign(var, rng.choice(values(store.doms[var])))
             propagate_to_fixpoint(store, model.propagators, watchers)
             store.undo_to_mark()
             assert store.doms == snapshot
@@ -335,14 +308,25 @@ class TestSolveAll:
             if len(fixed) == len(model.seq_vars):
                 assert extensible
 
-    def test_weights_reset_between_runs(self):
-        model = build_direct(Instance(2, 5))
-        solve_all(model)
-        weights_first = [p.weight for p in model.propagators]
-        solve_all(model)
-        assert [p.weight for p in model.propagators] == weights_first
+    def test_concurrent_searches_share_one_model(self):
+        # failure weights are per search, so two threads searching one
+        # model interleave without moving each other's dom/wdeg choices
+        config = VariantConfig("positional", sym="p", heuristic=HeuristicKind.DOM_OVER_WDEG)
+        model = build_model(Instance(2, 8), config)
+        counts = []
 
-    def test_failure_count_matches_weights(self):
-        model = build_positional(Instance(2, 6))
-        _, stats = solve_all(model)
-        assert sum(p.weight - 1 for p in model.propagators) == stats.failures
+        def search():
+            solutions, stats = solve_all(model)
+            counts.append((stats.nodes, stats.failures, len(solutions)))
+
+        threads = [threading.Thread(target=search) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-search
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [(2064, 883, 150)] * 2

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from langford.engine import FIXPOINT, DomainSet, Store, build_watchers, propagate_to_fixpoint, solve_all
+from langford.engine import FIXPOINT, Store, build_watchers, propagate_to_fixpoint, solve_all, values
 from langford.heuristics import HeuristicKind
 from langford.models import (
     Instance,
@@ -74,9 +74,9 @@ class TestBuildDirect:
         model = build_direct(Instance(2, 3))
         assert len(model.seq_vars) == 6
         assert len(model.first_occ) == 3
-        assert all(model.initial_domains[v] == DomainSet.range(1, 3) for v in model.seq_vars)
-        first_domains = [model.initial_domains[v] for v in model.first_occ]
-        assert first_domains == [DomainSet.range(1, 4), DomainSet.range(1, 3), DomainSet.range(1, 2)]
+        assert all(values(model.initial_domains[v]) == [1, 2, 3] for v in model.seq_vars)
+        first_domains = [values(model.initial_domains[v]) for v in model.first_occ]
+        assert first_domains == [[1, 2, 3, 4], [1, 2, 3], [1, 2]]
         assert kinds(model) == {"element_offset_const": 6, "less_than": 1, "occurrence": 3}
         assert model.branch_order == model.seq_vars + model.first_occ
 
@@ -135,7 +135,7 @@ class TestBuildPositional:
         model = build_positional(Instance(2, 3))
         flat = [v for row in model.pos_vars for v in row]
         assert len(flat) == 6
-        assert all(model.initial_domains[v] == DomainSet.range(1, 6) for v in flat)
+        assert all(values(model.initial_domains[v]) == [1, 2, 3, 4, 5, 6] for v in flat)
         assert kinds(model) == {"all_different": 1, "eq_offset": 3, "sum_leq": 1}
         gaps = sorted(p.c for p in model.propagators if isinstance(p, EqOffset))
         assert gaps == [2, 3, 4]
@@ -150,7 +150,7 @@ class TestBuildPositional:
         assert propagate_to_fixpoint(
             store, model.propagators, watchers, range(len(model.propagators))
         ) == FIXPOINT
-        assert sorted(store.domain(model.pos_vars[3][0])) == [1, 2, 3]
+        assert values(store.doms[model.pos_vars[3][0]]) == [1, 2, 3]
 
     def test_chain_spilling_over_fails_at_root(self):
         model = build_positional(Instance(5, 2))

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
-from langford.engine import DomainSet, Store
+from langford.engine import Store, values
 from langford.models import Instance, build_direct, build_positional
 from langford.propagators import (
     AllDifferent,
@@ -35,13 +36,13 @@ class TestEqOffset:
     def test_interval_shift(self):
         store = Store(doms(set(range(1, 11)), set(range(1, 6))))
         assert EqOffset(0, 1, 3).filter(store)
-        assert sorted(store.domain(0)) == [4, 5, 6, 7, 8]
-        assert sorted(store.domain(1)) == [1, 2, 3, 4, 5]
+        assert values(store.doms[0]) == [4, 5, 6, 7, 8]
+        assert values(store.doms[1]) == [1, 2, 3, 4, 5]
 
     def test_back_propagation(self):
         store = Store(doms({4}, {1, 2, 9}))
         assert EqOffset(0, 1, 3).filter(store)
-        assert sorted(store.domain(1)) == [1]
+        assert values(store.doms[1]) == [1]
 
     def test_empty_intersection_fails(self):
         store = Store(doms({1, 2}, {5}))
@@ -56,8 +57,8 @@ class TestLessThan:
     def test_bounds(self):
         store = Store(doms(set(range(1, 7)), set(range(1, 7))))
         assert LessThan(0, 1).filter(store)
-        assert sorted(store.domain(0)) == [1, 2, 3, 4, 5]
-        assert sorted(store.domain(1)) == [2, 3, 4, 5, 6]
+        assert values(store.doms[0]) == [1, 2, 3, 4, 5]
+        assert values(store.doms[1]) == [2, 3, 4, 5, 6]
 
     def test_failure(self):
         store = Store(doms({3}, {1, 2, 3}))
@@ -66,7 +67,7 @@ class TestLessThan:
     def test_holes_kept(self):
         store = Store(doms({2, 7}, {3}))
         assert LessThan(0, 1).filter(store)
-        assert sorted(store.domain(0)) == [2]
+        assert values(store.doms[0]) == [2]
 
     def test_check(self):
         assert not LessThan(0, 1).check([4, 4])
@@ -77,13 +78,13 @@ class TestSumLeq:
     def test_both_sides(self):
         store = Store(doms(set(range(1, 7)), set(range(1, 7))))
         assert SumLeq(0, 1, 6).filter(store)
-        assert sorted(store.domain(0)) == [1, 2, 3, 4, 5]
-        assert sorted(store.domain(1)) == [1, 2, 3, 4, 5]
+        assert values(store.doms[0]) == [1, 2, 3, 4, 5]
+        assert values(store.doms[1]) == [1, 2, 3, 4, 5]
 
     def test_tight(self):
         store = Store(doms({5}, {1, 2, 3}))
         assert SumLeq(0, 1, 6).filter(store)
-        assert sorted(store.domain(1)) == [1]
+        assert values(store.doms[1]) == [1]
 
     def test_failure(self):
         store = Store(doms({6}, set(range(1, 7))))
@@ -98,9 +99,9 @@ class TestAllDifferent:
     def test_chain_of_singletons(self):
         store = Store(doms({1}, {1, 2}, {1, 2, 3}))
         assert AllDifferent([0, 1, 2]).filter(store)
-        assert sorted(store.domain(0)) == [1]
-        assert sorted(store.domain(1)) == [2]
-        assert sorted(store.domain(2)) == [3]
+        assert values(store.doms[0]) == [1]
+        assert values(store.doms[1]) == [2]
+        assert values(store.doms[2]) == [3]
 
     def test_pigeonhole(self):
         store = Store(doms({1, 2}, {1, 2}, {1, 2}))
@@ -110,7 +111,7 @@ class TestAllDifferent:
         model = build_positional(Instance(2, 3), sym=False)
         store = Store(model.initial_domains)
         assert model.propagators[0].filter(store)
-        assert store.doms == [d.mask for d in model.initial_domains]
+        assert store.doms == model.initial_domains
 
     def test_two_assigned_same_fails(self):
         store = Store(doms({2}, {2}, {1, 2, 3}))
@@ -136,7 +137,7 @@ class TestAllDifferent:
             ok = prop.filter(fast)
             assert ok == reference_all_different_filter(prop, ref)
             assert fast.log == ref.log
-            singletons = [d.mask for d in domains if d.is_singleton()]
+            singletons = [d for d in domains if d and d & (d - 1) == 0]
             duplicate = len(set(singletons)) < len(singletons)
             # a commit that removes a value some earlier commit fixed
             chain = any(
@@ -161,26 +162,26 @@ class TestElementOffsetConst:
     def test_support_filtering(self):
         store = Store(doms({1, 2}, {2}, {1, 2}, {1, 2, 3}))
         assert ElementOffsetConst([0, 1, 2], 3, 0, 1).filter(store)
-        assert sorted(store.domain(3)) == [1, 3]
+        assert values(store.doms[3]) == [1, 3]
 
     def test_assigned_index_fixes_target(self):
         store = Store(doms({9}, {9}, {1, 2, 3}, {2}))
         assert ElementOffsetConst([0, 1, 2], 3, 1, 3).filter(store)
-        assert sorted(store.domain(2)) == [3]
+        assert values(store.doms[2]) == [3]
 
     def test_out_of_bounds_pruned(self):
         store = Store(doms({1, 2}, {1, 2}, {1, 2, 3}))
         assert ElementOffsetConst([0, 1], 2, 1, 1).filter(store)
-        assert sorted(store.domain(2)) == [1]  # 2 and 3 would run off the end
+        assert values(store.doms[2]) == [1]  # 2 and 3 would run off the end
 
     def test_first_occurrence_chain_forced(self):
         # with cell 2 already known, the two chain anchors for number 3 leave
         # a single start cell
         model = build_direct(Instance(2, 3))
         store = Store(model.initial_domains)
-        assert sorted(store.domain(model.first_occ[2])) == [1, 2]
+        assert values(store.doms[model.first_occ[2]]) == [1, 2]
         store.assign(model.seq_vars[1], 2)
-        store.drain_changed()
+        store.seen = len(store.trail)
         chain_props = [
             p
             for p in model.propagators
@@ -193,7 +194,7 @@ class TestElementOffsetConst:
             for p in chain_props:
                 assert p.filter(store)
             changed = store.doms != before
-        assert sorted(store.domain(model.first_occ[2])) == [1]
+        assert values(store.doms[model.first_occ[2]]) == [1]
 
     def test_check(self):
         prop = ElementOffsetConst([0, 1, 2], 3, 1, 3)
@@ -207,13 +208,13 @@ class TestOccurrence:
         store = Store(doms({1}, {1}, {1, 2}, {1, 2}, {1, 3}, {1, 2, 3}))
         assert Occurrence(list(range(6)), 1, 2).filter(store)
         for var in range(2, 6):
-            assert 1 not in store.domain(var)
+            assert 1 not in values(store.doms[var])
 
     def test_scarce_value_forced(self):
         store = Store(doms({1, 2}, {1, 3}, {2, 3}, {2, 3}, {2, 3}, {2, 3}))
         assert Occurrence(list(range(6)), 1, 2).filter(store)
-        assert sorted(store.domain(0)) == [1]
-        assert sorted(store.domain(1)) == [1]
+        assert values(store.doms[0]) == [1]
+        assert values(store.doms[1]) == [1]
 
     def test_too_many_assigned_fails(self):
         store = Store(doms({1}, {1}, {1}, {1, 2}, {1, 2}, {1, 2}))
@@ -237,7 +238,7 @@ class TestInverseChannel:
             [{1, 2}, {1, 2}, {1, 2}, {1, 2}],
         )
         assert prop.filter(store)
-        assert sorted(store.domain(6)) == [2]  # cell 3 must hold number 2
+        assert values(store.doms[6]) == [2]  # cell 3 must hold number 2
 
     def test_cell_restriction_prunes_slots(self):
         store, prop = self.build(
@@ -246,8 +247,8 @@ class TestInverseChannel:
         )
         assert prop.filter(store)
         # number 1 cannot sit at position 1 any more
-        assert 1 not in store.domain(0)
-        assert 1 not in store.domain(1)
+        assert 1 not in values(store.doms[0])
+        assert 1 not in values(store.doms[1])
 
     def test_unique_support_assigns_slot(self):
         store, prop = self.build(
@@ -282,39 +283,33 @@ class TestInverseChannel:
             assert fast.log == ref.log
             failed += not ok
             outside = ~((2 << n) - 2)
-            stripped += any(d.mask & outside for d in (domains[c] for c in prop.seq))
+            stripped += any(domains[c] & outside for c in prop.seq)
         # the sample reaches both outcomes, with and without out-of-range cells
         assert 100 <= failed <= 500
         assert 200 <= stripped <= 400
 
 
 class TestRandomizedProperties:
+    # Seeds come from crc32 of the kind, not hash(), which differs from one
+    # process to the next, so every run draws the same cases; each test adds
+    # its own offset so the tests draw different ones.
     @pytest.mark.parametrize("kind", PROPAGATOR_KINDS)
     def test_soundness_sample(self, kind):
-        rng = random.Random(hash(kind) & 0xFFFF)
+        rng = random.Random(zlib.crc32(kind.encode()))
         for _ in range(150):
             domains, prop = random_case(rng, kind)
             assert_filter_sound(domains, prop)
 
     @pytest.mark.parametrize("kind", PROPAGATOR_KINDS)
     def test_checker_agreement_sample(self, kind):
-        rng = random.Random(hash(kind) & 0xFFF)
+        rng = random.Random(zlib.crc32(kind.encode()) + 1)
         for _ in range(300):
             domains, prop = random_case(rng, kind)
             assert_checker_agreement(rng, domains, prop)
 
     @pytest.mark.parametrize("kind", PROPAGATOR_KINDS)
     def test_monotone_sample(self, kind):
-        rng = random.Random(hash(kind) & 0xFFFFF)
+        rng = random.Random(zlib.crc32(kind.encode()) + 2)
         for _ in range(150):
             domains, prop = random_case(rng, kind)
             assert_monotone(rng, domains, prop)
-
-    def test_weight_only_grows_on_own_failure(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            domains, prop = random_case(rng, "all_different")
-            store = Store(domains)
-            before = prop.weight
-            prop.filter(store)  # filters never touch weight themselves
-            assert prop.weight == before

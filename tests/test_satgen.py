@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from langford.engine import DomainSet, solve_all
+from langford.engine import solve_all, values
 from langford.models import Instance, VariantConfig, build_channelled, build_direct, build_positional
 from langford.oracle import enumerate_bruteforce
 from langford.satgen import (
@@ -38,7 +38,7 @@ class TestEncode:
         # at 2x2 the chain of 2s only fits one start cell
         model = build_direct(Instance(2, 2), sym=False, implied=False)
         var = model.first_occ[1]
-        assert model.initial_domains[var] == DomainSet((1,))
+        assert values(model.initial_domains[var]) == [1]
         cnf = encode(model)
         unit = cnf.lit_of[(var, 1)]
         assert [unit] in cnf.clauses
@@ -47,7 +47,7 @@ class TestEncode:
         model = build_direct(Instance(2, 3))
         cnf = encode(model)
         for var, dom in enumerate(model.initial_domains):
-            for value in dom:
+            for value in values(dom):
                 assert (var, value) in cnf.lit_of
         assert len(cnf.lit_of) == cnf.num_csp_lits
 
@@ -94,7 +94,7 @@ class TestDimacs:
         assert all(l.endswith(" 0") for l in clause_lines)
 
     def test_trivial_model_single_unit(self, tmp_path):
-        model = TinyModel([DomainSet((1,))], [])
+        model = TinyModel(doms({1}), [])
         cnf = encode(model)
         path = tmp_path / "tiny.cnf"
         write_dimacs(cnf, path)

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
-from langford.engine import DomainSet, Store, solve_all
+from langford.engine import Store, solve_all, values
 from langford.heuristics import HeuristicKind
 from langford.propagators import (
     AllDifferent,
@@ -49,8 +49,16 @@ class TinyModel:
             self.names = [f"v{i}" for i in range(len(self.initial_domains))]
 
 
-def doms(*value_sets) -> list[DomainSet]:
-    return [DomainSet(values) for values in value_sets]
+def mask_of(vals) -> int:
+    """The domain bitmask holding `vals`."""
+    mask = 0
+    for v in vals:
+        mask |= 1 << v
+    return mask
+
+
+def doms(*value_sets) -> list[int]:
+    return [mask_of(vals) for vals in value_sets]
 
 
 def naive_fixpoint(store: Store, propagators) -> int:
@@ -62,7 +70,7 @@ def naive_fixpoint(store: Store, propagators) -> int:
         for pid, p in enumerate(propagators):
             if not p.filter(store):
                 return pid
-        store.drain_changed()
+        store.seen = len(store.trail)  # drop the wake events: every filter reruns
         if store.doms == before:
             return -1
 
@@ -82,12 +90,12 @@ def solution_sequences(model, heuristic=HeuristicKind.STATIC) -> frozenset:
     return frozenset(model.sequence_of(s) for s in solutions)
 
 
-def supported_sets(domains: list[DomainSet], prop) -> list[set[int]]:
+def supported_sets(domains: list[int], prop) -> list[set[int]]:
     """Per-variable sets of values taking part in some satisfying total
     assignment over `domains` (exhaustive enumeration)."""
     scope = prop.scope
     num_vars = len(domains)
-    value_lists = [sorted(domains[v]) for v in range(num_vars)]
+    value_lists = [values(d) for d in domains]
     scratch = [0] * num_vars
     supported: list[set[int]] = [set() for _ in range(num_vars)]
     for combo in itertools.product(*value_lists):
@@ -99,11 +107,11 @@ def supported_sets(domains: list[DomainSet], prop) -> list[set[int]]:
     return supported
 
 
-def random_domain(rng: random.Random, lo: int, hi: int) -> DomainSet:
-    values = [v for v in range(lo, hi + 1) if rng.random() < 0.7]
-    if not values:
-        values = [rng.randint(lo, hi)]
-    return DomainSet(values)
+def random_domain(rng: random.Random, lo: int, hi: int) -> int:
+    picked = [v for v in range(lo, hi + 1) if rng.random() < 0.7]
+    if not picked:
+        picked = [rng.randint(lo, hi)]
+    return mask_of(picked)
 
 
 def random_case(rng: random.Random, kind: str):
@@ -194,20 +202,20 @@ def random_all_different_case(rng: random.Random):
     of varied density. Few values per variable give wipeouts and pigeonhole
     failures."""
     count = rng.randint(2, 12)
-    values = list(range(1, count + rng.choice((-1, 0, 0, 1, 3)) + 1))
-    rng.shuffle(values)
+    order = list(range(1, count + rng.choice((-1, 0, 0, 1, 3)) + 1))
+    rng.shuffle(order)
     domains = []
     density = rng.choice((0.2, 0.4, 0.7))
     for i in range(count):
         kind = rng.random()
-        if kind < 0.4 and i < len(values):
-            link = {values[i]} if i == 0 else {values[i - 1], values[i]}
-            domains.append(DomainSet(link))
+        if kind < 0.4 and i < len(order):
+            link = {order[i]} if i == 0 else {order[i - 1], order[i]}
+            domains.append(mask_of(link))
         elif kind < 0.55:
-            domains.append(DomainSet((rng.choice(values),)))
+            domains.append(1 << rng.choice(order))
         else:
-            picked = [v for v in values if rng.random() < density]
-            domains.append(DomainSet(picked or [rng.choice(values)]))
+            picked = [v for v in order if rng.random() < density]
+            domains.append(mask_of(picked or [rng.choice(order)]))
     rng.shuffle(domains)
     return domains, AllDifferent(list(range(count)))
 
@@ -300,15 +308,15 @@ def random_channel_case(rng: random.Random, k: int, n: int):
     seq = ids[kn:]
     density = rng.choice((0.15, 0.35, 0.6, 0.85))
     spill = int(rng.random() < 0.5)
-    domains = [DomainSet()] * (2 * kn)
+    domains = [0] * (2 * kn)
     for var, top in [(v, n) for v in seq] + [(v, kn) for v in slots_flat]:
         lo, hi = 1 - spill, top + spill
-        values = [v for v in range(lo, hi + 1) if rng.random() < density]
-        domains[var] = DomainSet(values or [rng.randint(lo, hi)])
+        picked = [v for v in range(lo, hi + 1) if rng.random() < density]
+        domains[var] = mask_of(picked or [rng.randint(lo, hi)])
     return domains, InverseChannel(slots, seq)
 
 
-def assert_filter_sound(domains: list[DomainSet], prop) -> None:
+def assert_filter_sound(domains: list[int], prop) -> None:
     """One filtering step never drops a value that some satisfying total
     assignment (within the pre-filter domains) uses."""
     store = Store(domains)
@@ -320,33 +328,32 @@ def assert_filter_sound(domains: list[DomainSet], prop) -> None:
         )
         return
     for v in range(len(domains)):
-        after = set(store.domain(v))
+        after = set(values(store.doms[v]))
         assert supported[v] <= after, (
             f"{prop.describe()} dropped supported values "
             f"{supported[v] - after} from var {v}"
         )
 
 
-def assert_checker_agreement(rng: random.Random, domains: list[DomainSet], prop) -> None:
+def assert_checker_agreement(rng: random.Random, domains: list[int], prop) -> None:
     """Total assignments survive a filtering step iff the checker accepts."""
-    assignment = [rng.choice(sorted(d)) for d in domains]
-    store = Store([DomainSet((value,)) for value in assignment])
+    assignment = [rng.choice(values(d)) for d in domains]
+    store = Store([1 << value for value in assignment])
     surviving = prop.filter(store)
     assert surviving == prop.check(assignment), (
         f"{prop.describe()} filter/checker disagree on {assignment}"
     )
 
 
-def assert_monotone(rng: random.Random, domains: list[DomainSet], prop) -> None:
+def assert_monotone(rng: random.Random, domains: list[int], prop) -> None:
     """Filtering from sub-domains keeps no value that filtering from the
     wider domains removed."""
     subs = []
     for d in domains:
-        values = sorted(d)
-        keep = [v for v in values if rng.random() < 0.8]
+        keep = [v for v in values(d) if rng.random() < 0.8]
         if not keep:
-            keep = [rng.choice(values)]
-        subs.append(DomainSet(keep))
+            keep = [rng.choice(values(d))]
+        subs.append(mask_of(keep))
     wide = Store(domains)
     narrow = Store(subs)
     ok_wide = prop.filter(wide)
