@@ -190,6 +190,17 @@ def _error(message) -> int:
     return 1
 
 
+def _bad_limit(args) -> Optional[str]:
+    """Why a run limit or job count is unusable, or None when all are fine."""
+    if args.node_limit is not None and args.node_limit < 1:
+        return f"--node-limit must be at least 1, not {args.node_limit}"
+    if args.timeout is not None and not args.timeout > 0:
+        return f"--timeout must be positive, not {args.timeout}"
+    if getattr(args, "jobs", 1) < 1:
+        return f"--jobs must be at least 1, not {args.jobs}"
+    return None
+
+
 def _cannot_write(path, exc: OSError) -> int:
     return _error(f"cannot write {path}: {exc}")
 
@@ -223,6 +234,9 @@ def _read_csv(path: Path) -> list[RunRecord]:
 
 def cmd_solve(parser, args) -> int:
     config = _variant_from_args(parser, args)
+    bad = _bad_limit(args)
+    if bad:
+        return _error(bad)
     try:
         instance = Instance(args.k, args.n)
     except ValueError as exc:
@@ -303,6 +317,9 @@ def _sweep_configs(parser, args) -> dict[tuple, tuple[str, VariantConfig]]:
 
 
 def cmd_sweep(parser, args) -> int:
+    bad = _bad_limit(args)
+    if bad:
+        return _error(bad)
     if args.full:
         k_range = range(2, 7)
         n_range = range(2, 18)

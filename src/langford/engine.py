@@ -4,7 +4,9 @@ A domain is a plain int bitmask: bit v is set iff value v is in it. A
 trailed store with bit-exact restore, propagation to fixpoint over a
 propagator queue, and all-solution depth-first search with 2-way
 (assign / remove-min) branching. A search never writes to the model it
-runs on: its domains, trail and failure weights are its own.
+runs on: its domains, trail and failure weights are its own. A search of
+a model with an `InverseChannel` runs on a `ViewStore`, which also keeps
+the sequence value view its filters read.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .heuristics import HeuristicKind, select_variable
+from .propagators import InverseChannel
 
 FIXPOINT = -1
 
@@ -38,9 +41,13 @@ class Store:
     (var, removed-bits) record; undoing to a mark restores each domain
     bit-exactly. The trail doubles as the wake-event queue: the entries
     past `seen` are the reductions that have not yet woken their watchers.
+
+    A plain store keeps no sequence value view: its `cells` is None. The
+    one view branch of a plain store is per undo, not per commit; see
+    `ViewStore`.
     """
 
-    __slots__ = ("doms", "trail", "trail_bits", "marks", "seen")
+    __slots__ = ("doms", "trail", "trail_bits", "marks", "seen", "cells")
 
     def __init__(self, domains: Sequence[int]):
         self.doms = list(domains)
@@ -49,6 +56,7 @@ class Store:
         self.trail_bits: list[int] = []
         self.marks: list[int] = []
         self.seen = 0
+        self.cells = None
 
     def commit(self, var: int, new_mask: int) -> bool:
         """Install a reduced domain, trailing the removed bits.
@@ -85,6 +93,8 @@ class Store:
         while len(trail) > depth:
             doms[trail.pop()] |= bits.pop()
         self.seen = depth
+        if self.cells is not None:  # a ViewStore: put back the saved view
+            self.can, self.fixed = self.saved.pop()
 
     def min_value(self, var: int) -> int:
         d = self.doms[var]
@@ -99,6 +109,82 @@ class Store:
         if d == 0 or d & (d - 1):
             raise ValueError(f"var {var} is not assigned")
         return d.bit_length() - 1
+
+
+class ViewStore(Store):
+    """A store that also keeps the sequence value view over `cells`.
+
+    `cells` is a tuple of variables, the sequence cells at positions 1, 2,
+    ... in order. The view is two facts about them, kept equal to the
+    domains after every commit and every undo:
+
+    * `can[m]` has bit i set iff the cell at position i can still hold m,
+      for every value m of the cells' initial domains (bit 0 is never set);
+    * `fixed` has bit i set iff the cell at position i is assigned, i.e.
+      its domain holds exactly one value.
+
+    `commit` updates the view when it reduces a cell; `push_mark` saves
+    the view and `Store.undo_to_mark` puts it back. Undo stays in that one
+    method, which the benchmark's tracer wraps to count undos. A filter
+    reads the view only when its array is `cells` itself
+    (`store.cells is array`), so a model builder passes the very tuple the
+    view is made over to every propagator over the cells. Commits, their
+    order and the trail are the same as on a plain store.
+    """
+
+    __slots__ = ("cell_bit", "can", "fixed", "saved")
+
+    def __init__(self, domains: Sequence[int], cells: tuple):
+        super().__init__(domains)
+        doms = self.doms
+        self.cells = cells
+        self.cell_bit = [0] * len(doms)  # 1 << position of a cell, else 0
+        self.can = [0] * max((doms[cell].bit_length() for cell in cells), default=0)
+        self.fixed = 0
+        self.saved: list[tuple[list[int], int]] = []
+        for i, cell in enumerate(cells, 1):
+            bit = 1 << i
+            self.cell_bit[cell] = bit
+            d = doms[cell]
+            for v in values(d):
+                self.can[v] |= bit
+            if d and d & (d - 1) == 0:
+                self.fixed |= bit
+
+    def commit(self, var: int, new_mask: int) -> bool:
+        doms = self.doms
+        removed = doms[var] ^ new_mask
+        self.trail.append(var)
+        self.trail_bits.append(removed)
+        doms[var] = new_mask
+        bit = self.cell_bit[var]
+        if bit:
+            can = self.can
+            keep = ~bit
+            while removed:
+                low = removed & -removed
+                removed ^= low
+                can[low.bit_length() - 1] &= keep
+            if new_mask & (new_mask - 1) == 0:
+                if new_mask:
+                    self.fixed |= bit
+                else:
+                    self.fixed &= keep
+        return new_mask != 0
+
+    def push_mark(self) -> None:
+        self.marks.append(len(self.trail))
+        self.saved.append((self.can.copy(), self.fixed))
+
+
+def new_store(model) -> Store:
+    """The store a search of `model` runs on: a `ViewStore` over the cells
+    of the model's `InverseChannel` when it has one, else a plain `Store`,
+    so direct and positional searches pay nothing for the view."""
+    for p in model.propagators:
+        if isinstance(p, InverseChannel):
+            return ViewStore(model.initial_domains, p.seq)
+    return Store(model.initial_domains)
 
 
 @dataclass
@@ -323,7 +409,7 @@ def solve_all(
     propagators = model.propagators
     weights = [1] * len(propagators)
     num_vars = len(model.initial_domains)
-    store = Store(model.initial_domains)
+    store = new_store(model)
     watchers = build_watchers(num_vars, propagators)
     queue = _Queue(len(propagators))
     stats = SearchStats()

@@ -191,9 +191,13 @@ def build_model(instance: Instance, config: VariantConfig) -> Model:
     with_positional = config.model == "positional" or config.cons in ("both", "p")
 
     b = _Builder()
-    seq = pos = first = None
+    seq = cells = pos = first = None
     if config.model != "positional":
         seq = [b.var(f"seq_{i}", 1, n) for i in range(1, kn + 1)]
+        # One tuple for every propagator over the cells: a search store's
+        # sequence value view serves a filter only when its array is this
+        # very object (see engine.ViewStore).
+        cells = tuple(seq)
     if config.model != "direct":
         pos = [[b.var(f"pos_{m}_{j}", 1, kn) for j in range(1, k + 1)] for m in range(1, n + 1)]
     if with_direct:
@@ -213,13 +217,13 @@ def build_model(instance: Instance, config: VariantConfig) -> Model:
         # dom/wdeg node counts.
         for m in range(1, n + 1):
             for j in range(1, k + 1):
-                props.append(ElementOffsetConst(seq, pos[m - 1][j - 1], 0, m))
-        props.append(InverseChannel(pos, seq))
+                props.append(ElementOffsetConst(cells, pos[m - 1][j - 1], 0, m))
+        props.append(InverseChannel(pos, cells))
         for m in range(1, n + 1):
             for j in range(2, k + 1):
                 props.append(LessThan(pos[m - 1][j - 2], pos[m - 1][j - 1]))
     if with_direct:
-        props.extend(_direct_constraints(instance, seq, first, config.implied))
+        props.extend(_direct_constraints(instance, cells, first, config.implied))
     if with_positional:
         props.extend(_positional_constraints(instance, pos))
     if config.sym == "d":
@@ -227,9 +231,8 @@ def build_model(instance: Instance, config: VariantConfig) -> Model:
     elif config.sym == "p":
         props.append(SumLeq(pos[0][0], pos[0][-1], kn))
 
-    cells = seq or []
     slots = [v for row in pos for v in row] if pos else []
-    order = slots + cells if config.branch == "p" else cells + slots
+    order = slots + (seq or []) if config.branch == "p" else (seq or []) + slots
     return Model(
         instance=instance,
         config=config,

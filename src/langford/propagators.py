@@ -12,6 +12,15 @@ A filter's commit sequence (which `(var, mask)` pairs it hands to
 of its contract, not just the domains it leaves. The order decides which
 propagator fails first, hence which one is blamed and weighted, hence the
 wdeg and dom/wdeg node counts. A faster filter must keep it exactly.
+
+`ElementOffsetConst`, `Occurrence` and `InverseChannel` read the store's
+sequence value view (see `engine.ViewStore`) instead of scanning cell
+domains. A filter uses the view only when its array of cells is the
+view's `cells` tuple itself (`store.cells is array`) and `store.can` has
+an entry for its value (for the channel, for n). A plain store has
+`cells = None`, so there, and on any other array, the filters run their
+scanning loops. The view changes how a filter reads domains, never what
+it commits: both paths make the same commits in the same order.
 """
 
 from __future__ import annotations
@@ -251,16 +260,24 @@ class ElementOffsetConst(Propagator):
             if dt & value_bit:
                 return dt == value_bit or store.commit(tv, value_bit)
             return store.commit(self.index, 0)
-        allowed = 0
-        rest = d
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            p = low.bit_length() - 1
-            if p < num_targets:
-                tv = targets[p]
-                if tv >= 0 and doms[tv] & value_bit:
-                    allowed |= low
+        if store.cells is self.array and self.value < len(store.can):
+            # indexes p whose position p + offset holds a cell that can take
+            # the value; index 0 has no target, but a positive offset
+            # shifts position `offset` onto it
+            support = store.can[self.value]
+            offset = self.offset
+            allowed = d & (support >> offset if offset >= 0 else support << -offset) & ~1
+        else:
+            allowed = 0
+            rest = d
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                p = low.bit_length() - 1
+                if p < num_targets:
+                    tv = targets[p]
+                    if tv >= 0 and doms[tv] & value_bit:
+                        allowed |= low
         if allowed != d and not store.commit(self.index, allowed):
             return False
         if allowed & (allowed - 1) == 0:  # index newly assigned
@@ -301,6 +318,8 @@ class Occurrence(Propagator):
     def filter(self, store) -> bool:
         doms = store.doms
         bit = 1 << self.value
+        if store.cells is self.scope and self.value < len(store.can):
+            return self._filter_view(store, bit)
         assigned = 0
         possible = 0
         for v in self.scope:
@@ -323,6 +342,32 @@ class Occurrence(Propagator):
                 if d & bit and d != bit:
                     if not store.commit(v, bit):
                         return False
+        return True
+
+    def _filter_view(self, store, bit: int) -> bool:
+        """The filter on the cells of the store's view: bit i of `holders`
+        stands for scope[i - 1], so ascending bits are scope order."""
+        holders = store.can[self.value]
+        on_value = holders & store.fixed
+        assigned = on_value.bit_count()
+        possible = holders.bit_count()
+        if assigned > self.count or possible < self.count:
+            return False
+        if assigned == self.count and possible > assigned:
+            keep = ~bit
+        elif possible == self.count and assigned < possible:
+            keep = bit
+        else:
+            return True
+        doms = store.doms
+        scope = self.scope
+        rest = holders ^ on_value
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = scope[low.bit_length() - 2]
+            if not store.commit(v, doms[v] & keep):
+                return False
         return True
 
     def check(self, values) -> bool:
@@ -377,22 +422,30 @@ class InverseChannel(Propagator):
         kn = len(seq)
         numbers = (2 << n) - 2  # bits 1..n
 
-        # Transpose the cell domains: can[m] holds bit i iff seq[i] can
-        # still hold m. `dirty` marks the positions whose cell loses a value
-        # under (a); a value outside 1..n is always lost.
-        can = [0] * (n + 1)
-        dirty = 0
-        position_bit = 2
-        for cell in seq:
-            d = doms[cell]
-            rest = d & numbers
-            if rest != d:
-                dirty |= position_bit
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                can[low.bit_length() - 1] |= position_bit
-            position_bit <<= 1
+        # can[m] holds bit i iff the cell at position i can still hold m.
+        # `dirty` marks the positions whose cell loses a value under (a); a
+        # value outside 1..n is always lost. The store's view keeps `can`;
+        # without it, transpose the cell domains.
+        view = store.cells is seq and n < len(store.can)
+        if view:
+            can = store.can
+            dirty = can[0]
+            for stray in can[n + 1:]:
+                dirty |= stray
+        else:
+            can = [0] * (n + 1)
+            dirty = 0
+            position_bit = 2
+            for cell in seq:
+                d = doms[cell]
+                rest = d & numbers
+                if rest != d:
+                    dirty |= position_bit
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    can[low.bit_length() - 1] |= position_bit
+                position_bit <<= 1
 
         # (a) number m leaves the cells at can[m] minus every slot of m.
         lost = [0] * (kn + 1)
@@ -418,6 +471,8 @@ class InverseChannel(Propagator):
 
         # (b) every slot of m lies within their union, so narrowing it to
         # can[m] leaves it the positions whose cell still holds m after (a).
+        # The view's can[m] has already lost them in (a); the transposed
+        # one has not, which leaves the same slot domains.
         for m, row in enumerate(slots, 1):
             positions = can[m]
             for sv in row:
@@ -437,24 +492,36 @@ class InverseChannel(Propagator):
                         return False
             number_bit <<= 1
 
-        for i in range(1, kn + 1):
-            d = doms[seq[i - 1]]
-            if d and d & (d - 1) == 0:
-                row = slots[d.bit_length() - 2]
-                support = -1
-                for sv in row:
-                    if (doms[sv] >> i) & 1:
-                        if support >= 0:
-                            support = -2  # more than one slot still open
-                            break
-                        support = sv
-                if support == -1:
+        # (d) visits the assigned cells in ascending position. Its commits
+        # only narrow slots, so the set is fixed once (c) is done.
+        if view:
+            fixed = store.fixed
+        else:
+            fixed = 0
+            position_bit = 2
+            for cell in seq:
+                d = doms[cell]
+                if d and d & (d - 1) == 0:
+                    fixed |= position_bit
+                position_bit <<= 1
+        while fixed:
+            position_bit = fixed & -fixed
+            fixed ^= position_bit
+            d = doms[seq[position_bit.bit_length() - 2]]
+            row = slots[d.bit_length() - 2]
+            support = -1
+            for sv in row:
+                if doms[sv] & position_bit:
+                    if support >= 0:
+                        support = -2  # more than one slot still open
+                        break
+                    support = sv
+            if support == -1:
+                return False
+            if support >= 0:
+                ds = doms[support]
+                if ds != position_bit and not store.commit(support, ds & position_bit):
                     return False
-                if support >= 0:
-                    ds = doms[support]
-                    bit = 1 << i
-                    if ds != bit and not store.commit(support, ds & bit):
-                        return False
         return True
 
     def check(self, values) -> bool:

@@ -56,6 +56,21 @@ class TestSolve:
         assert code == 2
         assert "timed_out=true" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--node-limit", "-5", "--node-limit must be at least 1, not -5"),
+        ("--node-limit", "0", "--node-limit must be at least 1, not 0"),
+        ("--timeout", "-1", "--timeout must be positive, not -1.0"),
+    ], ids=["node-limit-negative", "node-limit-zero", "timeout-negative"])
+    def test_bad_limit_exit_1(self, capsys, monkeypatch, flag, value, message):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *task: calls.append(task))
+        code = main(["solve", "--k", "2", "--n", "3", "--model", "direct", flag, value])
+        assert code == 1
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_csv_append(self, tmp_path, capsys):
         out = tmp_path / "runs.csv"
         for n in ("3", "4"):
@@ -195,6 +210,25 @@ class TestSweep:
         assert code == 1
         assert calls == []
         assert capsys.readouterr().err == "error: k must be at least 2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--jobs", "0", "--jobs must be at least 1, not 0"),
+        ("--jobs", "-3", "--jobs must be at least 1, not -3"),
+        ("--node-limit", "-5", "--node-limit must be at least 1, not -5"),
+        ("--node-limit", "0", "--node-limit must be at least 1, not 0"),
+        ("--timeout", "-1", "--timeout must be positive, not -1.0"),
+    ], ids=["jobs-zero", "jobs-negative", "node-limit-negative", "node-limit-zero",
+            "timeout-negative"])
+    def test_bad_limit_runs_no_cell(self, tmp_path, capsys, monkeypatch, flag, value, message):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *task: calls.append(task))
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
+                     "--variant", "model=direct,sym=d", "--out", str(out), flag, value])
+        assert code == 1
+        assert calls == []
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_parallel_matches_serial(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from langford.engine import (
     FIXPOINT,
     Store,
+    ViewStore,
     build_watchers,
     propagate_to_fixpoint,
     solve_all,
@@ -27,7 +28,7 @@ from langford.models import (
 from langford.oracle import enumerate_bruteforce
 from langford.propagators import EqOffset, LessThan, Propagator
 
-from util import TinyModel, doms, mask_of, naive_fixpoint
+from util import TinyModel, doms, mask_of, naive_fixpoint, view_of
 
 
 class Probe(Propagator):
@@ -91,6 +92,35 @@ class TestStore:
         assert store.doms == inner
         store.undo_to_mark()
         assert store.doms == doms({1, 2, 3, 4})
+
+
+    def test_view_follows_commits_and_undo(self):
+        # cells 2, 0, 4 at positions 1..3 and a non-cell var 1 and 3; the
+        # view matches the domains after every commit, wipeouts included,
+        # and after every undo
+        rng = random.Random(17)
+        cells = (2, 0, 4)
+        for _ in range(200):
+            masks = [mask_of(rng.sample(range(0, 6), rng.randint(1, 5))) for _ in range(5)]
+            store = ViewStore(masks, cells)
+            assert (store.can, store.fixed) == view_of(store)
+            snapshots = []
+            for _ in range(rng.randint(1, 15)):
+                if snapshots and rng.random() < 0.3:
+                    store.undo_to_mark()
+                    assert store.doms == snapshots.pop()
+                elif rng.random() < 0.3:
+                    store.push_mark()
+                    snapshots.append(list(store.doms))
+                else:
+                    var = rng.randrange(5)
+                    d = store.doms[var]
+                    store.commit(var, d & mask_of(rng.sample(range(0, 6), rng.randint(0, 4))))
+                assert (store.can, store.fixed) == view_of(store)
+            while snapshots:
+                store.undo_to_mark()
+                assert store.doms == snapshots.pop()
+                assert (store.can, store.fixed) == view_of(store)
 
 
 class TestPropagateToFixpoint:
@@ -330,3 +360,27 @@ class TestSolveAll:
         finally:
             sys.setswitchinterval(interval)
         assert counts == [(2064, 883, 150)] * 2
+
+
+@pytest.mark.parametrize("config", [
+    VariantConfig("direct", sym="d"),
+    VariantConfig("positional", sym="p", heuristic=HeuristicKind.DOM_OVER_WDEG),
+    VariantConfig("channelled", branch="d", sym="d", cons="both"),
+], ids=["direct", "positional", "channelled"])
+def test_every_undo_goes_through_store_undo_to_mark(monkeypatch, config):
+    # The benchmark's tracer counts undos by wrapping Store.undo_to_mark, so
+    # no store a search runs on may undo by another method. A complete
+    # search undoes each of its nodes once.
+    calls = []
+    undo = Store.undo_to_mark
+
+    def counting(store):
+        calls.append(type(store))
+        undo(store)
+
+    monkeypatch.setattr(Store, "undo_to_mark", counting)
+    solutions, stats = solve_all(build_model(Instance(3, 6), config))
+    assert not stats.timed_out
+    assert stats.nodes > 0
+    assert len(calls) == stats.nodes
+    assert set(calls) == {ViewStore if config.model == "channelled" else Store}

@@ -100,11 +100,16 @@ def test_weight_scaling_leaves_selection_unchanged():
 
 
 def test_dom_over_wdeg_uses_exact_ratio_comparison():
-    # sizes 2/3 vs 3/4: 2*4 > 3*3 so the second variable wins
-    model = TinyModel(doms({1, 2}, {1, 2, 3}), [LessThan(0, 1), LessThan(1, 0)])
+    # Both open variables have size 2. var0 scores w = 2**60 from the first
+    # LessThan, var1 scores w + 1 from both, var2 scores 1. So var1's ratio
+    # 2/(w + 1) is the lowest, but as floats 2/(w + 1) == 2/w and w + 1 == w,
+    # so only the exact cross-multiplication picks var1 over var0.
+    w = 2**60
+    assert 2 / (w + 1) == 2 / w
+    model = TinyModel(doms({1, 2}, {1, 2}, {1, 2}), [LessThan(0, 1), LessThan(1, 2)])
     store = Store(model.initial_domains)
-    # scores: var0 = 3+1, var1 = 3+1 -> tie on score, sizes 2 vs 3
-    assert select_variable(store, model, HeuristicKind.DOM_OVER_WDEG, [3, 1]) == 0
+    assert wdeg_scores(store, model, [w, 1]) == [w, w + 1, 1]
+    assert select_variable(store, model, HeuristicKind.DOM_OVER_WDEG, [w, 1]) == 1
 
 
 def test_root_selection_depends_only_on_structure():

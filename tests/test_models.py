@@ -4,7 +4,16 @@ import itertools
 
 import pytest
 
-from langford.engine import FIXPOINT, Store, build_watchers, propagate_to_fixpoint, solve_all, values
+from langford.engine import (
+    FIXPOINT,
+    Store,
+    ViewStore,
+    build_watchers,
+    new_store,
+    propagate_to_fixpoint,
+    solve_all,
+    values,
+)
 from langford.heuristics import HeuristicKind
 from langford.models import (
     Instance,
@@ -202,6 +211,30 @@ class TestBuildChannelled:
         cfg_p = VariantConfig("channelled", branch="p", sym="p", cons="both")
         m = build_channelled(Instance(2, 3), cfg_p)
         assert m.branch_order[: 6] == flat(m)
+
+    def test_cell_propagators_share_the_channel_tuple(self):
+        # a search store's view serves a filter only when its array is the
+        # very tuple the view covers, the InverseChannel's `seq`
+        for branch, sym, cons, implied in itertools.product(
+            "dp", ("d", "p", "none"), ("both", "d", "p"), (True, False)
+        ):
+            cfg = VariantConfig("channelled", branch=branch, sym=sym, cons=cons, implied=implied)
+            model = build_channelled(Instance(3, 4), cfg)
+            (channel,) = [p for p in model.propagators if isinstance(p, InverseChannel)]
+            assert list(channel.seq) == model.seq_vars
+            elements = [p for p in model.propagators if isinstance(p, ElementOffsetConst)]
+            occurrences = [p for p in model.propagators if isinstance(p, Occurrence)]
+            assert len(elements) == (12 if cons == "p" else 24)  # links, then anchors
+            assert len(occurrences) == (4 if cons != "p" and implied else 0)
+            assert all(p.array is channel.seq for p in elements)
+            assert all(p.scope is channel.seq for p in occurrences)
+            store = new_store(model)
+            assert type(store) is ViewStore and store.cells is channel.seq
+
+    def test_base_viewpoints_search_without_a_view(self):
+        for model in (build_direct(Instance(2, 4)), build_positional(Instance(2, 4))):
+            store = new_store(model)
+            assert type(store) is Store and store.cells is None
 
     def test_solution_counts(self):
         cfg = VariantConfig("channelled", branch="d", sym="d", cons="both")

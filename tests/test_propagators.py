@@ -20,16 +20,42 @@ from langford.propagators import (
 from util import (
     PROPAGATOR_KINDS,
     RecordingStore,
+    RecordingViewStore,
     assert_checker_agreement,
     assert_filter_sound,
     assert_monotone,
     doms,
+    mask_of,
     random_all_different_case,
     random_case,
     random_channel_case,
+    random_view_case,
     reference_all_different_filter,
     reference_inverse_channel_filter,
+    view_of,
 )
+
+
+def compare_view_with_plain(kind: str, seed: int, cases: int = 600) -> dict:
+    """Filter random cases on a view store over the propagator's cells and
+    on a plain store: the result and the commit log must be equal, and the
+    view must match the domains it leaves. Returns how often each feature
+    of interest came up."""
+    rng = random.Random(seed)
+    seen = dict.fromkeys(("view", "failed", "wipeout", "stray"), 0)
+    for _ in range(cases):
+        domains, prop, cells, n = random_view_case(rng, kind)
+        view, plain = RecordingViewStore(domains, cells), RecordingStore(domains)
+        ok = prop.filter(view)
+        assert ok == prop.filter(plain)
+        assert view.log == plain.log
+        assert view.doms == plain.doms
+        assert (view.can, view.fixed) == view_of(view)
+        seen["view"] += (n if kind == "inverse_channel" else prop.value) < len(view.can)
+        seen["failed"] += not ok
+        seen["wipeout"] += bool(plain.log) and plain.log[-1][1] == 0
+        seen["stray"] += any(domains[c] & ~((2 << n) - 2) for c in cells)
+    return seen
 
 
 class TestEqOffset:
@@ -196,6 +222,30 @@ class TestElementOffsetConst:
             changed = store.doms != before
         assert values(store.doms[model.first_occ[2]]) == [1]
 
+    def test_view_matches_plain_store(self):
+        seen = compare_view_with_plain("element_offset_const", 606)
+        # the view serves nearly every case; wipeouts and stray cell values
+        # come up often, and so do cases without strays
+        assert seen["view"] >= 550 and seen["wipeout"] >= 100, seen
+        assert 200 <= seen["stray"] <= 400, seen
+
+    def test_view_covers_negative_offsets_and_index_zero(self):
+        # with offset -1 index p targets position p - 1: only position 2
+        # holds 2, so index 3 is the one support; 0 and 1 have no target
+        cells = (0, 1, 2)
+        domains = doms({1}, {2}, {1}, {0, 1, 2, 3, 4})
+        prop = ElementOffsetConst(cells, 3, -1, 2)
+        view, plain = RecordingViewStore(domains, cells), RecordingStore(domains)
+        assert prop.filter(view) and prop.filter(plain)
+        assert view.log == plain.log == [(3, mask_of({3}))]
+        # offset 1 shifts position 1, the only one holding 2, onto index 0,
+        # which has no target
+        domains = doms({2}, {1}, {1}, {0, 1, 2})
+        prop = ElementOffsetConst(cells, 3, 1, 2)
+        view, plain = RecordingViewStore(domains, cells), RecordingStore(domains)
+        assert not prop.filter(view) and not prop.filter(plain)
+        assert view.log == plain.log == [(3, 0)]
+
     def test_check(self):
         prop = ElementOffsetConst([0, 1, 2], 3, 1, 3)
         assert prop.check([7, 3, 7, 1])  # cell at position 1+1 holds 3
@@ -219,6 +269,11 @@ class TestOccurrence:
     def test_too_many_assigned_fails(self):
         store = Store(doms({1}, {1}, {1}, {1, 2}, {1, 2}, {1, 2}))
         assert not Occurrence(list(range(6)), 1, 2).filter(store)
+
+    def test_view_matches_plain_store(self):
+        seen = compare_view_with_plain("occurrence", 607)
+        assert seen["view"] >= 550 and seen["failed"] >= 100, seen
+        assert 200 <= seen["stray"] <= 400, seen
 
     def test_check(self):
         prop = Occurrence(list(range(6)), 1, 2)
@@ -287,6 +342,12 @@ class TestInverseChannel:
         # the sample reaches both outcomes, with and without out-of-range cells
         assert 100 <= failed <= 500
         assert 200 <= stripped <= 400
+
+
+    def test_view_matches_plain_store(self):
+        seen = compare_view_with_plain("inverse_channel", 608)
+        assert seen["view"] >= 550 and seen["wipeout"] >= 100, seen
+        assert 200 <= seen["stray"] <= 400, seen
 
 
 class TestRandomizedProperties:

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
-from langford.engine import Store, solve_all, values
+from langford.engine import Store, ViewStore, solve_all, values
 from langford.heuristics import HeuristicKind
 from langford.propagators import (
     AllDifferent,
@@ -161,6 +161,65 @@ class RecordingStore(Store):
     def commit(self, var: int, new_mask: int) -> bool:
         self.log.append((var, new_mask))
         return super().commit(var, new_mask)
+
+
+class RecordingViewStore(ViewStore):
+    """View store that logs every `(var, mask)` handed to `commit`, in order."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, domains, cells):
+        super().__init__(domains, cells)
+        self.log: list[tuple[int, int]] = []
+
+    def commit(self, var: int, new_mask: int) -> bool:
+        self.log.append((var, new_mask))
+        return super().commit(var, new_mask)
+
+
+def view_of(store: Store) -> tuple[list[int], int]:
+    """The sequence value view recomputed from `store.doms`: `can` as long
+    as the store's, and `fixed`."""
+    can = [0] * len(store.can)
+    fixed = 0
+    for i, cell in enumerate(store.cells, 1):
+        d = store.doms[cell]
+        for v in values(d):
+            can[v] |= 1 << i
+        if d and d & (d - 1) == 0:
+            fixed |= 1 << i
+    return can, fixed
+
+
+def random_view_case(rng: random.Random, kind: str):
+    """(domains, propagator, cells, n) for a propagator over the cells of a
+    view, whose values of interest are 1..n. In about half the cases cells
+    draw from 0..n+1, so they may hold stray values 0 and n+1; otherwise
+    from 1..n. Element indexes draw from 0..len+3, bit 0 and positions
+    past the end included, with offsets from -3 to 3. Density varies from
+    near-assigned to near-full, so wipeouts and failures are common."""
+    n = rng.randint(2, 4)
+    if kind == "inverse_channel":
+        domains, prop = random_channel_case(rng, rng.choice((2, 3)), n)
+        return domains, prop, prop.seq, n
+    density = rng.choice((0.15, 0.35, 0.6, 0.85))
+    spill = int(rng.random() < 0.5)
+
+    def domain(lo, hi):
+        picked = [v for v in range(lo, hi + 1) if rng.random() < density]
+        return mask_of(picked or [rng.randint(lo, hi)])
+
+    length = rng.randint(2, 8)
+    domains = [domain(1 - spill, n + spill) for _ in range(length)]
+    cells = tuple(range(length))
+    if kind == "element_offset_const":
+        domains.append(domain(0, length + 3))
+        prop = ElementOffsetConst(cells, length, rng.randint(-3, 3), rng.randint(1, n))
+        return domains, prop, prop.array, n
+    if kind == "occurrence":
+        prop = Occurrence(cells, rng.randint(1, n), rng.randint(0, 3))
+        return domains, prop, prop.scope, n
+    raise ValueError(kind)
 
 
 def reference_all_different_filter(prop: AllDifferent, store: Store) -> bool:
