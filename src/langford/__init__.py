@@ -11,7 +11,7 @@ from .models import (
     build_model,
     build_positional,
 )
-from .oracle import count_table, enumerate_bruteforce
+from .oracle import enumerate_bruteforce
 
 __all__ = [
     "HeuristicKind",
@@ -24,7 +24,6 @@ __all__ = [
     "build_direct",
     "build_model",
     "build_positional",
-    "count_table",
     "enumerate_bruteforce",
     "propagate_to_fixpoint",
     "select_variable",

@@ -330,7 +330,11 @@ def cmd_sweep(parser, args) -> int:
         instances = [Instance(k, n) for k in k_range for n in n_range]
     except ValueError as exc:
         return _error(exc)
+    if not instances:
+        return _error(f"no instance in k {args.k_min}..{args.k_max}, n {args.n_min}..{args.n_max}")
     configs = _sweep_configs(parser, args)
+    if not configs:
+        return _error("every variant was skipped")
 
     out = Path(args.out)
     try:
@@ -578,7 +582,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         argv = _apply_config(argv)
-    except (OSError, ValueError, IndexError) as exc:
+    except IndexError:  # `--config` was the last argument
+        return _error("--config needs a file")
+    except (OSError, ValueError) as exc:
         return _error(f"bad config file: {exc}")
     args = parser.parse_args(argv)
     return args.func(parser, args)

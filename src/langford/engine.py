@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .heuristics import HeuristicKind, select_variable
+from .heuristics import HeuristicKind, WdegScorer, select_variable
 from .propagators import InverseChannel
 
 FIXPOINT = -1
@@ -397,19 +397,27 @@ def solve_all(
     argument overrides it. 2-way branching: the left child assigns the
     selected variable its minimum value, the right child removes that
     value. Each committed child counts one node. A wipeout during a
-    commit's propagation counts one failure and bumps the failing
-    propagator's weight. The weights belong to this search: each starts
-    at 1, so repeated or concurrent searches of one model agree. On
-    hitting a node or time limit the partial solution list is returned
-    with `timed_out` set.
+    commit's propagation counts one failure. On hitting a node or time
+    limit the partial solution list is returned with `timed_out` set.
+
+    A wdeg or dom/wdeg search keeps failure weights in a `WdegScorer` over
+    its store. They belong to this search: each starts at 1, so repeated
+    or concurrent searches of one model agree. A failure bumps the failing
+    propagator's weight. The scorer syncs with the trail at every
+    selection and follows every `undo_to_mark`, so at each selection its
+    score of an unassigned variable equals `wdeg_scores` of the store and
+    weights: the same selections as the reference walk over every scope,
+    at the cost of the trail entries since the last selection.
     """
     if heuristic is None:
         heuristic = model.config.heuristic
     validate_model(model)
     propagators = model.propagators
-    weights = [1] * len(propagators)
     num_vars = len(model.initial_domains)
     store = new_store(model)
+    scorer = None
+    if heuristic is HeuristicKind.WDEG or heuristic is HeuristicKind.DOM_OVER_WDEG:
+        scorer = WdegScorer(store, model)
     watchers = build_watchers(num_vars, propagators)
     queue = _Queue(len(propagators))
     stats = SearchStats()
@@ -438,7 +446,7 @@ def solve_all(
         descend = True
         while True:
             if descend:
-                var = select_variable(store, model, heuristic, weights)
+                var = select_variable(store, model, heuristic, scorer)
                 if var is None:
                     solutions.append(tuple(store.value(v) for v in range(num_vars)))
                     stats.solutions += 1
@@ -455,13 +463,16 @@ def solve_all(
                 failed = propagate_to_fixpoint(store, propagators, watchers, None, queue)
                 if failed != FIXPOINT:
                     stats.failures += 1
-                    weights[failed] += 1
+                    if scorer is not None:
+                        scorer.bump(failed)
                     descend = False
             else:
                 if not frames:
                     break
                 var, value, phase = frames.pop()
                 store.undo_to_mark()
+                if scorer is not None:
+                    scorer.undo()
                 if phase == 1:
                     if budget_hit():
                         stats.timed_out = True
@@ -475,7 +486,8 @@ def solve_all(
                         descend = True
                     else:
                         stats.failures += 1
-                        weights[failed] += 1
+                        if scorer is not None:
+                            scorer.bump(failed)
                 # phase 2 finished: keep unwinding
     finally:
         stats.elapsed_ms = int((time.monotonic() - t0) * 1000)

@@ -8,9 +8,6 @@ nothing with the propagation engine.
 
 from __future__ import annotations
 
-import csv
-from typing import Iterable, Optional
-
 SIZE_GUARD = 28
 
 SYMMETRY_CHOICES = ("none", "first-less-last")
@@ -55,24 +52,3 @@ def enumerate_bruteforce(k: int, n: int, symmetry: str = "none") -> list[Arrange
         found = [a for a in found if a[0] < a[-1]]
     found.sort()
     return found
-
-
-def count_table(
-    k_values: Iterable[int],
-    n_values: Iterable[int],
-    symmetry: str = "none",
-    out_path: Optional[str] = None,
-) -> list[tuple[int, int, str, int]]:
-    """Count matrix over a (k, n) grid; optionally written as a CSV fixture
-    with header k,n,symmetry,count."""
-    rows = []
-    for k in k_values:
-        for n in n_values:
-            count = len(enumerate_bruteforce(k, n, symmetry))
-            rows.append((k, n, symmetry, count))
-    if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "n", "symmetry", "count"])
-            writer.writerows(rows)
-    return rows

@@ -6,7 +6,8 @@ import pytest
 
 from langford import cli
 from langford.cli import CSV_FIELDS, RunRecord, main, render_report
-from langford.satgen import read_dimacs_map
+
+from allsat import read_dimacs_map
 
 
 def read_rows(path):
@@ -160,20 +161,46 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         code = main(
             ["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
-             "--variant", "model=direct,sym=p", "--out", str(out)]
+             "--variant", "model=direct,sym=p", "--variant", "model=direct,sym=d",
+             "--out", str(out)]
         )
         assert code == 0
-        assert len(read_rows(out)) == 1  # header only
+        assert len(read_rows(out)) == 2  # header and the one valid variant's row
         assert "skipping variant 'model=direct,sym=p'" in capsys.readouterr().err
 
     def test_unknown_heuristic_named(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main(
             ["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
-             "--variant", "model=positional,sym=p,heuristic=domwdeg", "--out", str(out)]
+             "--variant", "model=positional,sym=p,heuristic=domwdeg",
+             "--variant", "model=positional,sym=p", "--out", str(out)]
         )
         assert code == 0
         assert "'domwdeg'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--k-min", "3", "--k-max", "2", "--n-min", "3", "--n-max", "3",
+          "--variant", "model=direct,sym=d"], "error: no instance in k 3..2, n 3..3\n"),
+        (["--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
+          "--variant", "model=direct,sym=p", "--variant", "model=positional,sym=d"],
+         "error: every variant was skipped\n"),
+    ], ids=["empty-grid", "every-variant-skipped"])
+    def test_nothing_to_run_keeps_existing_csv(self, tmp_path, capsys, monkeypatch, argv, message):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "4",
+                     "--variant", "model=direct,sym=d", "--out", str(out)]) == 0
+        before = out.read_bytes()
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *task: calls.append(task))
+        assert main(["sweep", *argv, "--out", str(out)]) == 1
+        assert calls == []
+        assert capsys.readouterr().err.endswith(message)
+        assert out.read_bytes() == before
+
+    def test_config_without_file(self, capsys):
+        assert main(["sweep", "--config"]) == 1
+        assert capsys.readouterr().err == "error: --config needs a file\n"
 
     @pytest.mark.parametrize("specs", [
         ["model=direct,sym=d,implied=yes"],

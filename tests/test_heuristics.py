@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from langford import engine
 from langford.engine import Store, solve_all
-from langford.heuristics import HeuristicKind, select_variable, wdeg_scores
+from langford.heuristics import HeuristicKind, WdegScorer, select_variable, wdeg_scores
 from langford.models import Instance, VariantConfig, build_channelled, build_model, build_positional
 from langford.propagators import LessThan
 
@@ -15,22 +16,22 @@ from util import TinyModel, doms
 def test_static_follows_branching_order():
     model = TinyModel(doms({1, 2}, {1, 2}, {1, 2}), [], branch_order=[2, 0, 1])
     store = Store(model.initial_domains)
-    assert select_variable(store, model, HeuristicKind.STATIC, []) == 2
+    assert select_variable(store, model, HeuristicKind.STATIC) == 2
     store.assign(2, 1)
-    assert select_variable(store, model, HeuristicKind.STATIC, []) == 0
+    assert select_variable(store, model, HeuristicKind.STATIC) == 0
 
 
 def test_all_assigned_returns_none():
     model = TinyModel(doms({3}, {4}), [])
     store = Store(model.initial_domains)
     for kind in HeuristicKind:
-        assert select_variable(store, model, kind, []) is None
+        assert select_variable(store, model, kind, WdegScorer(store, model)) is None
 
 
 def test_sdf_tie_break_prefers_earlier_position():
     model = TinyModel(doms({1, 2, 3}, {1, 2}, {2, 3}), [])
     store = Store(model.initial_domains)
-    assert select_variable(store, model, HeuristicKind.SDF, []) == 1
+    assert select_variable(store, model, HeuristicKind.SDF) == 1
 
 
 def test_never_selects_assigned():
@@ -41,8 +42,9 @@ def test_never_selects_assigned():
         store = Store(model.initial_domains)
         for var in rng.sample(range(model.num_vars), rng.randint(0, model.num_vars)):
             store.assign(var, store.min_value(var))
+        scorer = WdegScorer(store, model, weights)
         for kind in HeuristicKind:
-            picked = select_variable(store, model, kind, weights)
+            picked = select_variable(store, model, kind, scorer)
             if picked is not None:
                 assert not store.is_assigned(picked)
 
@@ -59,7 +61,7 @@ def test_wdeg_attachment_structure_at_root():
     assert scores[first_slot] == 3
     # second slot of number 3: all_different + its gap only
     assert scores[last_slot] == 2
-    assert select_variable(store, model, HeuristicKind.WDEG, weights) == first_slot
+    assert select_variable(store, model, HeuristicKind.WDEG, WdegScorer(store, model, weights)) == first_slot
 
 
 def test_wdeg_ignores_propagators_with_one_unassigned():
@@ -74,13 +76,13 @@ def test_static_on_channelled_branch_d_first_picks_sequence_cells():
     cfg = VariantConfig("channelled", branch="d", sym="d", cons="both")
     model = build_channelled(Instance(2, 4), cfg)
     store = Store(model.initial_domains)
-    picked = select_variable(store, model, HeuristicKind.STATIC, [])
+    picked = select_variable(store, model, HeuristicKind.STATIC)
     assert picked in model.seq_vars
     cfg_p = VariantConfig("channelled", branch="p", sym="p", cons="both")
     model_p = build_channelled(Instance(2, 4), cfg_p)
     store_p = Store(model_p.initial_domains)
     flat = [v for row in model_p.pos_vars for v in row]
-    assert select_variable(store_p, model_p, HeuristicKind.STATIC, []) in flat
+    assert select_variable(store_p, model_p, HeuristicKind.STATIC) in flat
 
 
 def test_weight_scaling_leaves_selection_unchanged():
@@ -94,8 +96,8 @@ def test_weight_scaling_leaves_selection_unchanged():
             weights = [rng.randint(1, 9) for _ in model.propagators]
             scaled = [w * scale for w in weights]
             for kind in (HeuristicKind.WDEG, HeuristicKind.DOM_OVER_WDEG):
-                assert select_variable(store, model, kind, scaled) == select_variable(
-                    store, model, kind, weights
+                assert select_variable(store, model, kind, WdegScorer(store, model, scaled)) == (
+                    select_variable(store, model, kind, WdegScorer(store, model, weights))
                 )
 
 
@@ -109,7 +111,8 @@ def test_dom_over_wdeg_uses_exact_ratio_comparison():
     model = TinyModel(doms({1, 2}, {1, 2}, {1, 2}), [LessThan(0, 1), LessThan(1, 2)])
     store = Store(model.initial_domains)
     assert wdeg_scores(store, model, [w, 1]) == [w, w + 1, 1]
-    assert select_variable(store, model, HeuristicKind.DOM_OVER_WDEG, [w, 1]) == 1
+    scorer = WdegScorer(store, model, [w, 1])
+    assert select_variable(store, model, HeuristicKind.DOM_OVER_WDEG, scorer) == 1
 
 
 def test_root_selection_depends_only_on_structure():
@@ -117,13 +120,104 @@ def test_root_selection_depends_only_on_structure():
     cfg = VariantConfig("channelled", branch="p", sym="p", cons="both")
     one = build_channelled(Instance(2, 5), cfg)
     two = build_channelled(Instance(2, 5), cfg)
-    weights = [1] * len(one.propagators)
     for kind in HeuristicKind:
         store_one = Store(one.initial_domains)
         store_two = Store(two.initial_domains)
-        assert select_variable(store_one, one, kind, weights) == select_variable(
-            store_two, two, kind, weights
+        assert select_variable(store_one, one, kind, WdegScorer(store_one, one)) == (
+            select_variable(store_two, two, kind, WdegScorer(store_two, two))
         )
+
+
+def assert_scores_match(scorer, store, model):
+    reference = wdeg_scores(store, model, scorer.weights)
+    for v, d in enumerate(store.doms):
+        if d & (d - 1):
+            assert scorer.scores[v] == reference[v], f"var {v}"
+
+
+WDEG_KINDS = (HeuristicKind.WDEG, HeuristicKind.DOM_OVER_WDEG)
+SCORED_VARIANTS = {
+    "direct": [dict(sym=sym) for sym in ("d", "none")],
+    "positional": [dict(sym=sym) for sym in ("p", "none")],
+    "channelled": [
+        dict(branch=branch, sym=sym, cons=cons)
+        for branch in ("d", "p")
+        for sym in ("d", "p", "none")
+        for cons in ("both", "d", "p")
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", WDEG_KINDS, ids=lambda kind: kind.value)
+@pytest.mark.parametrize("model_kind", SCORED_VARIANTS)
+def test_scorer_matches_reference_at_every_selection(monkeypatch, model_kind, kind):
+    # Every selection of a search, failures and undos included, sees the
+    # scores that the full walk of wdeg_scores gives.
+    select = engine.select_variable
+    selections = []
+
+    def checking(store, model, heuristic, scorer=None):
+        picked = select(store, model, heuristic, scorer)
+        assert_scores_match(scorer, store, model)
+        selections.append(picked)
+        return picked
+
+    monkeypatch.setattr(engine, "select_variable", checking)
+    searches = failures = 0
+    for variant in SCORED_VARIANTS[model_kind]:
+        config = VariantConfig(model_kind, heuristic=kind, **variant)
+        for k in (2, 3, 4):
+            for n in range(2, 7):
+                _, stats = solve_all(build_model(Instance(k, n), config), node_limit=500)
+                searches += 1
+                failures += stats.failures
+    assert len(selections) > searches and failures > 0
+
+
+def test_scorer_bump_below_two_unassigned_then_undo():
+    # A bump of a propagator with one unassigned variable adds to its
+    # weight but to no score; once an undo frees its other variable, the
+    # bumped weight counts again.
+    model = TinyModel(doms({1, 2}, {1, 2}, {1, 2}), [LessThan(0, 1), LessThan(1, 2)])
+    store = Store(model.initial_domains)
+    scorer = WdegScorer(store, model)
+    assert scorer.sync() == [1, 2, 1]
+    store.push_mark()
+    store.assign(0, 1)
+    store.push_mark()
+    store.assign(2, 2)
+    scorer.sync()
+    assert scorer.unassigned == [1, 1]
+    scorer.bump(0)
+    scorer.bump(0)
+    assert scorer.weights == [3, 1]
+    assert_scores_match(scorer, store, model)
+    store.undo_to_mark()
+    scorer.undo()
+    assert scorer.sync()[1] == 1  # LessThan(1, 2) counts again, LessThan(0, 1) not yet
+    assert_scores_match(scorer, store, model)
+    store.undo_to_mark()
+    scorer.undo()
+    assert scorer.sync() == [3, 4, 1]
+    assert scorer.scores == wdeg_scores(store, model, [3, 1])
+
+
+def test_scorer_undo_of_several_levels_at_once():
+    model = build_positional(Instance(2, 4))
+    store = Store(model.initial_domains)
+    scorer = WdegScorer(store, model)
+    scorer.sync()
+    for var in model.branch_order[:4]:
+        store.push_mark()
+        store.assign(var, store.min_value(var))
+        scorer.bump(len(model.propagators) - 1)
+        scorer.sync()
+        assert_scores_match(scorer, store, model)
+    for _ in range(3):
+        store.undo_to_mark()
+    scorer.undo()
+    scorer.sync()
+    assert_scores_match(scorer, store, model)
 
 
 # (k, n, model, branch, sym, cons, heuristic) -> (nodes, failures, solutions),
@@ -141,6 +235,11 @@ PINNED_COUNTS = {
     (2, 8, "positional", None, "p", None, "domoverwdeg"): (2064, 883, 150),
     (3, 6, "direct", None, "d", None, "domoverwdeg"): (4632, 2317, 0),
     (4, 6, "direct", None, "d", None, "domoverwdeg"): (3374, 1688, 0),
+    # larger than any wdeg or dom/wdeg cell of the benchmark
+    (2, 7, "direct", None, "d", None, "domoverwdeg"): (31978, 15964, 26),
+    (2, 8, "channelled", "p", "p", "p", "domoverwdeg"): (1394, 548, 150),
+    (3, 9, "channelled", "d", "d", "both", "wdeg"): (474, 235, 3),
+    (2, 8, "positional", None, "p", None, "wdeg"): (4340, 2021, 150),
 }
 
 

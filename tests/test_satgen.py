@@ -7,15 +7,9 @@ import pytest
 from langford.engine import solve_all, values
 from langford.models import Instance, VariantConfig, build_channelled, build_direct, build_positional
 from langford.oracle import enumerate_bruteforce
-from langford.satgen import (
-    Cnf,
-    allsat_tiny,
-    decode_model,
-    encode,
-    read_dimacs_map,
-    write_dimacs,
-)
+from langford.satgen import Cnf, encode, write_dimacs
 
+from allsat import allsat_tiny, decode_model, read_dimacs_map
 from util import TinyModel, doms
 
 
@@ -54,7 +48,7 @@ class TestEncode:
     def test_exactly_one_per_variable_in_every_model(self):
         model = build_positional(Instance(2, 3), sym=False)
         cnf = encode(model)
-        result = allsat_tiny(cnf)
+        result = allsat_tiny(cnf, model)
         for lits in result.models:
             assignment = decode_model(cnf, lits)  # raises on violations
             assert len(assignment) == model.num_vars
@@ -65,7 +59,7 @@ class TestEncode:
 
         model = TinyModel(doms(*[{1, 2}] * 4), [Occurrence([0, 1, 2, 3], 1, 2)])
         cnf = encode(model)
-        result = allsat_tiny(cnf)
+        result = allsat_tiny(cnf, model)
         expected = {
             combo
             for combo in itertools.product((1, 2), repeat=4)
@@ -127,29 +121,31 @@ class TestAllSat:
         assert not result.truncated
 
     def test_positional_2_3_with_and_without_sym(self):
-        with_sym = allsat_tiny(encode(build_positional(Instance(2, 3), sym=True)))
-        without = allsat_tiny(encode(build_positional(Instance(2, 3), sym=False)))
+        with_sym = build_positional(Instance(2, 3), sym=True)
+        without = build_positional(Instance(2, 3), sym=False)
+        with_sym = allsat_tiny(encode(with_sym), with_sym)
+        without = allsat_tiny(encode(without), without)
         assert len(with_sym) == 1
         assert len(without) == 2
 
     def test_limit_truncates(self):
-        cnf = encode(build_positional(Instance(2, 3), sym=False))
-        result = allsat_tiny(cnf, limit=1)
+        model = build_positional(Instance(2, 3), sym=False)
+        result = allsat_tiny(encode(model), model, limit=1)
         assert len(result.models) == 1
         assert result.truncated
 
     def test_guard(self):
-        fits = encode(build_positional(Instance(2, 7)))  # 196 variables
-        assert len(allsat_tiny(fits, limit=1).models) == 1
-        beyond = encode(build_positional(Instance(2, 8)))  # 256 variables
+        fits = build_positional(Instance(2, 7))  # 196 variables
+        assert len(allsat_tiny(encode(fits), fits, limit=1).models) == 1
+        beyond = build_positional(Instance(2, 8))  # 256 variables
         with pytest.raises(ValueError):
-            allsat_tiny(beyond)
-        assert len(allsat_tiny(beyond, limit=1, max_vars=300).models) == 1
+            allsat_tiny(encode(beyond), beyond)
+        assert len(allsat_tiny(encode(beyond), beyond, limit=1, max_vars=300).models) == 1
 
     def test_blocking_prevents_duplicate_projections(self):
         model = build_direct(Instance(2, 3), sym=False)
         cnf = encode(model)  # counting circuit adds auxiliaries
-        result = allsat_tiny(cnf, max_vars=500)
+        result = allsat_tiny(cnf, model, max_vars=500)
         assert len(set(result.models)) == len(result.models) == 2
 
 
@@ -159,7 +155,7 @@ class TestSoundness:
         # image satisfies the encoding (no circuit variables here)
         model = build_positional(Instance(2, 3), sym=True)
         cnf = encode(model)
-        sat_images = set(allsat_tiny(cnf).models)
+        sat_images = set(allsat_tiny(cnf, model).models)
         flat = list(range(model.num_vars))
         hits = 0
         for combo in itertools.product(range(1, 7), repeat=6):
@@ -176,7 +172,7 @@ class TestSoundness:
         for sym in (True, False):
             model = build_direct(Instance(2, 4), sym=sym)
             cnf = encode(model)
-            result = allsat_tiny(cnf, max_vars=1000)
+            result = allsat_tiny(cnf, model, max_vars=1000)
             engine_solutions, _ = solve_all(model)
             assert len(result.models) == len(engine_solutions)
             for lits in result.models:
@@ -188,7 +184,7 @@ class TestSoundness:
         cfg = VariantConfig("channelled", branch="d", sym="p", cons="p")
         model = build_channelled(Instance(2, 4), cfg)
         cnf = encode(model)
-        result = allsat_tiny(cnf, max_vars=1000)
+        result = allsat_tiny(cnf, model, max_vars=1000)
         engine_solutions, _ = solve_all(model)
         assert len(result.models) == len(engine_solutions) == 1
         assert decoded_sequences(model, cnf, result) == {
