@@ -2,15 +2,7 @@
 
 from .engine import SearchStats, Store, propagate_to_fixpoint, solve_all
 from .heuristics import HeuristicKind, select_variable
-from .models import (
-    Instance,
-    Model,
-    VariantConfig,
-    build_channelled,
-    build_direct,
-    build_model,
-    build_positional,
-)
+from .models import Instance, Model, VariantConfig, build_model
 from .oracle import enumerate_bruteforce
 
 __all__ = [
@@ -20,10 +12,7 @@ __all__ = [
     "SearchStats",
     "Store",
     "VariantConfig",
-    "build_channelled",
-    "build_direct",
     "build_model",
-    "build_positional",
     "enumerate_bruteforce",
     "propagate_to_fixpoint",
     "select_variable",

@@ -103,18 +103,32 @@ class RunRecord:
 
     @classmethod
     def from_csv(cls, row: Sequence[str]) -> "RunRecord":
+        """The record of one CSV row; ValueError unless the row names a
+        valid instance and variant, every count is a non-negative int and
+        timed_out is `true` or `false`."""
+        if len(row) != len(CSV_FIELDS):
+            raise ValueError(f"{len(row)} fields, not {len(CSV_FIELDS)}")
+        k, n, solutions, nodes, failures, time_ms = map(int, (*row[:2], *row[7:11]))
+        if min(solutions, nodes, failures, time_ms) < 0:
+            raise ValueError("negative count")
+        if row[11] not in ("true", "false"):
+            raise ValueError(f"timed_out is {row[11]!r}, not true or false")
+        Instance(k, n)
+        config = VariantConfig(
+            model=row[2], branch=row[3] or None, sym=row[4], cons=row[5] or None, heuristic=row[6]
+        )
         return cls(
-            k=int(row[0]),
-            n=int(row[1]),
-            model=row[2],
-            branch=row[3] or None,
-            sym=row[4],
-            cons=row[5] or None,
-            heuristic=row[6],
-            solutions=int(row[7]),
-            nodes=int(row[8]),
-            failures=int(row[9]),
-            time_ms=int(row[10]),
+            k=k,
+            n=n,
+            model=config.model,
+            branch=config.branch,
+            sym=config.sym,
+            cons=config.cons,
+            heuristic=config.heuristic.value,
+            solutions=solutions,
+            nodes=nodes,
+            failures=failures,
+            time_ms=time_ms,
             timed_out=row[11] == "true",
         )
 
@@ -227,7 +241,7 @@ def _read_csv(path: Path) -> list[RunRecord]:
                 continue
             try:
                 records.append(RunRecord.from_csv(row))
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
     return records
 

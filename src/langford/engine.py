@@ -4,9 +4,9 @@ A domain is a plain int bitmask: bit v is set iff value v is in it. A
 trailed store with bit-exact restore, propagation to fixpoint over a
 propagator queue, and all-solution depth-first search with 2-way
 (assign / remove-min) branching. A search never writes to the model it
-runs on: its domains, trail and failure weights are its own. A search of
-a model with an `InverseChannel` runs on a `ViewStore`, which also keeps
-the sequence value view its filters read.
+runs on: its domains, trail and failure weights are its own. Every search
+runs on one kind of `Store`, which also keeps the sequence value view
+over the model's cells that the cell filters read.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .heuristics import HeuristicKind, WdegScorer, select_variable
-from .propagators import InverseChannel
+from .propagators import ElementOffsetConst, InverseChannel, Occurrence
 
 FIXPOINT = -1
 
@@ -35,113 +35,45 @@ def values(mask: int) -> list[int]:
 
 
 class Store:
-    """Trailed domain store.
+    """Trailed domain store with the sequence value view.
 
     `doms` holds one bitmask per variable. Every reduction is trailed as a
     (var, removed-bits) record; undoing to a mark restores each domain
     bit-exactly. The trail doubles as the wake-event queue: the entries
     past `seen` are the reductions that have not yet woken their watchers.
 
-    A plain store keeps no sequence value view: its `cells` is None. The
-    one view branch of a plain store is per undo, not per commit; see
-    `ViewStore`.
-    """
-
-    __slots__ = ("doms", "trail", "trail_bits", "marks", "seen", "cells")
-
-    def __init__(self, domains: Sequence[int]):
-        self.doms = list(domains)
-        # parallel lists, one removal event each: the var and the bits removed
-        self.trail: list[int] = []
-        self.trail_bits: list[int] = []
-        self.marks: list[int] = []
-        self.seen = 0
-        self.cells = None
-
-    def commit(self, var: int, new_mask: int) -> bool:
-        """Install a reduced domain, trailing the removed bits.
-
-        Returns False on wipeout; the empty domain is left in place for the
-        caller to unwind.
-        """
-        self.trail.append(var)
-        self.trail_bits.append(self.doms[var] ^ new_mask)
-        self.doms[var] = new_mask
-        return new_mask != 0
-
-    def intersect(self, var: int, mask: int) -> bool:
-        d = self.doms[var]
-        nd = d & mask
-        if nd == d:
-            return True
-        return self.commit(var, nd)
-
-    def remove_value(self, var: int, v: int) -> bool:
-        return self.intersect(var, ~(1 << v))
-
-    def assign(self, var: int, v: int) -> bool:
-        return self.intersect(var, 1 << v)
-
-    def push_mark(self) -> None:
-        self.marks.append(len(self.trail))
-
-    def undo_to_mark(self) -> None:
-        depth = self.marks.pop()
-        trail = self.trail
-        bits = self.trail_bits
-        doms = self.doms
-        while len(trail) > depth:
-            doms[trail.pop()] |= bits.pop()
-        self.seen = depth
-        if self.cells is not None:  # a ViewStore: put back the saved view
-            self.can, self.fixed = self.saved.pop()
-
-    def min_value(self, var: int) -> int:
-        d = self.doms[var]
-        return (d & -d).bit_length() - 1
-
-    def is_assigned(self, var: int) -> bool:
-        d = self.doms[var]
-        return d != 0 and d & (d - 1) == 0
-
-    def value(self, var: int) -> int:
-        d = self.doms[var]
-        if d == 0 or d & (d - 1):
-            raise ValueError(f"var {var} is not assigned")
-        return d.bit_length() - 1
-
-
-class ViewStore(Store):
-    """A store that also keeps the sequence value view over `cells`.
-
-    `cells` is a tuple of variables, the sequence cells at positions 1, 2,
-    ... in order. The view is two facts about them, kept equal to the
-    domains after every commit and every undo:
+    The store also keeps the sequence value view (Hnich, Smith & Walsh,
+    JAIR 2004) over `cells`, the sequence cells at positions 1, 2, ... in
+    order, or none for a model without cells. The view is two facts about
+    them, kept equal to the domains after every commit and every undo:
 
     * `can[m]` has bit i set iff the cell at position i can still hold m,
-      for every value m of the cells' initial domains (bit 0 is never set);
+      for every value m up to the largest one the cells start with (bit 0
+      is never set);
     * `fixed` has bit i set iff the cell at position i is assigned, i.e.
       its domain holds exactly one value.
 
     `commit` updates the view when it reduces a cell; `push_mark` saves
-    the view and `Store.undo_to_mark` puts it back. Undo stays in that one
-    method, which the benchmark's tracer wraps to count undos. A filter
-    reads the view only when its array is `cells` itself
-    (`store.cells is array`), so a model builder passes the very tuple the
-    view is made over to every propagator over the cells. Commits, their
-    order and the trail are the same as on a plain store.
+    the view with the trail length and `undo_to_mark` puts both back. Undo
+    stays in that one method, which the benchmark's tracer wraps to count
+    undos.
     """
 
-    __slots__ = ("cell_bit", "can", "fixed", "saved")
+    __slots__ = (
+        "doms", "trail", "trail_bits", "marks", "seen", "cells", "cell_bit", "can", "fixed"
+    )
 
-    def __init__(self, domains: Sequence[int], cells: tuple):
-        super().__init__(domains)
-        doms = self.doms
+    def __init__(self, domains: Sequence[int], cells: tuple = ()):
+        self.doms = doms = list(domains)
+        # parallel lists, one removal event each: the var and the bits removed
+        self.trail: list[int] = []
+        self.trail_bits: list[int] = []
+        self.marks: list[tuple[int, list[int], int]] = []
+        self.seen = 0
         self.cells = cells
         self.cell_bit = [0] * len(doms)  # 1 << position of a cell, else 0
         self.can = [0] * max((doms[cell].bit_length() for cell in cells), default=0)
         self.fixed = 0
-        self.saved: list[tuple[list[int], int]] = []
         for i, cell in enumerate(cells, 1):
             bit = 1 << i
             self.cell_bit[cell] = bit
@@ -152,6 +84,11 @@ class ViewStore(Store):
                 self.fixed |= bit
 
     def commit(self, var: int, new_mask: int) -> bool:
+        """Install a reduced domain, trailing the removed bits.
+
+        Returns False on wipeout; the empty domain is left in place for the
+        caller to unwind.
+        """
         doms = self.doms
         removed = doms[var] ^ new_mask
         self.trail.append(var)
@@ -172,19 +109,44 @@ class ViewStore(Store):
                     self.fixed &= keep
         return new_mask != 0
 
+    def intersect(self, var: int, mask: int) -> bool:
+        d = self.doms[var]
+        nd = d & mask
+        if nd == d:
+            return True
+        return self.commit(var, nd)
+
+    def remove_value(self, var: int, v: int) -> bool:
+        return self.intersect(var, ~(1 << v))
+
+    def assign(self, var: int, v: int) -> bool:
+        return self.intersect(var, 1 << v)
+
     def push_mark(self) -> None:
-        self.marks.append(len(self.trail))
-        self.saved.append((self.can.copy(), self.fixed))
+        self.marks.append((len(self.trail), self.can.copy(), self.fixed))
 
+    def undo_to_mark(self) -> None:
+        depth, self.can, self.fixed = self.marks.pop()
+        trail = self.trail
+        bits = self.trail_bits
+        doms = self.doms
+        while len(trail) > depth:
+            doms[trail.pop()] |= bits.pop()
+        self.seen = depth
 
-def new_store(model) -> Store:
-    """The store a search of `model` runs on: a `ViewStore` over the cells
-    of the model's `InverseChannel` when it has one, else a plain `Store`,
-    so direct and positional searches pay nothing for the view."""
-    for p in model.propagators:
-        if isinstance(p, InverseChannel):
-            return ViewStore(model.initial_domains, p.seq)
-    return Store(model.initial_domains)
+    def min_value(self, var: int) -> int:
+        d = self.doms[var]
+        return (d & -d).bit_length() - 1
+
+    def is_assigned(self, var: int) -> bool:
+        d = self.doms[var]
+        return d != 0 and d & (d - 1) == 0
+
+    def value(self, var: int) -> int:
+        d = self.doms[var]
+        if d == 0 or d & (d - 1):
+            raise ValueError(f"var {var} is not assigned")
+        return d.bit_length() - 1
 
 
 @dataclass
@@ -372,17 +334,35 @@ def propagate_to_fixpoint(
 
 
 def validate_model(model) -> None:
-    """Reject models whose propagators reference unknown variables."""
+    """Reject models whose propagators reference unknown variables, or
+    whose cell filters would misread the store's sequence value view. An
+    `ElementOffsetConst`, `Occurrence` or `InverseChannel` must range over
+    the model's cells in position order, and must not ask for a value (for
+    the channel, n) above the largest one a cell's initial domain holds."""
     num_vars = len(model.initial_domains)
+    cells = tuple(model.seq_vars or ())
+    for v in (*model.branch_order, *cells):
+        if not (0 <= v < num_vars):
+            raise ValueError(f"branching order or cells reference unknown var {v}")
+    top = max((model.initial_domains[cell].bit_length() for cell in cells), default=0) - 1
     for pid, p in enumerate(model.propagators):
         if not p.scope:
             raise ValueError(f"propagator {pid} has an empty scope")
         for v in p.scope:
             if not (0 <= v < num_vars):
                 raise ValueError(f"propagator {pid} references unknown var {v}")
-    for v in model.branch_order:
-        if not (0 <= v < num_vars):
-            raise ValueError(f"branching order references unknown var {v}")
+        if isinstance(p, ElementOffsetConst):
+            array, value = p.array, p.value
+        elif isinstance(p, Occurrence):
+            array, value = p.scope, p.value
+        elif isinstance(p, InverseChannel):
+            array, value = p.seq, p.n
+        else:
+            continue
+        if array != cells:
+            raise ValueError(f"propagator {pid} does not range over the model's cells in order")
+        if value > top:
+            raise ValueError(f"propagator {pid} asks for {value}, above every cell's initial domain")
 
 
 def solve_all(
@@ -414,7 +394,7 @@ def solve_all(
     validate_model(model)
     propagators = model.propagators
     num_vars = len(model.initial_domains)
-    store = new_store(model)
+    store = Store(model.initial_domains, tuple(model.seq_vars or ()))
     scorer = None
     if heuristic is HeuristicKind.WDEG or heuristic is HeuristicKind.DOM_OVER_WDEG:
         scorer = WdegScorer(store, model)

@@ -12,9 +12,7 @@ Two viewpoints of L(k, n) and their channelled combination:
   and exactly one reflection-breaking constraint.
 
 The channelled model is both base viewpoints plus the links, so
-`build_model` posts each piece wherever the variant needs it;
-`build_direct`, `build_positional` and `build_channelled` are thin
-wrappers that name the variant.
+`build_model` posts each piece wherever the variant needs it.
 """
 
 from __future__ import annotations
@@ -191,13 +189,9 @@ def build_model(instance: Instance, config: VariantConfig) -> Model:
     with_positional = config.model == "positional" or config.cons in ("both", "p")
 
     b = _Builder()
-    seq = cells = pos = first = None
+    seq = pos = first = None
     if config.model != "positional":
         seq = [b.var(f"seq_{i}", 1, n) for i in range(1, kn + 1)]
-        # One tuple for every propagator over the cells: a search store's
-        # sequence value view serves a filter only when its array is this
-        # very object (see engine.ViewStore).
-        cells = tuple(seq)
     if config.model != "direct":
         pos = [[b.var(f"pos_{m}_{j}", 1, kn) for j in range(1, k + 1)] for m in range(1, n + 1)]
     if with_direct:
@@ -217,13 +211,13 @@ def build_model(instance: Instance, config: VariantConfig) -> Model:
         # dom/wdeg node counts.
         for m in range(1, n + 1):
             for j in range(1, k + 1):
-                props.append(ElementOffsetConst(cells, pos[m - 1][j - 1], 0, m))
-        props.append(InverseChannel(pos, cells))
+                props.append(ElementOffsetConst(seq, pos[m - 1][j - 1], 0, m))
+        props.append(InverseChannel(pos, seq))
         for m in range(1, n + 1):
             for j in range(2, k + 1):
                 props.append(LessThan(pos[m - 1][j - 2], pos[m - 1][j - 1]))
     if with_direct:
-        props.extend(_direct_constraints(instance, cells, first, config.implied))
+        props.extend(_direct_constraints(instance, seq, first, config.implied))
     if with_positional:
         props.extend(_positional_constraints(instance, pos))
     if config.sym == "d":
@@ -245,32 +239,3 @@ def build_model(instance: Instance, config: VariantConfig) -> Model:
         first_occ=first,
     )
 
-
-def build_direct(
-    instance: Instance,
-    sym: bool = True,
-    implied: bool = True,
-    heuristic: HeuristicKind = HeuristicKind.STATIC,
-) -> Model:
-    """Sequence-cell viewpoint with per-number chain start auxiliaries."""
-    config = VariantConfig(
-        "direct", sym="d" if sym else "none", heuristic=heuristic, implied=implied
-    )
-    return build_model(instance, config)
-
-
-def build_positional(
-    instance: Instance,
-    sym: bool = True,
-    heuristic: HeuristicKind = HeuristicKind.STATIC,
-) -> Model:
-    """Position-per-copy viewpoint: injective slots plus fixed gaps."""
-    config = VariantConfig("positional", sym="p" if sym else "none", heuristic=heuristic)
-    return build_model(instance, config)
-
-
-def build_channelled(instance: Instance, config: VariantConfig) -> Model:
-    """Both viewpoints, linked tightly; problem constraints per `config.cons`."""
-    if config.model != "channelled":
-        raise ValueError("config.model must be 'channelled'")
-    return build_model(instance, config)

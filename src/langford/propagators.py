@@ -13,14 +13,15 @@ of its contract, not just the domains it leaves. The order decides which
 propagator fails first, hence which one is blamed and weighted, hence the
 wdeg and dom/wdeg node counts. A faster filter must keep it exactly.
 
-`ElementOffsetConst`, `Occurrence` and `InverseChannel` read the store's
-sequence value view (see `engine.ViewStore`) instead of scanning cell
-domains. A filter uses the view only when its array of cells is the
-view's `cells` tuple itself (`store.cells is array`) and `store.can` has
-an entry for its value (for the channel, for n). A plain store has
-`cells = None`, so there, and on any other array, the filters run their
-scanning loops. The view changes how a filter reads domains, never what
-it commits: both paths make the same commits in the same order.
+`ElementOffsetConst`, `Occurrence` and `InverseChannel` never scan the
+cell domains: they find the cells they act on through the store's
+sequence value view (see `engine.Store`), `store.can[m]`, the positions
+whose cell can still hold m, and `store.fixed`, the assigned positions.
+They take for granted that their array is the store's cells in position
+order and that `can` has an entry for every value they read;
+`engine.validate_model` checks both once per search. The view changes
+how a filter finds the cells, never what it commits: the tests hold each
+of the three to a reference filter that scans the cell domains.
 """
 
 from __future__ import annotations
@@ -260,24 +261,12 @@ class ElementOffsetConst(Propagator):
             if dt & value_bit:
                 return dt == value_bit or store.commit(tv, value_bit)
             return store.commit(self.index, 0)
-        if store.cells is self.array and self.value < len(store.can):
-            # indexes p whose position p + offset holds a cell that can take
-            # the value; index 0 has no target, but a positive offset
-            # shifts position `offset` onto it
-            support = store.can[self.value]
-            offset = self.offset
-            allowed = d & (support >> offset if offset >= 0 else support << -offset) & ~1
-        else:
-            allowed = 0
-            rest = d
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                p = low.bit_length() - 1
-                if p < num_targets:
-                    tv = targets[p]
-                    if tv >= 0 and doms[tv] & value_bit:
-                        allowed |= low
+        # indexes p whose position p + offset holds a cell that can take the
+        # value; index 0 has no target, but a positive offset shifts
+        # position `offset` onto it
+        support = store.can[self.value]
+        offset = self.offset
+        allowed = d & (support >> offset if offset >= 0 else support << -offset) & ~1
         if allowed != d and not store.commit(self.index, allowed):
             return False
         if allowed & (allowed - 1) == 0:  # index newly assigned
@@ -316,43 +305,15 @@ class Occurrence(Propagator):
         self.count = count
 
     def filter(self, store) -> bool:
-        doms = store.doms
-        bit = 1 << self.value
-        if store.cells is self.scope and self.value < len(store.can):
-            return self._filter_view(store, bit)
-        assigned = 0
-        possible = 0
-        for v in self.scope:
-            d = doms[v]
-            if d & bit:
-                possible += 1
-                if d == bit:
-                    assigned += 1
-        if assigned > self.count or possible < self.count:
-            return False
-        if assigned == self.count and possible > assigned:
-            for v in self.scope:
-                d = doms[v]
-                if d & bit and d != bit:
-                    if not store.commit(v, d & ~bit):
-                        return False
-        elif possible == self.count and assigned < possible:
-            for v in self.scope:
-                d = doms[v]
-                if d & bit and d != bit:
-                    if not store.commit(v, bit):
-                        return False
-        return True
-
-    def _filter_view(self, store, bit: int) -> bool:
-        """The filter on the cells of the store's view: bit i of `holders`
-        stands for scope[i - 1], so ascending bits are scope order."""
+        # bit i of `holders` stands for scope[i - 1], so ascending bits are
+        # scope order
         holders = store.can[self.value]
         on_value = holders & store.fixed
         assigned = on_value.bit_count()
         possible = holders.bit_count()
         if assigned > self.count or possible < self.count:
             return False
+        bit = 1 << self.value
         if assigned == self.count and possible > assigned:
             keep = ~bit
         elif possible == self.count and assigned < possible:
@@ -424,28 +385,11 @@ class InverseChannel(Propagator):
 
         # can[m] holds bit i iff the cell at position i can still hold m.
         # `dirty` marks the positions whose cell loses a value under (a); a
-        # value outside 1..n is always lost. The store's view keeps `can`;
-        # without it, transpose the cell domains.
-        view = store.cells is seq and n < len(store.can)
-        if view:
-            can = store.can
-            dirty = can[0]
-            for stray in can[n + 1:]:
-                dirty |= stray
-        else:
-            can = [0] * (n + 1)
-            dirty = 0
-            position_bit = 2
-            for cell in seq:
-                d = doms[cell]
-                rest = d & numbers
-                if rest != d:
-                    dirty |= position_bit
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    can[low.bit_length() - 1] |= position_bit
-                position_bit <<= 1
+        # value outside 1..n is always lost.
+        can = store.can
+        dirty = can[0]
+        for stray in can[n + 1:]:
+            dirty |= stray
 
         # (a) number m leaves the cells at can[m] minus every slot of m.
         lost = [0] * (kn + 1)
@@ -470,9 +414,8 @@ class InverseChannel(Propagator):
                 return False
 
         # (b) every slot of m lies within their union, so narrowing it to
-        # can[m] leaves it the positions whose cell still holds m after (a).
-        # The view's can[m] has already lost them in (a); the transposed
-        # one has not, which leaves the same slot domains.
+        # can[m], which the commits of (a) have kept up to date, leaves it
+        # the positions whose cell still holds m.
         for m, row in enumerate(slots, 1):
             positions = can[m]
             for sv in row:
@@ -494,16 +437,7 @@ class InverseChannel(Propagator):
 
         # (d) visits the assigned cells in ascending position. Its commits
         # only narrow slots, so the set is fixed once (c) is done.
-        if view:
-            fixed = store.fixed
-        else:
-            fixed = 0
-            position_bit = 2
-            for cell in seq:
-                d = doms[cell]
-                if d and d & (d - 1) == 0:
-                    fixed |= position_bit
-                position_bit <<= 1
+        fixed = store.fixed
         while fixed:
             position_bit = fixed & -fixed
             fixed ^= position_bit

@@ -92,6 +92,16 @@ class TestSolve:
         assert str(out) in capsys.readouterr().err
         assert out.read_text() == "a,b,c\n1,2,3\n"
 
+    def test_csv_append_refuses_malformed_row(self, tmp_path, capsys):
+        out = tmp_path / "runs.csv"
+        text = ",".join(CSV_FIELDS) + "\n2,3,direct,,d,,static,1,0,0,1,maybe\n"
+        out.write_text(text)
+        code = main(["solve", "--k", "2", "--n", "3", "--model", "direct", "--sym", "d",
+                     "--out", str(out)])
+        assert code == 1
+        assert f"{out}:2: malformed row" in capsys.readouterr().err
+        assert out.read_text() == text
+
     def test_unwritable_out_fails_before_search(self, tmp_path, capsys):
         out = tmp_path / "missing" / "runs.csv"
         code = main(["solve", "--k", "2", "--n", "3", "--model", "direct", "--sym", "d",
@@ -156,6 +166,17 @@ class TestSweep:
         first = out.read_bytes()
         assert main(args + ["--skip-existing"]) == 0
         assert out.read_bytes() == first
+
+    def test_skip_existing_refuses_malformed_row(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "sweep.csv"
+        text = ",".join(CSV_FIELDS) + "\n2,3,bogus,,d,,static,1,0,0,1,false\n"
+        out.write_text(text)
+        monkeypatch.setattr(cli, "run", lambda *a: pytest.fail("a cell ran"))
+        code = main(["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
+                     "--variant", "model=direct,sym=d", "--skip-existing", "--out", str(out)])
+        assert code == 1
+        assert f"{out}:2: malformed row" in capsys.readouterr().err
+        assert out.read_text() == text
 
     def test_invalid_variant_combo_skipped(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -319,6 +340,22 @@ class TestReport:
         bad.write_text(",".join(CSV_FIELDS) + "\n2,3,direct,,d,,static,1,0,0,1,false\nnot,a,row\n")
         assert main(["report", str(bad)]) == 1
         assert ":3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [
+        "2,3,channelled,,d,,static,1,0,0,0,false",  # channelled without branch or cons
+        "2,3,bogus,,d,,static,1,0,0,1,false",  # unknown model
+        "2,3,direct,,p,,static,1,0,0,1,false",  # sym p on the direct model
+        "2,3,direct,,d,,fastest,1,0,0,1,false",  # unknown heuristic
+        "2,3,direct,,d,,static,1,0,0,1,maybe",  # timed_out neither true nor false
+        "2,3,direct,,d,,static,1,-4,0,1,false",  # negative count
+        "1,3,direct,,d,,static,1,0,0,1,false",  # k below 2
+        "2,3,direct,,d,,static,1,0,0,1,false,extra",  # too many fields
+    ], ids=["no-branch", "model", "sym", "heuristic", "timed-out", "negative", "k", "fields"])
+    def test_malformed_row_rejected(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",".join(CSV_FIELDS) + "\n" + row + "\n")
+        assert main(["report", str(bad)]) == 1
+        assert f"{bad}:2: malformed row" in capsys.readouterr().err
 
     def test_wrong_header_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -9,7 +9,6 @@ import pytest
 from langford.engine import (
     FIXPOINT,
     Store,
-    ViewStore,
     build_watchers,
     propagate_to_fixpoint,
     solve_all,
@@ -17,18 +16,18 @@ from langford.engine import (
     values,
 )
 from langford.heuristics import HeuristicKind
-from langford.models import (
-    Instance,
-    VariantConfig,
-    build_channelled,
-    build_direct,
-    build_model,
-    build_positional,
-)
+from langford.models import Instance, VariantConfig, build_model
 from langford.oracle import enumerate_bruteforce
-from langford.propagators import EqOffset, LessThan, Propagator
+from langford.propagators import (
+    ElementOffsetConst,
+    EqOffset,
+    InverseChannel,
+    LessThan,
+    Occurrence,
+    Propagator,
+)
 
-from util import TinyModel, doms, mask_of, naive_fixpoint, view_of
+from util import TinyModel, doms, mask_of, naive_fixpoint, store_of, view_of
 
 
 class Probe(Propagator):
@@ -102,7 +101,7 @@ class TestStore:
         cells = (2, 0, 4)
         for _ in range(200):
             masks = [mask_of(rng.sample(range(0, 6), rng.randint(1, 5))) for _ in range(5)]
-            store = ViewStore(masks, cells)
+            store = Store(masks, cells)
             assert (store.can, store.fixed) == view_of(store)
             snapshots = []
             for _ in range(rng.randint(1, 15)):
@@ -142,17 +141,17 @@ class TestPropagateToFixpoint:
         # queue-driven fixpoint must agree with plain round-robin filtering
         for cons in ("both", "d", "p"):
             cfg = VariantConfig("channelled", branch="d", sym="d", cons=cons)
-            model = build_channelled(Instance(2, 3), cfg)
-            fast = Store(model.initial_domains)
+            model = build_model(Instance(2, 3), cfg)
+            fast = store_of(model)
             assert run_fixpoint(fast, model.propagators) == FIXPOINT
-            slow = Store(model.initial_domains)
+            slow = store_of(model)
             assert naive_fixpoint(slow, model.propagators) == -1
             assert fast.doms == slow.doms
 
     def test_idempotent_at_fixpoint(self):
         cfg = VariantConfig("channelled", branch="d", sym="d", cons="both")
-        model = build_channelled(Instance(2, 4), cfg)
-        store = Store(model.initial_domains)
+        model = build_model(Instance(2, 4), cfg)
+        store = store_of(model)
         assert run_fixpoint(store, model.propagators) == FIXPOINT
         settled = list(store.doms)
         trail_depth = len(store.trail)
@@ -205,15 +204,15 @@ class TestPropagateToFixpoint:
     def test_naive_agreement_on_random_restrictions(self):
         rng = random.Random(99)
         cfg = VariantConfig("channelled", branch="d", sym="d", cons="both")
-        model = build_channelled(Instance(2, 4), cfg)
+        model = build_model(Instance(2, 4), cfg)
         for _ in range(40):
             base = list(model.initial_domains)
             for var, d in enumerate(base):
                 for v in values(d):
                     if base[var].bit_count() > 1 and rng.random() < 0.2:
                         base[var] &= ~(1 << v)
-            fast = Store(base)
-            slow = Store(base)
+            fast = store_of(model, base)
+            slow = store_of(model, base)
             got = run_fixpoint(fast, model.propagators)
             ref = naive_fixpoint(slow, model.propagators)
             if ref == -1:
@@ -225,19 +224,19 @@ class TestPropagateToFixpoint:
 
 class TestSolveAll:
     def test_direct_2_3(self):
-        model = build_direct(Instance(2, 3))
+        model = build_model(Instance(2, 3), VariantConfig("direct", sym="d"))
         solutions, stats = solve_all(model)
         assert [model.sequence_of(s) for s in solutions] == [(2, 3, 1, 2, 1, 3)]
         assert stats.solutions == 1
 
     def test_direct_2_5_unsat(self):
-        model = build_direct(Instance(2, 5))
+        model = build_model(Instance(2, 5), VariantConfig("direct", sym="d"))
         solutions, stats = solve_all(model)
         assert solutions == []
         assert stats.failures > 0
 
     def test_positional_2_4_keeps_its_own_representative(self):
-        model = build_positional(Instance(2, 4))
+        model = build_model(Instance(2, 4), VariantConfig("positional", sym="p"))
         solutions, stats = solve_all(model)
         sequences = [model.sequence_of(s) for s in solutions]
         # the reflection filter of this viewpoint keeps the arrangement whose
@@ -246,14 +245,14 @@ class TestSolveAll:
         assert tuple(reversed(sequences[0])) in enumerate_bruteforce(2, 4, "first-less-last")
 
     def test_node_limit_zero(self):
-        model = build_direct(Instance(2, 3))
+        model = build_model(Instance(2, 3), VariantConfig("direct", sym="d"))
         solutions, stats = solve_all(model, node_limit=0)
         assert solutions == []
         assert stats.timed_out
         assert stats.nodes == 0
 
     def test_node_limit_truncates(self):
-        model = build_direct(Instance(2, 7), sym=False)
+        model = build_model(Instance(2, 7), VariantConfig("direct"))
         full, full_stats = solve_all(model)
         cut, cut_stats = solve_all(model, node_limit=full_stats.nodes // 2)
         assert cut_stats.timed_out
@@ -262,7 +261,7 @@ class TestSolveAll:
 
     def test_time_limit(self):
         cfg = VariantConfig("channelled", branch="p", sym="p", cons="both")
-        model = build_channelled(Instance(3, 11), cfg)
+        model = build_model(Instance(3, 11), cfg)
         solutions, stats = solve_all(model, time_limit=0.2)
         assert stats.timed_out
 
@@ -271,6 +270,34 @@ class TestSolveAll:
         with pytest.raises(ValueError):
             solve_all(model)
         validate_model(TinyModel(doms({1, 2}, {1, 2}), [LessThan(0, 1)]))
+
+    def test_cell_filters_must_read_the_models_cells(self):
+        # the cell filters read the store's view over the model's cells, so
+        # a model must give each of them exactly those cells, in position
+        # order, and no value above every cell's initial domain
+        cells = [0, 1, 2]
+        domains = doms({1, 2}, {1, 2}, {1, 2}, {1, 2, 3}, {1, 2}, {1, 2})
+        good = [
+            ElementOffsetConst(cells, 3, 0, 2),
+            Occurrence(cells, 2, 1),
+            InverseChannel([[4], [5]], [0, 1]),
+        ]
+        for prop in good[:2]:
+            validate_model(TinyModel(domains, [prop], seq_vars=cells))
+        validate_model(TinyModel(domains, [good[2]], seq_vars=[0, 1]))
+        bad = [
+            (ElementOffsetConst([0, 1, 4], 3, 0, 2), cells),  # another array
+            (ElementOffsetConst([2, 1, 0], 3, 0, 2), cells),  # another order
+            (Occurrence([0, 1], 2, 1), cells),  # a part of the cells
+            (InverseChannel([[4], [5]], [0, 1]), cells),
+            (ElementOffsetConst(cells, 3, 0, 2), None),  # a model without cells
+            (ElementOffsetConst(cells, 3, 0, 3), cells),  # a value no cell holds
+            (Occurrence(cells, 3, 1), cells),
+            (InverseChannel([[3], [4], [5]], cells), cells),  # n = 3
+        ]
+        for prop, seq_vars in bad:
+            with pytest.raises(ValueError):
+                validate_model(TinyModel(domains, [prop], seq_vars=seq_vars))
 
     def test_min_value_two_way_branching(self):
         # one variable {2,5,7}: assign 2 | remove 2, assign 5 | remove 5 -> {7}
@@ -283,7 +310,7 @@ class TestSolveAll:
     def test_determinism(self):
         cfg = VariantConfig("channelled", branch="d", sym="d", cons="both")
         for heuristic in HeuristicKind:
-            model = build_channelled(Instance(2, 6), cfg)
+            model = build_model(Instance(2, 6), cfg)
             first_solutions, first_stats = solve_all(model, heuristic)
             again_solutions, again_stats = solve_all(model, heuristic)
             assert first_solutions == again_solutions
@@ -294,8 +321,8 @@ class TestSolveAll:
             )
 
     def test_trail_soundness_through_search(self):
-        model = build_direct(Instance(2, 4), sym=False)
-        store = Store(model.initial_domains)
+        model = build_model(Instance(2, 4), VariantConfig("direct"))
+        store = store_of(model)
         watchers = build_watchers(model.num_vars, model.propagators)
         snapshot = list(store.doms)
         rng = random.Random(5)
@@ -311,9 +338,9 @@ class TestSolveAll:
         # walk the leftmost branch of the direct model; each propagation
         # outcome must match the brute-force classification of the partial
         # sequence assignment
-        model = build_direct(Instance(2, 3))
+        model = build_model(Instance(2, 3), VariantConfig("direct", sym="d"))
         arrangements = enumerate_bruteforce(2, 3, "first-less-last")
-        store = Store(model.initial_domains)
+        store = store_of(model)
         watchers = build_watchers(model.num_vars, model.propagators)
         assert propagate_to_fixpoint(store, model.propagators, watchers, range(len(model.propagators))) == FIXPOINT
         while True:
@@ -369,8 +396,8 @@ class TestSolveAll:
 ], ids=["direct", "positional", "channelled"])
 def test_every_undo_goes_through_store_undo_to_mark(monkeypatch, config):
     # The benchmark's tracer counts undos by wrapping Store.undo_to_mark, so
-    # no store a search runs on may undo by another method. A complete
-    # search undoes each of its nodes once.
+    # no search may undo by another method, and every search runs on a
+    # `Store` itself. A complete search undoes each of its nodes once.
     calls = []
     undo = Store.undo_to_mark
 
@@ -383,4 +410,4 @@ def test_every_undo_goes_through_store_undo_to_mark(monkeypatch, config):
     assert not stats.timed_out
     assert stats.nodes > 0
     assert len(calls) == stats.nodes
-    assert set(calls) == {ViewStore if config.model == "channelled" else Store}
+    assert set(calls) == {Store}

@@ -5,17 +5,17 @@ import random
 import pytest
 
 from langford import engine
-from langford.engine import Store, solve_all
+from langford.engine import solve_all
 from langford.heuristics import HeuristicKind, WdegScorer, select_variable, wdeg_scores
-from langford.models import Instance, VariantConfig, build_channelled, build_model, build_positional
+from langford.models import Instance, VariantConfig, build_model
 from langford.propagators import LessThan
 
-from util import TinyModel, doms
+from util import TinyModel, doms, store_of
 
 
 def test_static_follows_branching_order():
     model = TinyModel(doms({1, 2}, {1, 2}, {1, 2}), [], branch_order=[2, 0, 1])
-    store = Store(model.initial_domains)
+    store = store_of(model)
     assert select_variable(store, model, HeuristicKind.STATIC) == 2
     store.assign(2, 1)
     assert select_variable(store, model, HeuristicKind.STATIC) == 0
@@ -23,23 +23,23 @@ def test_static_follows_branching_order():
 
 def test_all_assigned_returns_none():
     model = TinyModel(doms({3}, {4}), [])
-    store = Store(model.initial_domains)
+    store = store_of(model)
     for kind in HeuristicKind:
         assert select_variable(store, model, kind, WdegScorer(store, model)) is None
 
 
 def test_sdf_tie_break_prefers_earlier_position():
     model = TinyModel(doms({1, 2, 3}, {1, 2}, {2, 3}), [])
-    store = Store(model.initial_domains)
+    store = store_of(model)
     assert select_variable(store, model, HeuristicKind.SDF) == 1
 
 
 def test_never_selects_assigned():
     rng = random.Random(11)
-    model = build_positional(Instance(2, 4))
+    model = build_model(Instance(2, 4), VariantConfig("positional", sym="p"))
     weights = [1] * len(model.propagators)
     for _ in range(50):
-        store = Store(model.initial_domains)
+        store = store_of(model)
         for var in rng.sample(range(model.num_vars), rng.randint(0, model.num_vars)):
             store.assign(var, store.min_value(var))
         scorer = WdegScorer(store, model, weights)
@@ -51,8 +51,8 @@ def test_never_selects_assigned():
 
 def test_wdeg_attachment_structure_at_root():
     # with all weights 1 wdeg reduces to degree over still-active propagators
-    model = build_positional(Instance(2, 3))
-    store = Store(model.initial_domains)
+    model = build_model(Instance(2, 3), VariantConfig("positional", sym="p"))
+    store = store_of(model)
     weights = [1] * len(model.propagators)
     scores = wdeg_scores(store, model, weights)
     first_slot = model.pos_vars[0][0]
@@ -66,7 +66,7 @@ def test_wdeg_attachment_structure_at_root():
 
 def test_wdeg_ignores_propagators_with_one_unassigned():
     model = TinyModel(doms({1, 2}, {1, 2, 3}), [LessThan(0, 1)])
-    store = Store(model.initial_domains)
+    store = store_of(model)
     assert wdeg_scores(store, model, [1]) == [1, 1]
     store.assign(0, 1)
     assert wdeg_scores(store, model, [1]) == [0, 0]
@@ -74,23 +74,23 @@ def test_wdeg_ignores_propagators_with_one_unassigned():
 
 def test_static_on_channelled_branch_d_first_picks_sequence_cells():
     cfg = VariantConfig("channelled", branch="d", sym="d", cons="both")
-    model = build_channelled(Instance(2, 4), cfg)
-    store = Store(model.initial_domains)
+    model = build_model(Instance(2, 4), cfg)
+    store = store_of(model)
     picked = select_variable(store, model, HeuristicKind.STATIC)
     assert picked in model.seq_vars
     cfg_p = VariantConfig("channelled", branch="p", sym="p", cons="both")
-    model_p = build_channelled(Instance(2, 4), cfg_p)
-    store_p = Store(model_p.initial_domains)
+    model_p = build_model(Instance(2, 4), cfg_p)
+    store_p = store_of(model_p)
     flat = [v for row in model_p.pos_vars for v in row]
     assert select_variable(store_p, model_p, HeuristicKind.STATIC) in flat
 
 
 def test_weight_scaling_leaves_selection_unchanged():
     rng = random.Random(23)
-    model = build_positional(Instance(2, 4))
+    model = build_model(Instance(2, 4), VariantConfig("positional", sym="p"))
     for scale in (2, 7, 31):
         for _ in range(30):
-            store = Store(model.initial_domains)
+            store = store_of(model)
             for var in rng.sample(range(model.num_vars), rng.randint(0, 6)):
                 store.assign(var, store.min_value(var))
             weights = [rng.randint(1, 9) for _ in model.propagators]
@@ -109,7 +109,7 @@ def test_dom_over_wdeg_uses_exact_ratio_comparison():
     w = 2**60
     assert 2 / (w + 1) == 2 / w
     model = TinyModel(doms({1, 2}, {1, 2}, {1, 2}), [LessThan(0, 1), LessThan(1, 2)])
-    store = Store(model.initial_domains)
+    store = store_of(model)
     assert wdeg_scores(store, model, [w, 1]) == [w, w + 1, 1]
     scorer = WdegScorer(store, model, [w, 1])
     assert select_variable(store, model, HeuristicKind.DOM_OVER_WDEG, scorer) == 1
@@ -118,11 +118,11 @@ def test_dom_over_wdeg_uses_exact_ratio_comparison():
 def test_root_selection_depends_only_on_structure():
     # two fresh builds of the same variant agree on every root selection
     cfg = VariantConfig("channelled", branch="p", sym="p", cons="both")
-    one = build_channelled(Instance(2, 5), cfg)
-    two = build_channelled(Instance(2, 5), cfg)
+    one = build_model(Instance(2, 5), cfg)
+    two = build_model(Instance(2, 5), cfg)
     for kind in HeuristicKind:
-        store_one = Store(one.initial_domains)
-        store_two = Store(two.initial_domains)
+        store_one = store_of(one)
+        store_two = store_of(two)
         assert select_variable(store_one, one, kind, WdegScorer(store_one, one)) == (
             select_variable(store_two, two, kind, WdegScorer(store_two, two))
         )
@@ -179,7 +179,7 @@ def test_scorer_bump_below_two_unassigned_then_undo():
     # weight but to no score; once an undo frees its other variable, the
     # bumped weight counts again.
     model = TinyModel(doms({1, 2}, {1, 2}, {1, 2}), [LessThan(0, 1), LessThan(1, 2)])
-    store = Store(model.initial_domains)
+    store = store_of(model)
     scorer = WdegScorer(store, model)
     assert scorer.sync() == [1, 2, 1]
     store.push_mark()
@@ -203,8 +203,8 @@ def test_scorer_bump_below_two_unassigned_then_undo():
 
 
 def test_scorer_undo_of_several_levels_at_once():
-    model = build_positional(Instance(2, 4))
-    store = Store(model.initial_domains)
+    model = build_model(Instance(2, 4), VariantConfig("positional", sym="p"))
+    store = store_of(model)
     scorer = WdegScorer(store, model)
     scorer.sync()
     for var in model.branch_order[:4]:

@@ -7,22 +7,14 @@ import pytest
 from langford.engine import (
     FIXPOINT,
     Store,
-    ViewStore,
     build_watchers,
-    new_store,
     propagate_to_fixpoint,
     solve_all,
+    validate_model,
     values,
 )
 from langford.heuristics import HeuristicKind
-from langford.models import (
-    Instance,
-    VariantConfig,
-    build_channelled,
-    build_direct,
-    build_model,
-    build_positional,
-)
+from langford.models import Instance, VariantConfig, build_model
 from langford.oracle import enumerate_bruteforce
 from langford.propagators import (
     AllDifferent,
@@ -35,6 +27,10 @@ from langford.propagators import (
 )
 
 from util import pos_sym_keeps, solution_sequences
+
+# the variants of the base viewpoints with their own reflection rule
+DIRECT = VariantConfig("direct", sym="d")
+POSITIONAL = VariantConfig("positional", sym="p")
 
 
 def kinds(model):
@@ -80,7 +76,7 @@ class TestVariantConfig:
 
 class TestBuildDirect:
     def test_2_3_structure(self):
-        model = build_direct(Instance(2, 3))
+        model = build_model(Instance(2, 3), DIRECT)
         assert len(model.seq_vars) == 6
         assert len(model.first_occ) == 3
         assert all(values(model.initial_domains[v]) == [1, 2, 3] for v in model.seq_vars)
@@ -90,7 +86,7 @@ class TestBuildDirect:
         assert model.branch_order == model.seq_vars + model.first_occ
 
     def test_element_anchors_step_through_the_chain(self):
-        model = build_direct(Instance(3, 4), sym=False, implied=False)
+        model = build_model(Instance(3, 4), VariantConfig("direct", implied=False))
         for p in model.propagators:
             assert isinstance(p, ElementOffsetConst)
         offsets = sorted(
@@ -101,21 +97,21 @@ class TestBuildDirect:
         )
 
     def test_sym_off_drops_less_than(self):
-        model = build_direct(Instance(2, 3), sym=False)
+        model = build_model(Instance(2, 3), VariantConfig("direct"))
         assert "less_than" not in kinds(model)
 
     def test_implied_off_drops_occurrence(self):
-        model = build_direct(Instance(2, 3), implied=False)
+        model = build_model(Instance(2, 3), VariantConfig("direct", sym="d", implied=False))
         assert "occurrence" not in kinds(model)
 
     def test_n1_with_sym_unsatisfiable(self):
-        model = build_direct(Instance(2, 1))
+        model = build_model(Instance(2, 1), DIRECT)
         solutions, stats = solve_all(model)
         assert solutions == []
         assert stats.nodes == 0  # refuted at the root
 
     def test_k_exceeding_n_fails_at_root(self):
-        model = build_direct(Instance(5, 2))
+        model = build_model(Instance(5, 2), DIRECT)
         solutions, stats = solve_all(model)
         assert solutions == []
         assert stats.nodes == 0
@@ -125,7 +121,7 @@ class TestBuildDirect:
         # weak by design), so validate semantically: every arrangement the
         # enumerator finds extends to a full assignment accepted by every
         # propagator, and reflected arrangements fail the sym constraint
-        model = build_direct(Instance(3, 9))
+        model = build_model(Instance(3, 9), DIRECT)
         assert len(model.seq_vars) == 27
         kept = enumerate_bruteforce(3, 9, "first-less-last")
         assert len(kept) == 3
@@ -141,7 +137,7 @@ class TestBuildDirect:
 
 class TestBuildPositional:
     def test_2_3_structure(self):
-        model = build_positional(Instance(2, 3))
+        model = build_model(Instance(2, 3), POSITIONAL)
         flat = [v for row in model.pos_vars for v in row]
         assert len(flat) == 6
         assert all(values(model.initial_domains[v]) == [1, 2, 3, 4, 5, 6] for v in flat)
@@ -153,7 +149,7 @@ class TestBuildPositional:
         assert model.branch_order == flat
 
     def test_root_propagation_prunes_late_slots(self):
-        model = build_positional(Instance(2, 4))
+        model = build_model(Instance(2, 4), POSITIONAL)
         store = Store(model.initial_domains)
         watchers = build_watchers(model.num_vars, model.propagators)
         assert propagate_to_fixpoint(
@@ -162,7 +158,7 @@ class TestBuildPositional:
         assert values(store.doms[model.pos_vars[3][0]]) == [1, 2, 3]
 
     def test_chain_spilling_over_fails_at_root(self):
-        model = build_positional(Instance(5, 2))
+        model = build_model(Instance(5, 2), POSITIONAL)
         solutions, stats = solve_all(model)
         assert solutions == []
         assert stats.nodes == 0
@@ -171,7 +167,7 @@ class TestBuildPositional:
 class TestBuildChannelled:
     def test_2_3_structure_cons_both(self):
         cfg = VariantConfig("channelled", branch="d", sym="d", cons="both")
-        model = build_channelled(Instance(2, 3), cfg)
+        model = build_model(Instance(2, 3), cfg)
         assert len(model.seq_vars) == 6
         assert len([v for row in model.pos_vars for v in row]) == 6
         assert len(model.first_occ) == 3
@@ -186,7 +182,7 @@ class TestBuildChannelled:
 
     def test_cons_p_drops_first_occ(self):
         cfg = VariantConfig("channelled", branch="d", sym="p", cons="p")
-        model = build_channelled(Instance(2, 3), cfg)
+        model = build_model(Instance(2, 3), cfg)
         assert model.first_occ is None
         got = kinds(model)
         assert got["element_offset_const"] == 6  # channel only
@@ -195,7 +191,7 @@ class TestBuildChannelled:
 
     def test_cons_d_drops_positional_side(self):
         cfg = VariantConfig("channelled", branch="d", sym="d", cons="d")
-        model = build_channelled(Instance(2, 3), cfg)
+        model = build_model(Instance(2, 3), cfg)
         assert model.first_occ is not None
         got = kinds(model)
         assert "all_different" not in got
@@ -205,45 +201,54 @@ class TestBuildChannelled:
     def test_branch_order_leads_with_branch_viewpoint(self):
         flat = lambda m: [v for row in m.pos_vars for v in row]
         cfg_d = VariantConfig("channelled", branch="d", sym="d", cons="both")
-        m = build_channelled(Instance(2, 3), cfg_d)
+        m = build_model(Instance(2, 3), cfg_d)
         assert m.branch_order[: len(m.seq_vars)] == m.seq_vars
         assert m.branch_order[-len(m.first_occ) :] == m.first_occ
         cfg_p = VariantConfig("channelled", branch="p", sym="p", cons="both")
-        m = build_channelled(Instance(2, 3), cfg_p)
+        m = build_model(Instance(2, 3), cfg_p)
         assert m.branch_order[: 6] == flat(m)
 
-    def test_cell_propagators_share_the_channel_tuple(self):
-        # a search store's view serves a filter only when its array is the
-        # very tuple the view covers, the InverseChannel's `seq`
-        for branch, sym, cons, implied in itertools.product(
-            "dp", ("d", "p", "none"), ("both", "d", "p"), (True, False)
-        ):
-            cfg = VariantConfig("channelled", branch=branch, sym=sym, cons=cons, implied=implied)
-            model = build_channelled(Instance(3, 4), cfg)
-            (channel,) = [p for p in model.propagators if isinstance(p, InverseChannel)]
-            assert list(channel.seq) == model.seq_vars
-            elements = [p for p in model.propagators if isinstance(p, ElementOffsetConst)]
-            occurrences = [p for p in model.propagators if isinstance(p, Occurrence)]
-            assert len(elements) == (12 if cons == "p" else 24)  # links, then anchors
-            assert len(occurrences) == (4 if cons != "p" and implied else 0)
-            assert all(p.array is channel.seq for p in elements)
-            assert all(p.scope is channel.seq for p in occurrences)
-            store = new_store(model)
-            assert type(store) is ViewStore and store.cells is channel.seq
-
-    def test_base_viewpoints_search_without_a_view(self):
-        for model in (build_direct(Instance(2, 4)), build_positional(Instance(2, 4))):
-            store = new_store(model)
-            assert type(store) is Store and store.cells is None
+    def test_cell_propagators_range_over_the_cells(self):
+        # every store keeps the sequence value view over the model's cells,
+        # and the cell filters read only the view, so each of them must
+        # range over exactly those cells in position order
+        configs = [DIRECT, POSITIONAL, VariantConfig("direct", implied=False)] + [
+            VariantConfig("channelled", branch=branch, sym=sym, cons=cons, implied=implied)
+            for branch, sym, cons, implied in itertools.product(
+                "dp", ("d", "p", "none"), ("both", "d", "p"), (True, False)
+            )
+        ]
+        for cfg in configs:
+            model = build_model(Instance(3, 4), cfg)
+            validate_model(model)
+            cell_props = [
+                p for p in model.propagators
+                if isinstance(p, (ElementOffsetConst, Occurrence, InverseChannel))
+            ]
+            if cfg.model == "positional":
+                assert model.seq_vars is None and not cell_props
+                continue
+            cells = tuple(model.seq_vars)
+            elements = [p for p in cell_props if isinstance(p, ElementOffsetConst)]
+            occurrences = [p for p in cell_props if isinstance(p, Occurrence)]
+            channels = [p for p in cell_props if isinstance(p, InverseChannel)]
+            links = 12 if cfg.model == "channelled" else 0
+            anchors = 0 if cfg.cons == "p" else 12
+            assert len(elements) == links + anchors
+            assert len(occurrences) == (4 if anchors and cfg.implied else 0)
+            assert len(channels) == (cfg.model == "channelled")
+            assert all(p.array == cells for p in elements)
+            assert all(p.scope == cells for p in occurrences)
+            assert all(p.seq == cells for p in channels)
 
     def test_solution_counts(self):
         cfg = VariantConfig("channelled", branch="d", sym="d", cons="both")
-        assert len(solution_sequences(build_channelled(Instance(2, 3), cfg))) == 1
+        assert len(solution_sequences(build_model(Instance(2, 3), cfg))) == 1
         cfg_p = VariantConfig("channelled", branch="p", sym="p", cons="p")
-        assert len(solution_sequences(build_channelled(Instance(2, 3), cfg_p))) == 1
+        assert len(solution_sequences(build_model(Instance(2, 3), cfg_p))) == 1
         for branch, cons in itertools.product("dp", ("both", "d", "p")):
             cfg = VariantConfig("channelled", branch=branch, sym="d", cons=cons)
-            assert len(solution_sequences(build_channelled(Instance(2, 7), cfg))) == 26
+            assert len(solution_sequences(build_model(Instance(2, 7), cfg))) == 26
 
 
 class TestCrossViewpointAgreement:
@@ -254,21 +259,21 @@ class TestCrossViewpointAgreement:
         for k, n in [(2, 6), (3, 6), (4, 7), (2, 7)]:
             reference = frozenset(enumerate_bruteforce(k, n, "first-less-last"))
             if k < 4:
-                assert solution_sequences(build_direct(Instance(k, n))) == reference
-            positional = solution_sequences(build_positional(Instance(k, n)))
+                assert solution_sequences(build_model(Instance(k, n), DIRECT)) == reference
+            positional = solution_sequences(build_model(Instance(k, n), POSITIONAL))
             everything = enumerate_bruteforce(k, n, "none")
             assert positional == frozenset(a for a in everything if pos_sym_keeps(a))
             for branch in "dp":
                 cfg = VariantConfig("channelled", branch=branch, sym="d", cons="both")
-                assert solution_sequences(build_channelled(Instance(k, n), cfg)) == reference
+                assert solution_sequences(build_model(Instance(k, n), cfg)) == reference
                 cfg = VariantConfig("channelled", branch=branch, sym="p", cons="both")
-                assert solution_sequences(build_channelled(Instance(k, n), cfg)) == positional
+                assert solution_sequences(build_model(Instance(k, n), cfg)) == positional
 
     def test_channel_tightness_bijection(self):
         # each enumerated cell assignment pairs with exactly one slot
         # assignment and vice versa
         cfg = VariantConfig("channelled", branch="d", sym="d", cons="both")
-        model = build_channelled(Instance(2, 6), cfg)
+        model = build_model(Instance(2, 6), cfg)
         solutions, _ = solve_all(model)
         flat = [v for row in model.pos_vars for v in row]
         seq_part = [tuple(s[v] for v in model.seq_vars) for s in solutions]
@@ -282,21 +287,22 @@ class TestCrossViewpointAgreement:
             counts = set()
             for cons in ("both", "d", "p"):
                 cfg = VariantConfig("channelled", branch="d", sym="d", cons=cons)
-                counts.add(len(solution_sequences(build_channelled(Instance(k, n), cfg))))
+                counts.add(len(solution_sequences(build_model(Instance(k, n), cfg))))
             assert len(counts) == 1
 
     def test_reflection_partition(self):
         for k, n in [(2, 3), (2, 4), (2, 7)]:
-            with_sym = solution_sequences(build_direct(Instance(k, n)))
-            without = solution_sequences(build_direct(Instance(k, n), sym=False))
+            with_sym = solution_sequences(build_model(Instance(k, n), DIRECT))
+            without = solution_sequences(build_model(Instance(k, n), VariantConfig("direct")))
             mirrored = frozenset(tuple(reversed(s)) for s in with_sym)
             assert without == with_sym | mirrored
             assert not with_sym & mirrored
 
     def test_implied_constraints_are_redundant(self):
         for n in range(2, 7):
-            with_implied = solution_sequences(build_direct(Instance(2, n)))
-            without = solution_sequences(build_direct(Instance(2, n), implied=False))
+            with_implied = solution_sequences(build_model(Instance(2, n), DIRECT))
+            config = VariantConfig("direct", sym="d", implied=False)
+            without = solution_sequences(build_model(Instance(2, n), config))
             assert with_implied == without
 
 
@@ -310,6 +316,6 @@ def test_build_model_dispatch():
 
 
 def test_sequence_of_derives_from_slots():
-    model = build_positional(Instance(2, 3))
+    model = build_model(Instance(2, 3), POSITIONAL)
     solutions, _ = solve_all(model)
     assert model.sequence_of(solutions[0]) == (3, 1, 2, 1, 3, 2)

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from langford.engine import solve_all, values
-from langford.models import Instance, VariantConfig, build_channelled, build_direct, build_positional
+from langford.models import Instance, VariantConfig, build_model
 from langford.oracle import enumerate_bruteforce
 from langford.satgen import Cnf, encode, write_dimacs
 
@@ -24,13 +24,13 @@ def decoded_sequences(model, cnf, result):
 
 class TestEncode:
     def test_positional_2_3_literal_count(self):
-        cnf = encode(build_positional(Instance(2, 3)))
+        cnf = encode(build_model(Instance(2, 3), VariantConfig("positional", sym="p")))
         assert cnf.num_csp_lits == 36  # 6 slot variables x 6 positions
         assert cnf.num_vars == 36  # no counting circuit needed
 
     def test_singleton_domain_yields_unit_clause(self):
         # at 2x2 the chain of 2s only fits one start cell
-        model = build_direct(Instance(2, 2), sym=False, implied=False)
+        model = build_model(Instance(2, 2), VariantConfig("direct", implied=False))
         var = model.first_occ[1]
         assert values(model.initial_domains[var]) == [1]
         cnf = encode(model)
@@ -38,7 +38,7 @@ class TestEncode:
         assert [unit] in cnf.clauses
 
     def test_every_initial_value_mapped(self):
-        model = build_direct(Instance(2, 3))
+        model = build_model(Instance(2, 3), VariantConfig("direct", sym="d"))
         cnf = encode(model)
         for var, dom in enumerate(model.initial_domains):
             for value in values(dom):
@@ -46,7 +46,7 @@ class TestEncode:
         assert len(cnf.lit_of) == cnf.num_csp_lits
 
     def test_exactly_one_per_variable_in_every_model(self):
-        model = build_positional(Instance(2, 3), sym=False)
+        model = build_model(Instance(2, 3), VariantConfig("positional"))
         cnf = encode(model)
         result = allsat_tiny(cnf, model)
         for lits in result.models:
@@ -74,7 +74,7 @@ class TestEncode:
 
 class TestDimacs:
     def test_header_and_shape(self, tmp_path):
-        model = build_positional(Instance(2, 3))
+        model = build_model(Instance(2, 3), VariantConfig("positional", sym="p"))
         cnf = encode(model)
         path = tmp_path / "out.cnf"
         write_dimacs(cnf, path)
@@ -96,7 +96,7 @@ class TestDimacs:
         assert body == ["p cnf 1 1", "1 0"]
 
     def test_map_round_trip(self, tmp_path):
-        model = build_direct(Instance(2, 3))
+        model = build_model(Instance(2, 3), VariantConfig("direct", sym="d"))
         cnf = encode(model)
         path = tmp_path / "direct.cnf"
         write_dimacs(cnf, path)
@@ -121,29 +121,29 @@ class TestAllSat:
         assert not result.truncated
 
     def test_positional_2_3_with_and_without_sym(self):
-        with_sym = build_positional(Instance(2, 3), sym=True)
-        without = build_positional(Instance(2, 3), sym=False)
+        with_sym = build_model(Instance(2, 3), VariantConfig("positional", sym="p"))
+        without = build_model(Instance(2, 3), VariantConfig("positional"))
         with_sym = allsat_tiny(encode(with_sym), with_sym)
         without = allsat_tiny(encode(without), without)
         assert len(with_sym) == 1
         assert len(without) == 2
 
     def test_limit_truncates(self):
-        model = build_positional(Instance(2, 3), sym=False)
+        model = build_model(Instance(2, 3), VariantConfig("positional"))
         result = allsat_tiny(encode(model), model, limit=1)
         assert len(result.models) == 1
         assert result.truncated
 
     def test_guard(self):
-        fits = build_positional(Instance(2, 7))  # 196 variables
+        fits = build_model(Instance(2, 7), VariantConfig("positional", sym="p"))  # 196 variables
         assert len(allsat_tiny(encode(fits), fits, limit=1).models) == 1
-        beyond = build_positional(Instance(2, 8))  # 256 variables
+        beyond = build_model(Instance(2, 8), VariantConfig("positional", sym="p"))  # 256 variables
         with pytest.raises(ValueError):
             allsat_tiny(encode(beyond), beyond)
         assert len(allsat_tiny(encode(beyond), beyond, limit=1, max_vars=300).models) == 1
 
     def test_blocking_prevents_duplicate_projections(self):
-        model = build_direct(Instance(2, 3), sym=False)
+        model = build_model(Instance(2, 3), VariantConfig("direct"))
         cnf = encode(model)  # counting circuit adds auxiliaries
         result = allsat_tiny(cnf, model, max_vars=500)
         assert len(set(result.models)) == len(result.models) == 2
@@ -153,7 +153,7 @@ class TestSoundness:
     def test_exhaustive_pairing_positional_2_3(self):
         # every total assignment satisfies all checkers iff its boolean
         # image satisfies the encoding (no circuit variables here)
-        model = build_positional(Instance(2, 3), sym=True)
+        model = build_model(Instance(2, 3), VariantConfig("positional", sym="p"))
         cnf = encode(model)
         sat_images = set(allsat_tiny(cnf, model).models)
         flat = list(range(model.num_vars))
@@ -169,8 +169,8 @@ class TestSoundness:
         assert hits == len(sat_images) == 1
 
     def test_decoded_models_pass_checkers(self):
-        for sym in (True, False):
-            model = build_direct(Instance(2, 4), sym=sym)
+        for sym in ("d", "none"):
+            model = build_model(Instance(2, 4), VariantConfig("direct", sym=sym))
             cnf = encode(model)
             result = allsat_tiny(cnf, model, max_vars=1000)
             engine_solutions, _ = solve_all(model)
@@ -182,7 +182,7 @@ class TestSoundness:
 
     def test_channelled_counts_match_engine_small(self):
         cfg = VariantConfig("channelled", branch="d", sym="p", cons="p")
-        model = build_channelled(Instance(2, 4), cfg)
+        model = build_model(Instance(2, 4), cfg)
         cnf = encode(model)
         result = allsat_tiny(cnf, model, max_vars=1000)
         engine_solutions, _ = solve_all(model)

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
-from langford.engine import Store, ViewStore, solve_all, values
+from langford.engine import Store, solve_all, validate_model, values
 from langford.heuristics import HeuristicKind
 from langford.propagators import (
     AllDifferent,
@@ -39,6 +39,7 @@ class TinyModel:
     propagators: list
     branch_order: list = field(default_factory=list)
     names: list = field(default_factory=list)
+    seq_vars: list = None  # the cells, in position order, if any
     # solve_all reads the heuristic from here when none is passed
     config = SimpleNamespace(heuristic=HeuristicKind.STATIC)
 
@@ -59,6 +60,37 @@ def mask_of(vals) -> int:
 
 def doms(*value_sets) -> list[int]:
     return [mask_of(vals) for vals in value_sets]
+
+
+def cells_of(prop) -> tuple:
+    """The cells a filter reads through the store's sequence value view,
+    in position order; none for a filter that reads only domains."""
+    if isinstance(prop, ElementOffsetConst):
+        return prop.array
+    if isinstance(prop, Occurrence):
+        return prop.scope
+    if isinstance(prop, InverseChannel):
+        return prop.seq
+    return ()
+
+
+def store_of(model, domains=None) -> Store:
+    """The store a search of `model` runs on, over the model's cells,
+    starting from `domains` (by default the model's initial domains)."""
+    domains = model.initial_domains if domains is None else domains
+    return Store(domains, tuple(model.seq_vars or ()))
+
+
+def in_contract(domains, prop) -> bool:
+    """Whether `validate_model` accepts `prop` alone over `domains`, with
+    the propagator's own cells as the model's cells. A cell filter reads
+    `store.can[value]`, so it may not ask for a value above every cell's
+    initial domain; no built model does."""
+    try:
+        validate_model(TinyModel(domains, [prop], seq_vars=list(cells_of(prop))))
+    except ValueError:
+        return False
+    return True
 
 
 def naive_fixpoint(store: Store, propagators) -> int:
@@ -154,21 +186,7 @@ class RecordingStore(Store):
 
     __slots__ = ("log",)
 
-    def __init__(self, domains):
-        super().__init__(domains)
-        self.log: list[tuple[int, int]] = []
-
-    def commit(self, var: int, new_mask: int) -> bool:
-        self.log.append((var, new_mask))
-        return super().commit(var, new_mask)
-
-
-class RecordingViewStore(ViewStore):
-    """View store that logs every `(var, mask)` handed to `commit`, in order."""
-
-    __slots__ = ("log",)
-
-    def __init__(self, domains, cells):
+    def __init__(self, domains, cells=()):
         super().__init__(domains, cells)
         self.log: list[tuple[int, int]] = []
 
@@ -220,6 +238,77 @@ def random_view_case(rng: random.Random, kind: str):
         prop = Occurrence(cells, rng.randint(1, n), rng.randint(0, 3))
         return domains, prop, prop.scope, n
     raise ValueError(kind)
+
+
+def reference_element_filter(prop: ElementOffsetConst, store: Store) -> bool:
+    """The scanning ElementOffsetConst filter: it tests the target cell of
+    every index value in turn. The filter that shifts the view's `can`
+    must make exactly the same commits, in the same order, with the same
+    result."""
+    doms = store.doms
+    targets = prop.targets
+    num_targets = len(targets)
+    value_bit = 1 << prop.value
+    d = doms[prop.index]
+    if d & (d - 1) == 0:  # index assigned: only the target cell matters
+        p = d.bit_length() - 1
+        tv = targets[p] if p < num_targets else -1
+        if tv < 0:
+            return store.commit(prop.index, 0)
+        dt = doms[tv]
+        if dt & value_bit:
+            return dt == value_bit or store.commit(tv, value_bit)
+        return store.commit(prop.index, 0)
+    allowed = 0
+    rest = d
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        p = low.bit_length() - 1
+        if p < num_targets:
+            tv = targets[p]
+            if tv >= 0 and doms[tv] & value_bit:
+                allowed |= low
+    if allowed != d and not store.commit(prop.index, allowed):
+        return False
+    if allowed & (allowed - 1) == 0:  # index newly assigned
+        target = targets[allowed.bit_length() - 1]
+        dt = doms[target]
+        if dt != value_bit and not store.commit(target, dt & value_bit):
+            return False
+    return True
+
+
+def reference_occurrence_filter(prop: Occurrence, store: Store) -> bool:
+    """The scanning Occurrence filter: it counts the variables that can
+    take the value and those assigned to it, then walks the scope again to
+    commit. The filter that counts bits of the view must make exactly the
+    same commits, in the same order, with the same result."""
+    doms = store.doms
+    bit = 1 << prop.value
+    assigned = 0
+    possible = 0
+    for v in prop.scope:
+        d = doms[v]
+        if d & bit:
+            possible += 1
+            if d == bit:
+                assigned += 1
+    if assigned > prop.count or possible < prop.count:
+        return False
+    if assigned == prop.count and possible > assigned:
+        for v in prop.scope:
+            d = doms[v]
+            if d & bit and d != bit:
+                if not store.commit(v, d & ~bit):
+                    return False
+    elif possible == prop.count and assigned < possible:
+        for v in prop.scope:
+            d = doms[v]
+            if d & bit and d != bit:
+                if not store.commit(v, bit):
+                    return False
+    return True
 
 
 def reference_all_different_filter(prop: AllDifferent, store: Store) -> bool:
@@ -375,52 +464,70 @@ def random_channel_case(rng: random.Random, k: int, n: int):
     return domains, InverseChannel(slots, seq)
 
 
-def assert_filter_sound(domains: list[int], prop) -> None:
+def assert_filter_sound(domains: list[int], prop) -> bool:
     """One filtering step never drops a value that some satisfying total
-    assignment (within the pre-filter domains) uses."""
-    store = Store(domains)
+    assignment (within the pre-filter domains) uses. Returns whether the
+    case was checked: one outside the filter's contract is not."""
+    if not in_contract(domains, prop):
+        return False
+    store = Store(domains, cells_of(prop))
     ok = prop.filter(store)
     supported = supported_sets(domains, prop)
     if not ok:
         assert all(not s for s in supported), (
             f"{prop.describe()} failed although supports exist: {supported}"
         )
-        return
+        return True
     for v in range(len(domains)):
         after = set(values(store.doms[v]))
         assert supported[v] <= after, (
             f"{prop.describe()} dropped supported values "
             f"{supported[v] - after} from var {v}"
         )
+    return True
 
 
-def assert_checker_agreement(rng: random.Random, domains: list[int], prop) -> None:
-    """Total assignments survive a filtering step iff the checker accepts."""
+def assert_checker_agreement(rng: random.Random, domains: list[int], prop) -> bool:
+    """Total assignments survive a filtering step iff the checker accepts.
+    Returns whether the case was checked: one outside the filter's
+    contract is not."""
     assignment = [rng.choice(values(d)) for d in domains]
-    store = Store([1 << value for value in assignment])
+    if not in_contract(domains, prop):
+        return False
+    store = Store(domains, cells_of(prop))
+    for var, value in enumerate(assignment):
+        store.assign(var, value)
     surviving = prop.filter(store)
     assert surviving == prop.check(assignment), (
         f"{prop.describe()} filter/checker disagree on {assignment}"
     )
+    return True
 
 
-def assert_monotone(rng: random.Random, domains: list[int], prop) -> None:
+def assert_monotone(rng: random.Random, domains: list[int], prop) -> bool:
     """Filtering from sub-domains keeps no value that filtering from the
-    wider domains removed."""
+    wider domains removed. The sub-domains are committed to a store over
+    the wider ones, as a search narrows them. Returns whether the case was
+    checked: one outside the filter's contract is not."""
     subs = []
     for d in domains:
         keep = [v for v in values(d) if rng.random() < 0.8]
         if not keep:
             keep = [rng.choice(values(d))]
         subs.append(mask_of(keep))
-    wide = Store(domains)
-    narrow = Store(subs)
+    if not in_contract(domains, prop):
+        return False
+    wide = Store(domains, cells_of(prop))
+    narrow = Store(domains, cells_of(prop))
+    for var, sub in enumerate(subs):
+        narrow.intersect(var, sub)
     ok_wide = prop.filter(wide)
     ok_narrow = prop.filter(narrow)
     if not ok_narrow:
-        return  # empty result set is a subset of anything
+        return True  # empty result set is a subset of anything
     assert ok_wide, f"{prop.describe()} failed on wider domains but not narrower"
     for v in range(len(domains)):
         assert narrow.doms[v] & ~wide.doms[v] == 0, (
             f"{prop.describe()} not monotone on var {v}"
         )
+    return True
