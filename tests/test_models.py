@@ -208,17 +208,32 @@ class TestBuildChannelled:
         m = build_model(Instance(2, 3), cfg_p)
         assert m.branch_order[: 6] == flat(m)
 
+    def test_cell_propagators_share_the_channel_tuple(self):
+        # the search store's view covers the InverseChannel's `seq`, the
+        # model's cells in position order, and every element link, anchor
+        # and occurrence of a channelled model ranges over those same cells
+        for branch, sym, cons, implied in itertools.product(
+            "dp", ("d", "p", "none"), ("both", "d", "p"), (True, False)
+        ):
+            cfg = VariantConfig("channelled", branch=branch, sym=sym, cons=cons, implied=implied)
+            model = build_model(Instance(3, 4), cfg)
+            validate_model(model)
+            (channel,) = [p for p in model.propagators if isinstance(p, InverseChannel)]
+            assert list(channel.seq) == model.seq_vars
+            elements = [p for p in model.propagators if isinstance(p, ElementOffsetConst)]
+            occurrences = [p for p in model.propagators if isinstance(p, Occurrence)]
+            assert len(elements) == (12 if cons == "p" else 24)  # links, then anchors
+            assert len(occurrences) == (4 if cons != "p" and implied else 0)
+            assert all(p.array == channel.seq for p in elements)
+            assert all(p.scope == channel.seq for p in occurrences)
+            store = Store(model.initial_domains, tuple(model.seq_vars))
+            assert store.cells == channel.seq
+
     def test_cell_propagators_range_over_the_cells(self):
-        # every store keeps the sequence value view over the model's cells,
-        # and the cell filters read only the view, so each of them must
-        # range over exactly those cells in position order
-        configs = [DIRECT, POSITIONAL, VariantConfig("direct", implied=False)] + [
-            VariantConfig("channelled", branch=branch, sym=sym, cons=cons, implied=implied)
-            for branch, sym, cons, implied in itertools.product(
-                "dp", ("d", "p", "none"), ("both", "d", "p"), (True, False)
-            )
-        ]
-        for cfg in configs:
+        # a base viewpoint's store keeps the view too: over the direct
+        # model's cells, whose anchors and occurrences range over exactly
+        # those cells in position order, and empty for a positional model
+        for cfg in (DIRECT, POSITIONAL, VariantConfig("direct", implied=False)):
             model = build_model(Instance(3, 4), cfg)
             validate_model(model)
             cell_props = [
@@ -227,19 +242,16 @@ class TestBuildChannelled:
             ]
             if cfg.model == "positional":
                 assert model.seq_vars is None and not cell_props
+                store = Store(model.initial_domains)
+                assert store.cells == () and store.can == [] and store.fixed == 0
                 continue
             cells = tuple(model.seq_vars)
             elements = [p for p in cell_props if isinstance(p, ElementOffsetConst)]
             occurrences = [p for p in cell_props if isinstance(p, Occurrence)]
-            channels = [p for p in cell_props if isinstance(p, InverseChannel)]
-            links = 12 if cfg.model == "channelled" else 0
-            anchors = 0 if cfg.cons == "p" else 12
-            assert len(elements) == links + anchors
-            assert len(occurrences) == (4 if anchors and cfg.implied else 0)
-            assert len(channels) == (cfg.model == "channelled")
+            assert len(elements) == 12 and len(occurrences) == (4 if cfg.implied else 0)
+            assert len(cell_props) == len(elements) + len(occurrences)  # no channel
             assert all(p.array == cells for p in elements)
             assert all(p.scope == cells for p in occurrences)
-            assert all(p.seq == cells for p in channels)
 
     def test_solution_counts(self):
         cfg = VariantConfig("channelled", branch="d", sym="d", cons="both")
