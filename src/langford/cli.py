@@ -4,6 +4,11 @@ Subcommands: solve one instance/variant, sweep a grid into a CSV, render a
 markdown report from a sweep CSV, run the brute-force enumerator, and
 export a DIMACS encoding. Batch outputs only; exit codes: 0 done, 1 usage
 or input error, 2 timeout.
+
+A CSV row is a `RunRecord`: the instance (k, n), the variant key (model,
+branch, sym, cons, heuristic) and the search's `SearchStats` (solutions,
+nodes, failures, time_ms = elapsed_ms, timed_out). There is no column for
+`implied`, so a run without the implied constraints is never written.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .engine import solve_all
+from .engine import SearchStats, solve_all
 from .heuristics import HeuristicKind
 from .models import Instance, VariantConfig, build_model
 from .oracle import enumerate_bruteforce
@@ -49,56 +54,31 @@ DEFAULT_SWEEP_VARIANTS = [
 ]
 
 
+def _variant_key(config: VariantConfig) -> tuple[str, str, str, str, str]:
+    """The CSV fields naming a variant: model, branch, sym, cons, heuristic."""
+    return (config.model, config.branch or "", config.sym, config.cons or "",
+            config.heuristic.value)
+
+
 @dataclass
 class RunRecord:
-    """One CSV row of a solver run."""
+    """One CSV row: an instance, a variant and the counters of its search."""
 
-    k: int
-    n: int
-    model: str
-    branch: Optional[str]
-    sym: str
-    cons: Optional[str]
-    heuristic: str
-    solutions: int
-    nodes: int
-    failures: int
-    time_ms: int
-    timed_out: bool
-
-    @property
-    def label(self) -> str:
-        return f"{self.k:02d}_{self.n:02d}"
-
-    @property
-    def trivial(self) -> bool:
-        return self.nodes < TRIVIAL_NODE_BOUND
+    instance: Instance
+    config: VariantConfig
+    stats: SearchStats
 
     def sort_key(self) -> tuple:
-        return (
-            self.k,
-            self.n,
-            self.model,
-            self.branch or "",
-            self.sym,
-            self.cons or "",
-            self.heuristic,
-        )
+        return (self.instance, *_variant_key(self.config))
 
     def to_csv(self) -> list[str]:
+        s = self.stats
         return [
-            str(self.k),
-            str(self.n),
-            self.model,
-            self.branch or "",
-            self.sym,
-            self.cons or "",
-            self.heuristic,
-            str(self.solutions),
-            str(self.nodes),
-            str(self.failures),
-            str(self.time_ms),
-            "true" if self.timed_out else "false",
+            str(self.instance.k),
+            str(self.instance.n),
+            *_variant_key(self.config),
+            *map(str, (s.solutions, s.nodes, s.failures, s.elapsed_ms)),
+            "true" if s.timed_out else "false",
         ]
 
     @classmethod
@@ -113,24 +93,13 @@ class RunRecord:
             raise ValueError("negative count")
         if row[11] not in ("true", "false"):
             raise ValueError(f"timed_out is {row[11]!r}, not true or false")
-        Instance(k, n)
+        instance = Instance(k, n)
         config = VariantConfig(
             model=row[2], branch=row[3] or None, sym=row[4], cons=row[5] or None, heuristic=row[6]
         )
-        return cls(
-            k=k,
-            n=n,
-            model=config.model,
-            branch=config.branch,
-            sym=config.sym,
-            cons=config.cons,
-            heuristic=config.heuristic.value,
-            solutions=solutions,
-            nodes=nodes,
-            failures=failures,
-            time_ms=time_ms,
-            timed_out=row[11] == "true",
-        )
+        stats = SearchStats(nodes=nodes, failures=failures, solutions=solutions,
+                            elapsed_ms=time_ms, timed_out=row[11] == "true")
+        return cls(instance, config, stats)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,21 +138,7 @@ def run(
     """Build and solve one cell: returns (model, solutions, RunRecord)."""
     model = build_model(instance, config)
     solutions, stats = solve_all(model, node_limit=node_limit, time_limit=time_limit)
-    record = RunRecord(
-        k=instance.k,
-        n=instance.n,
-        model=config.model,
-        branch=config.branch,
-        sym=config.sym,
-        cons=config.cons,
-        heuristic=config.heuristic.value,
-        solutions=len(solutions),
-        nodes=stats.nodes,
-        failures=stats.failures,
-        time_ms=stats.elapsed_ms,
-        timed_out=stats.timed_out,
-    )
-    return model, solutions, record
+    return model, solutions, RunRecord(instance, config, stats)
 
 
 def _sweep_cell(task) -> RunRecord:
@@ -256,6 +211,8 @@ def cmd_solve(parser, args) -> int:
     except ValueError as exc:
         return _error(exc)
     out = Path(args.out) if args.out else None
+    if out and not config.implied:
+        return _error(f"--no-implied cannot be recorded in {out}: the CSV has no implied column")
     fresh = out is None or not out.exists() or out.stat().st_size == 0
     if not fresh:
         try:
@@ -268,10 +225,11 @@ def cmd_solve(parser, args) -> int:
         except OSError as exc:
             return _cannot_write(out, exc)
     model, solutions, record = run(instance, config, args.node_limit, args.timeout)
+    stats = record.stats
     print(
-        f"{record.label} {config.label()}: solutions={record.solutions} "
-        f"nodes={record.nodes} failures={record.failures} "
-        f"time_ms={record.time_ms} timed_out={str(record.timed_out).lower()}"
+        f"{instance.label} {config.label()}: solutions={stats.solutions} "
+        f"nodes={stats.nodes} failures={stats.failures} "
+        f"time_ms={stats.elapsed_ms} timed_out={str(stats.timed_out).lower()}"
     )
     if args.print_solutions:
         for sol in solutions:
@@ -285,7 +243,7 @@ def cmd_solve(parser, args) -> int:
                 writer.writerow(record.to_csv())
         except OSError as exc:
             return _cannot_write(out, exc)
-    return 2 if record.timed_out else 0
+    return 2 if stats.timed_out else 0
 
 
 def _parse_variant_spec(parser, text: str) -> dict:
@@ -302,9 +260,12 @@ def _parse_variant_spec(parser, text: str) -> dict:
         if key not in ("model", "branch", "sym", "cons", "heuristic", "implied"):
             parser.error(f"unknown variant key {key!r}")
         if key == "implied":
-            if value not in ("true", "false"):
+            if value == "false":
+                parser.error(f"variant {text!r}: implied=false cannot be recorded, "
+                             f"the CSV has no implied column")
+            if value != "true":
                 parser.error(f"implied takes true or false, not {value!r}")
-            value = value == "true"
+            continue  # implied=true is VariantConfig's default
         variant[key] = value
     if "model" not in variant:
         parser.error(f"variant spec {text!r} needs model=...")
@@ -322,8 +283,7 @@ def _sweep_configs(parser, args) -> dict[tuple, tuple[str, VariantConfig]]:
         except ValueError as exc:
             print(f"skipping variant {text!r}: {exc}", file=sys.stderr)
             continue
-        key = (config.model, config.branch or "", config.sym, config.cons or "",
-               config.heuristic.value)
+        key = _variant_key(config)
         if key in configs:
             parser.error(f"variants {configs[key][0]!r} and {text!r} write the same CSV rows")
         configs[key] = (text, config)
@@ -367,7 +327,7 @@ def cmd_sweep(parser, args) -> int:
         (instance, config, args.node_limit, args.timeout)
         for instance in instances
         for key, (_, config) in configs.items()
-        if (instance.k, instance.n) + key not in existing
+        if (instance, *key) not in existing
     ]
     records = list(existing.values())
     if args.jobs > 1:
@@ -383,27 +343,19 @@ def cmd_sweep(parser, args) -> int:
     return 0
 
 
-def _column_label(rec: RunRecord) -> str:
-    if rec.model == "channelled":
-        base = f"branch:{rec.branch.upper()} sym:{rec.sym.upper()} cons:{rec.cons.capitalize()}"
-    else:
-        base = f"{rec.model} sym:{rec.sym.upper()}"
-    return f"{base} {rec.heuristic}"
-
-
 def render_report(records: list[RunRecord]) -> str:
     """Markdown node-count table: instances as rows, variants as columns,
     row minima in bold, Mean and Sum footers over the non-trivial rows."""
     records = sorted(records, key=RunRecord.sort_key)
     columns: list[str] = []
     col_of: dict[str, int] = {}
-    rows: dict[tuple[int, int], dict[int, RunRecord]] = {}
+    rows: dict[Instance, dict[int, SearchStats]] = {}
     for rec in records:
-        label = _column_label(rec)
+        label = rec.config.label().removeprefix("channelled ")
         if label not in col_of:
             col_of[label] = len(columns)
             columns.append(label)
-        rows.setdefault((rec.k, rec.n), {})[col_of[label]] = rec
+        rows.setdefault(rec.instance, {})[col_of[label]] = rec.stats
 
     lines = [
         f"Nodes are branching commits (assignments and value removals); an "
@@ -416,28 +368,27 @@ def render_report(records: list[RunRecord]) -> str:
     ]
     sums = [0] * len(columns)
     aggregated = 0
-    for (k, n), cells in sorted(rows.items()):
+    for instance, cells in sorted(rows.items()):
         present = [cells.get(i) for i in range(len(columns))]
-        finished = [rec.nodes for rec in present if rec is not None and not rec.timed_out]
+        finished = [stats.nodes for stats in present if stats is not None and not stats.timed_out]
         min_nodes = min(finished) if finished else None
         rendered = []
-        for rec in present:
-            if rec is None:
+        for stats in present:
+            if stats is None:
                 rendered.append("")
-            elif rec.timed_out:
+            elif stats.timed_out:
                 rendered.append("t/o")
-            elif rec.nodes == min_nodes:
-                rendered.append(f"**{rec.nodes:,}**")
+            elif stats.nodes == min_nodes:
+                rendered.append(f"**{stats.nodes:,}**")
             else:
-                rendered.append(f"{rec.nodes:,}")
-        label = f"{k:02d}_{n:02d}"
-        lines.append(f"| {label} | " + " | ".join(rendered) + " |")
-        complete = all(rec is not None and not rec.timed_out for rec in present)
+                rendered.append(f"{stats.nodes:,}")
+        lines.append(f"| {instance.label} | " + " | ".join(rendered) + " |")
+        complete = all(stats is not None and not stats.timed_out for stats in present)
         trivial = min_nodes is not None and min_nodes < TRIVIAL_NODE_BOUND
         if complete and not trivial:
             aggregated += 1
-            for i, rec in enumerate(present):
-                sums[i] += rec.nodes
+            for i, stats in enumerate(present):
+                sums[i] += stats.nodes
     if aggregated:
         means = [f"{round(total / aggregated):,}" for total in sums]
         lines.append("| Mean | " + " | ".join(means) + " |")

@@ -138,10 +138,6 @@ class Store:
         d = self.doms[var]
         return (d & -d).bit_length() - 1
 
-    def is_assigned(self, var: int) -> bool:
-        d = self.doms[var]
-        return d != 0 and d & (d - 1) == 0
-
     def value(self, var: int) -> int:
         d = self.doms[var]
         if d == 0 or d & (d - 1):
@@ -376,9 +372,11 @@ def solve_all(
     Variables are selected by `model.config.heuristic`; a `heuristic`
     argument overrides it. 2-way branching: the left child assigns the
     selected variable its minimum value, the right child removes that
-    value. Each committed child counts one node. A wipeout during a
-    commit's propagation counts one failure. On hitting a node or time
-    limit the partial solution list is returned with `timed_out` set.
+    value. Both children go through one block (budget check, mark, commit,
+    propagation) that differs only in the commit. Each committed child
+    counts one node; a wipeout during its propagation counts one failure.
+    On hitting a node or time limit the partial solution list is returned
+    with `timed_out` set; `stats.solutions` is always its length.
 
     A wdeg or dom/wdeg search keeps failure weights in a `WdegScorer` over
     its store. They belong to this search: each starts at 1, so repeated
@@ -420,8 +418,8 @@ def solve_all(
             stats.failures += 1
             return solutions, stats
 
-        # Frames track committed children: phase 1 = in left subtree,
-        # phase 2 = in right subtree. One mark per committed child.
+        # Frames track committed children: phase 1 = the left child (assign),
+        # phase 2 = the right child (remove the value). One mark per child.
         frames: list[tuple[int, int, int]] = []
         descend = True
         while True:
@@ -433,19 +431,7 @@ def solve_all(
                     descend = False
                     continue
                 value = store.min_value(var)
-                if budget_hit():
-                    stats.timed_out = True
-                    break
-                store.push_mark()
-                stats.nodes += 1
-                frames.append((var, value, 1))
-                store.assign(var, value)
-                failed = propagate_to_fixpoint(store, propagators, watchers, None, queue)
-                if failed != FIXPOINT:
-                    stats.failures += 1
-                    if scorer is not None:
-                        scorer.bump(failed)
-                    descend = False
+                phase = 1
             else:
                 if not frames:
                     break
@@ -453,22 +439,25 @@ def solve_all(
                 store.undo_to_mark()
                 if scorer is not None:
                     scorer.undo()
-                if phase == 1:
-                    if budget_hit():
-                        stats.timed_out = True
-                        break
-                    store.push_mark()
-                    stats.nodes += 1
-                    frames.append((var, value, 2))
-                    store.remove_value(var, value)
-                    failed = propagate_to_fixpoint(store, propagators, watchers, None, queue)
-                    if failed == FIXPOINT:
-                        descend = True
-                    else:
-                        stats.failures += 1
-                        if scorer is not None:
-                            scorer.bump(failed)
-                # phase 2 finished: keep unwinding
+                if phase == 2:
+                    continue  # both children done: keep unwinding
+                phase = 2
+            if budget_hit():
+                stats.timed_out = True
+                break
+            store.push_mark()
+            stats.nodes += 1
+            frames.append((var, value, phase))
+            if phase == 1:
+                store.assign(var, value)
+            else:
+                store.remove_value(var, value)
+            failed = propagate_to_fixpoint(store, propagators, watchers, None, queue)
+            descend = failed == FIXPOINT
+            if not descend:
+                stats.failures += 1
+                if scorer is not None:
+                    scorer.bump(failed)
     finally:
         stats.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return solutions, stats

@@ -38,7 +38,7 @@ CONS_CHOICES = ("both", "d", "p")
 BRANCH_CHOICES = ("d", "p")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Instance:
     """An L(k, n) instance: k copies of each number 1..n in k*n cells."""
 

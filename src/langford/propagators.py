@@ -57,9 +57,6 @@ class Propagator:
         in `mask` (None = any value), on top of the wake_spec conditions."""
         return ()
 
-    def describe(self) -> str:
-        return f"{self.kind}({', '.join(map(str, self.scope))})"
-
 
 class EqOffset(Propagator):
     """x = y + c, domain consistent."""

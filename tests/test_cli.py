@@ -6,6 +6,9 @@ import pytest
 
 from langford import cli
 from langford.cli import CSV_FIELDS, RunRecord, main, render_report
+from langford.engine import SearchStats
+from langford.heuristics import HeuristicKind
+from langford.models import Instance, VariantConfig
 
 from allsat import read_dimacs_map
 
@@ -101,6 +104,26 @@ class TestSolve:
         assert code == 1
         assert f"{out}:2: malformed row" in capsys.readouterr().err
         assert out.read_text() == text
+
+    def test_no_implied_out_refused_before_search(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *task: calls.append(task))
+        out = tmp_path / "runs.csv"
+        code = main(["solve", "--k", "2", "--n", "3", "--model", "direct", "--sym", "d",
+                     "--no-implied", "--out", str(out)])
+        assert code == 1
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --no-implied cannot be recorded in {out}: "
+                                f"the CSV has no implied column\n")
+        assert not out.exists()
+
+    def test_no_implied_without_out(self, capsys):
+        code = main(["solve", "--k", "2", "--n", "3", "--model", "direct", "--sym", "d",
+                     "--no-implied"])
+        assert code == 0
+        assert "solutions=1" in capsys.readouterr().out
 
     def test_unwritable_out_fails_before_search(self, tmp_path, capsys):
         out = tmp_path / "missing" / "runs.csv"
@@ -225,7 +248,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("specs", [
         ["model=direct,sym=d,implied=yes"],
-        ["model=direct,sym=d", "model=direct,sym=d,implied=false"],
+        ["model=direct,sym=d", "model=direct,sym=d,heuristic=static"],
     ], ids=["implied-not-boolean", "duplicate-csv-key"])
     def test_bad_variant_specs_exit_1(self, tmp_path, capsys, specs):
         out = tmp_path / "sweep.csv"
@@ -237,6 +260,26 @@ class TestSweep:
             main(argv)
         assert info.value.code == 1
         assert not out.exists()
+
+    def test_implied_false_variant_exit_1(self, tmp_path, capsys, monkeypatch):
+        # the CSV has no implied column, so --skip-existing would take the
+        # implied=true row for this variant's result
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
+                "--out", str(out), "--skip-existing"]
+        assert main(argv + ["--variant", "model=direct,sym=d"]) == 0
+        before = out.read_bytes()
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *task: calls.append(task))
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--variant", "model=direct,sym=d,implied=false"])
+        assert info.value.code == 1
+        assert calls == []
+        assert capsys.readouterr().err.endswith(
+            "error: variant 'model=direct,sym=d,implied=false': implied=false cannot be "
+            "recorded, the CSV has no implied column\n")
+        assert out.read_bytes() == before
 
     def test_unwritable_out_runs_no_cell(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -293,9 +336,9 @@ class TestSweep:
 class TestReport:
     def build_rows(self):
         mk = lambda k, n, cons, nodes, timed=False: RunRecord(
-            k=k, n=n, model="channelled", branch="d", sym="d", cons=cons,
-            heuristic="static", solutions=1, nodes=nodes, failures=0,
-            time_ms=1, timed_out=timed,
+            Instance(k, n),
+            VariantConfig("channelled", branch="d", sym="d", cons=cons),
+            SearchStats(nodes=nodes, solutions=1, elapsed_ms=1, timed_out=timed),
         )
         return [
             mk(2, 6, "both", 40), mk(2, 6, "p", 28),
@@ -403,9 +446,64 @@ class TestExportDimacs:
         assert not out.exists()
 
 
-def test_trivial_flag_rule():
-    rec = RunRecord(2, 6, "direct", None, "d", None, "static", 1, 4, 0, 1, False)
-    assert rec.trivial
-    rec = RunRecord(2, 6, "direct", None, "d", None, "static", 1, 5, 0, 1, False)
-    assert not rec.trivial
-    assert rec.label == "02_06"
+def test_instance_label():
+    assert Instance(2, 6).label == "02_06"
+    assert Instance(3, 12).label == "03_12"
+
+
+@pytest.mark.parametrize("config", [
+    VariantConfig("direct", sym="d"),
+    VariantConfig("positional", sym="none", heuristic=HeuristicKind.DOM_OVER_WDEG),
+    VariantConfig("channelled", branch="p", sym="p", cons="d", heuristic=HeuristicKind.WDEG),
+], ids=["direct", "positional", "channelled"])
+@pytest.mark.parametrize("node_limit", [None, 1], ids=["finished", "timed-out"])
+def test_record_csv_round_trip(config, node_limit):
+    _, solutions, rec = cli.run(Instance(2, 4), config, node_limit=node_limit)
+    assert rec.stats.timed_out == (node_limit is not None)
+    assert rec.stats.solutions == len(solutions)
+    assert RunRecord.from_csv(rec.to_csv()) == rec
+
+
+GOLDEN_SOLVE = [
+    (["--model", "direct", "--sym", "d"],
+     "02_04 direct sym:D static: solutions=1 nodes=34 failures=17 time_ms=7 timed_out=false\n"),
+    (["--model", "positional", "--sym", "none", "--heuristic", "domoverwdeg"],
+     "02_04 positional sym:NONE domoverwdeg: solutions=2 nodes=12 failures=5 time_ms=7 "
+     "timed_out=false\n"),
+    (["--model", "channelled", "--branch", "p", "--sym", "p", "--cons", "d", "--heuristic", "wdeg"],
+     "02_04 channelled branch:P sym:P cons:D wdeg: solutions=1 nodes=30 failures=15 time_ms=7 "
+     "timed_out=false\n"),
+]
+
+GOLDEN_CSV = """\
+k,n,model,branch,sym,cons,heuristic,solutions,nodes,failures,time_ms,timed_out
+2,4,direct,,d,,static,1,34,17,7,false
+2,4,positional,,none,,domoverwdeg,2,12,5,7,false
+2,4,channelled,p,p,d,wdeg,1,30,15,7,false
+"""
+
+GOLDEN_REPORT_TABLE = """\
+| Instance | branch:P sym:P cons:D wdeg | direct sym:D static | positional sym:NONE domoverwdeg |
+|---|---|---|---|
+| 02_04 | 30 | 34 | **12** |
+"""
+
+
+def test_golden_solve_lines_and_report(tmp_path, capsys, monkeypatch):
+    # the solve line, CSV row and report column of each model kind are
+    # derived from the record's Instance, VariantConfig and SearchStats
+    inner = cli.solve_all
+
+    def solve_all(*args, **kwargs):
+        solutions, stats = inner(*args, **kwargs)
+        stats.elapsed_ms = 7
+        return solutions, stats
+
+    monkeypatch.setattr(cli, "solve_all", solve_all)
+    out = tmp_path / "runs.csv"
+    for flags, line in GOLDEN_SOLVE:
+        assert main(["solve", "--k", "2", "--n", "4", *flags, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == line
+    assert out.read_text() == GOLDEN_CSV
+    assert main(["report", str(out)]) == 0
+    assert capsys.readouterr().out.split("\n\n", 1)[1].startswith(GOLDEN_REPORT_TABLE)

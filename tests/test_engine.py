@@ -27,7 +27,7 @@ from langford.propagators import (
     Propagator,
 )
 
-from util import TinyModel, doms, mask_of, naive_fixpoint, store_of, view_of
+from util import TinyModel, doms, is_assigned, mask_of, naive_fixpoint, store_of, view_of
 
 
 class Probe(Propagator):
@@ -56,7 +56,7 @@ class TestStore:
     def test_assign_and_value(self):
         store = Store(doms({1, 2, 3}))
         assert store.assign(0, 2)
-        assert store.is_assigned(0)
+        assert is_assigned(store, 0)
         assert store.value(0) == 2
 
     def test_wipeout_reported(self):
@@ -344,7 +344,7 @@ class TestSolveAll:
         watchers = build_watchers(model.num_vars, model.propagators)
         assert propagate_to_fixpoint(store, model.propagators, watchers, range(len(model.propagators))) == FIXPOINT
         while True:
-            var = next((v for v in model.branch_order if not store.is_assigned(v)), None)
+            var = next((v for v in model.branch_order if not is_assigned(store, v)), None)
             if var is None:
                 break
             store.assign(var, store.min_value(var))
@@ -352,7 +352,7 @@ class TestSolveAll:
             fixed = {
                 i: store.value(v)
                 for i, v in enumerate(model.seq_vars)
-                if store.is_assigned(v)
+                if is_assigned(store, v)
             }
             extensible = any(
                 all(arr[i] == value for i, value in fixed.items()) for arr in arrangements

@@ -10,7 +10,7 @@ from langford.heuristics import HeuristicKind, WdegScorer, select_variable, wdeg
 from langford.models import Instance, VariantConfig, build_model
 from langford.propagators import LessThan
 
-from util import TinyModel, doms, store_of
+from util import TinyModel, doms, is_assigned, store_of
 
 
 def test_static_follows_branching_order():
@@ -46,7 +46,7 @@ def test_never_selects_assigned():
         for kind in HeuristicKind:
             picked = select_variable(store, model, kind, scorer)
             if picked is not None:
-                assert not store.is_assigned(picked)
+                assert not is_assigned(store, picked)
 
 
 def test_wdeg_attachment_structure_at_root():

@@ -93,6 +93,17 @@ def in_contract(domains, prop) -> bool:
     return True
 
 
+def is_assigned(store: Store, var: int) -> bool:
+    """Whether `var`'s domain holds exactly one value."""
+    d = store.doms[var]
+    return d != 0 and d & (d - 1) == 0
+
+
+def describe(prop) -> str:
+    """A propagator's kind and scope, for failure messages."""
+    return f"{prop.kind}({', '.join(map(str, prop.scope))})"
+
+
 def naive_fixpoint(store: Store, propagators) -> int:
     """Round-robin every filter until none changes anything; -1 at fixpoint,
     else the failing propagator's position. Independent of the engine's
@@ -475,13 +486,13 @@ def assert_filter_sound(domains: list[int], prop) -> bool:
     supported = supported_sets(domains, prop)
     if not ok:
         assert all(not s for s in supported), (
-            f"{prop.describe()} failed although supports exist: {supported}"
+            f"{describe(prop)} failed although supports exist: {supported}"
         )
         return True
     for v in range(len(domains)):
         after = set(values(store.doms[v]))
         assert supported[v] <= after, (
-            f"{prop.describe()} dropped supported values "
+            f"{describe(prop)} dropped supported values "
             f"{supported[v] - after} from var {v}"
         )
     return True
@@ -499,7 +510,7 @@ def assert_checker_agreement(rng: random.Random, domains: list[int], prop) -> bo
         store.assign(var, value)
     surviving = prop.filter(store)
     assert surviving == prop.check(assignment), (
-        f"{prop.describe()} filter/checker disagree on {assignment}"
+        f"{describe(prop)} filter/checker disagree on {assignment}"
     )
     return True
 
@@ -525,9 +536,9 @@ def assert_monotone(rng: random.Random, domains: list[int], prop) -> bool:
     ok_narrow = prop.filter(narrow)
     if not ok_narrow:
         return True  # empty result set is a subset of anything
-    assert ok_wide, f"{prop.describe()} failed on wider domains but not narrower"
+    assert ok_wide, f"{describe(prop)} failed on wider domains but not narrower"
     for v in range(len(domains)):
         assert narrow.doms[v] & ~wide.doms[v] == 0, (
-            f"{prop.describe()} not monotone on var {v}"
+            f"{describe(prop)} not monotone on var {v}"
         )
     return True
