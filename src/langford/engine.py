@@ -169,6 +169,14 @@ class Watchers:
     filter could still act, so the fixpoint reached is independent of the
     wake bookkeeping. Heavy propagators are queued behind cheap ones; that
     ordering does not change the fixpoint either.
+
+    `value_of[var]` and `assign_value_of[var]` are tables indexed by value,
+    each entry None or the pids to wake, in ascending pid order (a pid
+    twice if it watches the var twice). Value conditions come in groups,
+    one `(vars, mask)` pair of a wake spec each. Every variable covered by
+    the same groups holds the same table object, built once, so building
+    costs O(propagators + variables). A search only reads the tables; none
+    may write to them.
     """
 
     __slots__ = ("any_of", "value_of", "assign_any_of", "assign_value_of", "priority")
@@ -178,47 +186,61 @@ class Watchers:
         self.value_of: list = [None] * num_vars
         self.assign_any_of: list = [None] * num_vars
         self.assign_value_of: list = [None] * num_vars
-        self.priority = bytearray(len(propagators))
+        self.priority = [p.cost_tier for p in propagators]
+        # vars tuple -> [(pid, mask)], in pid order
+        removal_groups: dict[tuple, list] = {}
+        assign_groups: dict[tuple, list] = {}
         max_value = 0
-        removal_specs = []
-        assign_specs = []
         for pid, p in enumerate(propagators):
-            self.priority[pid] = p.cost_tier
-            removal_specs.append(p.wake_spec())
-            assign_specs.append(p.wake_on_assign())
-            for spec in (removal_specs[-1], assign_specs[-1]):
-                for _, mask in spec:
-                    if mask is not None:
-                        max_value = max(max_value, mask.bit_length())
-
-        def add_to_table(tables, var, mask, pid):
-            table = tables[var]
-            if table is None:
-                table = [None] * (max_value + 1)
-                tables[var] = table
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                if table[v] is None:
-                    table[v] = []
-                table[v].append(pid)
-
-        for pid, spec in enumerate(removal_specs):
-            for var, mask in spec:
+            for vars_, mask in p.wake_spec():
                 if mask is None:
-                    self.any_of[var].append(pid)
+                    for var in vars_:
+                        self.any_of[var].append(pid)
                 else:
-                    add_to_table(self.value_of, var, mask, pid)
-        for pid, spec in enumerate(assign_specs):
-            for var, mask in spec:
+                    removal_groups.setdefault(vars_, []).append((pid, mask))
+                    max_value = max(max_value, mask.bit_length())
+            for vars_, mask in p.wake_on_assign():
                 if mask is None:
-                    if self.assign_any_of[var] is None:
-                        self.assign_any_of[var] = []
-                    self.assign_any_of[var].append(pid)
+                    for var in vars_:
+                        if self.assign_any_of[var] is None:
+                            self.assign_any_of[var] = []
+                        self.assign_any_of[var].append(pid)
                 else:
-                    add_to_table(self.assign_value_of, var, mask, pid)
+                    assign_groups.setdefault(vars_, []).append((pid, mask))
+                    max_value = max(max_value, mask.bit_length())
+        _share_tables(self.value_of, removal_groups, max_value + 1)
+        _share_tables(self.assign_value_of, assign_groups, max_value + 1)
+
+
+def _share_tables(tables: list, groups: dict, size: int) -> None:
+    """Give each variable in `groups` one value table of `size` entries,
+    shared by every variable covered by the same groups."""
+    covering: dict[int, list[int]] = {}
+    for g, vars_ in enumerate(groups):
+        for var in vars_:
+            covering.setdefault(var, []).append(g)
+    entries = list(groups.values())
+    built: dict[tuple, list] = {}
+    for var, gs in covering.items():
+        key = tuple(gs)
+        table = built.get(key)
+        if table is None:
+            table = [None] * size
+            for g in key:
+                for pid, mask in entries[g]:
+                    while mask:
+                        low = mask & -mask
+                        mask ^= low
+                        v = low.bit_length() - 1
+                        if table[v] is None:
+                            table[v] = []
+                        table[v].append(pid)
+            if len(key) > 1:  # merged groups: back to pid order
+                for pids in table:
+                    if pids:
+                        pids.sort()
+            built[key] = table
+        tables[var] = table
 
 
 def build_watchers(num_vars: int, propagators: Sequence) -> Watchers:
@@ -234,7 +256,7 @@ class _Queue:
     def __init__(self, num_propagators: int):
         self.cheap: deque[int] = deque()
         self.heavy: deque[int] = deque()
-        self.in_queue = bytearray(num_propagators)
+        self.in_queue = [0] * num_propagators
 
     def clear(self) -> None:
         while self.cheap:

@@ -73,7 +73,7 @@ class WdegScorer:
         self.scopes = scopes = [p.scope for p in model.propagators]
         self.weights = weights = [1] * len(scopes) if weights is None else list(weights)
         self.occurs = occurs = [[] for _ in doms]
-        self.assigned = assigned = bytearray(not d & (d - 1) for d in doms)
+        self.assigned = assigned = [int(not d & (d - 1)) for d in doms]
         self.scores = scores = [0] * len(doms)
         self.unassigned = []
         for pid, scope in enumerate(scopes):

@@ -48,13 +48,17 @@ class Propagator:
         raise NotImplementedError
 
     def wake_spec(self) -> list:
-        """(var, mask) wake conditions: requeue when a removal from `var`
-        intersects `mask` (None = any removal)."""
-        return [(v, None) for v in self.scope]
+        """(vars, mask) wake conditions, `vars` a tuple of var ids: requeue
+        when a removal from any of `vars` intersects `mask` (None = any
+        removal). A condition on many variables is one pair, not one per
+        variable: the engine builds one value table per group of variables
+        and every variable in the group shares it."""
+        return [(self.scope, None)]
 
     def wake_on_assign(self) -> tuple:
-        """(var, mask) pairs: requeue when `var` becomes assigned to a value
-        in `mask` (None = any value), on top of the wake_spec conditions."""
+        """(vars, mask) pairs, `vars` a tuple of var ids: requeue when any
+        of `vars` becomes assigned to a value in `mask` (None = any value),
+        on top of the wake_spec conditions."""
         return ()
 
 
@@ -281,11 +285,10 @@ class ElementOffsetConst(Propagator):
         # Array cells matter only when they lose this constraint's value.
         # Index positions never lose support by leaving the index domain, so
         # plain index shrinkage needs no rescan, only full assignment does.
-        bit = 1 << self.value
-        return [(cell, bit) for cell in self.array]
+        return [(self.array, 1 << self.value)]
 
     def wake_on_assign(self) -> tuple:
-        return ((self.index, None),)
+        return (((self.index,), None),)
 
 
 class Occurrence(Propagator):
@@ -334,12 +337,10 @@ class Occurrence(Propagator):
     def wake_spec(self) -> list:
         # The possible-count only moves when this value is removed somewhere;
         # the assigned-count only moves when a variable lands on this value.
-        bit = 1 << self.value
-        return [(v, bit) for v in self.scope]
+        return [(self.scope, 1 << self.value)]
 
     def wake_on_assign(self) -> tuple:
-        bit = 1 << self.value
-        return tuple((v, bit) for v in self.scope)
+        return ((self.scope, 1 << self.value),)
 
 
 class InverseChannel(Propagator):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 import threading
@@ -27,7 +28,17 @@ from langford.propagators import (
     Propagator,
 )
 
-from util import TinyModel, doms, is_assigned, mask_of, naive_fixpoint, store_of, view_of
+from util import (
+    TinyModel,
+    doms,
+    every_variant,
+    is_assigned,
+    mask_of,
+    naive_fixpoint,
+    reference_watchers,
+    store_of,
+    view_of,
+)
 
 
 class Probe(Propagator):
@@ -222,6 +233,46 @@ class TestPropagateToFixpoint:
                 assert got != FIXPOINT
 
 
+WATCHER_TABLES = ("any_of", "value_of", "assign_any_of", "assign_value_of", "priority")
+
+
+class TestWatchers:
+    @pytest.mark.parametrize("k, n", [(2, 3), (3, 5), (4, 4)])
+    def test_tables_equal_the_per_pair_build(self, k, n):
+        # every model kind, branch, sym and cons; the heuristic does not
+        # change the model
+        for implied in (True, False):
+            for config in every_variant(implied):
+                if config.heuristic is not HeuristicKind.STATIC:
+                    continue
+                model = build_model(Instance(k, n), config)
+                watchers = build_watchers(model.num_vars, model.propagators)
+                reference = reference_watchers(model.num_vars, model.propagators)
+                for name in WATCHER_TABLES:
+                    assert getattr(watchers, name) == getattr(reference, name), (config, name)
+
+    def test_merged_groups_keep_pid_order(self):
+        # var 1 and var 2 are each covered by three value groups, var 1 twice
+        # by the last; a merged table lists its pids in ascending order,
+        # duplicates included, as the per-pair build does
+        props = [
+            Occurrence((0, 1, 2), 1, 1),
+            Occurrence((1, 2, 3), 2, 1),
+            ElementOffsetConst((0, 1, 2), 3, 0, 2),
+            Occurrence((1, 1, 2), 2, 1),
+            LessThan(0, 3),
+        ]
+        model = TinyModel(doms(*[{1, 2, 3}] * 4), props)
+        num_vars = len(model.initial_domains)
+        watchers = build_watchers(num_vars, model.propagators)
+        reference = reference_watchers(num_vars, model.propagators)
+        for name in WATCHER_TABLES:
+            assert getattr(watchers, name) == getattr(reference, name), name
+        assert watchers.value_of[1][2] == [1, 2, 3, 3]
+        assert watchers.value_of[2][2] == [1, 2, 3]
+        assert watchers.value_of[3][1] is None and watchers.value_of[3][2] == [1]
+
+
 class TestSolveAll:
     def test_direct_2_3(self):
         model = build_model(Instance(2, 3), VariantConfig("direct", sym="d"))
@@ -411,3 +462,32 @@ def test_every_undo_goes_through_store_undo_to_mark(monkeypatch, config):
     assert stats.nodes > 0
     assert len(calls) == stats.nodes
     assert set(calls) == {Store}
+
+
+def test_commit_sequence_is_pinned(monkeypatch):
+    # The reproduction contract down to each commit: every (var, mask) a
+    # search hands to Store.commit, in order, and its node, failure and
+    # solution counts, over every variant at k 2-4, n 2-6. Which commit
+    # comes first decides which propagator fails and is blamed, and so the
+    # wdeg and dom/wdeg counts; a change to the wake tables, the queue or a
+    # filter that moves one commit fails here.
+    commits = []
+    commit = Store.commit
+
+    def recording(store, var, mask):
+        commits.append((var, mask))
+        return commit(store, var, mask)
+
+    monkeypatch.setattr(Store, "commit", recording)
+    digest = hashlib.sha256()
+    cells = total = 0
+    for config in every_variant():
+        for k in (2, 3, 4):
+            for n in range(2, 7):
+                _, stats = solve_all(build_model(Instance(k, n), config), node_limit=300)
+                digest.update(repr((commits, stats.nodes, stats.failures, stats.solutions)).encode())
+                cells += 1
+                total += len(commits)
+                commits.clear()
+    assert (cells, total) == (1320, 1106046)
+    assert digest.hexdigest() == "2a52466d4126e4da9e772e269eaba0c0d021fa722aebee8a6f277b27bfafe035"

@@ -26,7 +26,7 @@ from langford.propagators import (
     SumLeq,
 )
 
-from util import pos_sym_keeps, solution_sequences
+from util import every_variant, pos_sym_keeps, solution_sequences
 
 # the variants of the base viewpoints with their own reflection rule
 DIRECT = VariantConfig("direct", sym="d")
@@ -331,3 +331,17 @@ def test_sequence_of_derives_from_slots():
     model = build_model(Instance(2, 3), POSITIONAL)
     solutions, _ = solve_all(model)
     assert model.sequence_of(solutions[0]) == (3, 1, 2, 1, 3, 2)
+
+
+def test_cells_share_one_wake_table():
+    # every value condition of a built model ranges over the whole of
+    # its cells, so all cells hold one table: the wake tables are built
+    # per group of variables, not per cell
+    for config in every_variant():
+        if config.model == "positional" or config.heuristic is not HeuristicKind.STATIC:
+            continue
+        model = build_model(Instance(3, 4), config)
+        watchers = build_watchers(model.num_vars, model.propagators)
+        first = watchers.value_of[model.seq_vars[0]]
+        assert first is not None
+        assert all(watchers.value_of[c] is first for c in model.seq_vars), config

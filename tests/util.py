@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 from langford.engine import Store, solve_all, validate_model, values
 from langford.heuristics import HeuristicKind
+from langford.models import BRANCH_CHOICES, CONS_CHOICES, MODEL_KINDS, SYM_CHOICES, VariantConfig
 from langford.propagators import (
     AllDifferent,
     ElementOffsetConst,
@@ -48,6 +49,21 @@ class TinyModel:
             self.branch_order = list(range(len(self.initial_domains)))
         if not self.names:
             self.names = [f"v{i}" for i in range(len(self.initial_domains))]
+
+
+def every_variant(implied: bool = True) -> list[VariantConfig]:
+    """Every valid variant, with `implied` as given: 88 of them, each
+    model kind x branch x sym x cons x heuristic that VariantConfig
+    accepts."""
+    variants = []
+    for model, branch, sym, cons, heuristic in itertools.product(
+        MODEL_KINDS, (None, *BRANCH_CHOICES), SYM_CHOICES, (None, *CONS_CHOICES), HeuristicKind
+    ):
+        try:
+            variants.append(VariantConfig(model, branch, sym, cons, heuristic, implied))
+        except ValueError:
+            continue
+    return variants
 
 
 def mask_of(vals) -> int:
@@ -102,6 +118,54 @@ def is_assigned(store: Store, var: int) -> bool:
 def describe(prop) -> str:
     """A propagator's kind and scope, for failure messages."""
     return f"{prop.kind}({', '.join(map(str, prop.scope))})"
+
+
+def reference_watchers(num_vars: int, propagators) -> SimpleNamespace:
+    """The wake tables built one (var, mask) pair at a time, each variable
+    with a table of its own: every `(vars, mask)` condition is expanded
+    into one pair per var, and each pair adds its pid to the var's table.
+    `engine.Watchers` must build equal tables."""
+    any_of = [[] for _ in range(num_vars)]
+    value_of = [None] * num_vars
+    assign_any_of = [None] * num_vars
+    assign_value_of = [None] * num_vars
+    priority = [p.cost_tier for p in propagators]
+    removal_specs = [[(v, mask) for vs, mask in p.wake_spec() for v in vs] for p in propagators]
+    assign_specs = [[(v, mask) for vs, mask in p.wake_on_assign() for v in vs] for p in propagators]
+    max_value = max(
+        (mask.bit_length() for spec in removal_specs + assign_specs for _, mask in spec if mask is not None),
+        default=0,
+    )
+
+    def add_to_table(tables, var, mask, pid):
+        if tables[var] is None:
+            tables[var] = [None] * (max_value + 1)
+        for v in values(mask):
+            if tables[var][v] is None:
+                tables[var][v] = []
+            tables[var][v].append(pid)
+
+    for pid, spec in enumerate(removal_specs):
+        for var, mask in spec:
+            if mask is None:
+                any_of[var].append(pid)
+            else:
+                add_to_table(value_of, var, mask, pid)
+    for pid, spec in enumerate(assign_specs):
+        for var, mask in spec:
+            if mask is None:
+                if assign_any_of[var] is None:
+                    assign_any_of[var] = []
+                assign_any_of[var].append(pid)
+            else:
+                add_to_table(assign_value_of, var, mask, pid)
+    return SimpleNamespace(
+        any_of=any_of,
+        value_of=value_of,
+        assign_any_of=assign_any_of,
+        assign_value_of=assign_value_of,
+        priority=priority,
+    )
 
 
 def naive_fixpoint(store: Store, propagators) -> int:
