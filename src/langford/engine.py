@@ -57,10 +57,21 @@ class Store:
     the view with the trail length and `undo_to_mark` puts both back. Undo
     stays in that one method, which the benchmark's tracer wraps to count
     undos.
+
+    A filter may keep state of its own for this search in `memo`, keyed by
+    the propagator, next to `epoch`, the number of undos so far. The
+    premise that makes such state sound: domains change only through
+    `commit`, which only narrows, and `undo_to_mark`, which alone moves
+    `epoch`. So within one epoch a domain can only shrink, and a variable
+    once assigned keeps its value, because any further removal would wipe
+    it out, and a wipeout is always undone before the next filter call.
+    State saved in one epoch says nothing about the next. `commit` and
+    `push_mark` never touch either field.
     """
 
     __slots__ = (
-        "doms", "trail", "trail_bits", "marks", "seen", "cells", "cell_bit", "can", "fixed"
+        "doms", "trail", "trail_bits", "marks", "seen", "cells", "cell_bit", "can", "fixed",
+        "memo", "epoch",
     )
 
     def __init__(self, domains: Sequence[int], cells: tuple = ()):
@@ -74,6 +85,8 @@ class Store:
         self.cell_bit = [0] * len(doms)  # 1 << position of a cell, else 0
         self.can = [0] * max((doms[cell].bit_length() for cell in cells), default=0)
         self.fixed = 0
+        self.memo: dict = {}
+        self.epoch = 0
         for i, cell in enumerate(cells, 1):
             bit = 1 << i
             self.cell_bit[cell] = bit
@@ -133,6 +146,7 @@ class Store:
         while len(trail) > depth:
             doms[trail.pop()] |= bits.pop()
         self.seen = depth
+        self.epoch += 1
 
     def min_value(self, var: int) -> int:
         d = self.doms[var]
@@ -259,10 +273,13 @@ class _Queue:
         self.in_queue = [0] * num_propagators
 
     def clear(self) -> None:
-        while self.cheap:
-            self.in_queue[self.cheap.popleft()] = 0
-        while self.heavy:
-            self.in_queue[self.heavy.popleft()] = 0
+        in_queue = self.in_queue
+        for pid in self.cheap:
+            in_queue[pid] = 0
+        for pid in self.heavy:
+            in_queue[pid] = 0
+        self.cheap.clear()
+        self.heavy.clear()
 
 
 def propagate_to_fixpoint(

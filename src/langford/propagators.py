@@ -22,6 +22,13 @@ order and that `can` has an entry for every value they read;
 `engine.validate_model` checks both once per search. The view changes
 how a filter finds the cells, never what it commits: the tests hold each
 of the three to a reference filter that scans the cell domains.
+
+A filter may keep state of its own for one search in `store.memo`, keyed
+by the propagator. The state is valid for one `store.epoch` only: within
+an epoch domains only shrink, and an undo starts the next one (see
+`engine.Store`). The state may only save work: the filter must make the
+same commits, in the same order, as it would with `store.memo` empty.
+`AllDifferent` keeps the open variables its last call left.
 """
 
 from __future__ import annotations
@@ -158,12 +165,22 @@ class AllDifferent(Propagator):
     """Pairwise-distinct values; forward checking plus a pigeonhole test.
 
     One scan sorts the scope into assigned values (a repeated one fails)
-    and open variables, kept in scope order. Then rounds run: each removes
+    and open variables, kept in scope order, and ORs the open domains. If
+    no open domain holds an assigned value, no round can prune and the
+    pigeonhole test decides at once. Otherwise rounds run: each removes
     the values fixed by the round before from the still-open variables, the
-    first round removing every assigned value. An open variable has already
-    lost every value fixed earlier, so only the newest ones can prune it.
-    A round that fixes one value twice fails once it ends. When no round is
-    left, the pigeonhole test counts the values of the whole scope.
+    first round removing every assigned value, and ORs the domains it keeps
+    open. An open variable has already lost every value fixed earlier, so
+    only the newest ones can prune it. A round that fixes one value twice
+    fails once it ends. When no round is left, the pigeonhole test counts
+    the values of the whole scope.
+
+    Each exit that does not fail saves `(epoch, open variables, assigned
+    values)` in `store.memo`. A later call in the same epoch scans only
+    that open list, starting from that mask: every scope variable outside
+    it is still assigned to a value already in the mask (see
+    `engine.Store`), so the scan finds the same open list, the same mask
+    and the same repeated value as a scan of the whole scope would.
     """
 
     kind = "all_different"
@@ -176,20 +193,28 @@ class AllDifferent(Propagator):
 
     def filter(self, store) -> bool:
         doms = store.doms
-        assigned = 0
+        epoch = store.epoch
+        saved = store.memo.get(self)
+        if saved is not None and saved[0] == epoch:
+            _, scan, assigned = saved
+        else:
+            scan, assigned = self.scope, 0
         open_vars = []
-        for v in self.scope:
+        union = 0
+        for v in scan:
             d = doms[v]
             if d & (d - 1):
                 open_vars.append(v)
+                union |= d
             elif d & assigned:
                 return False  # two variables share one value
             else:
                 assigned |= d
-        fixed = assigned
+        fixed = assigned if union & assigned else 0
         while fixed:
             newly = 0
             clash = 0
+            union = 0
             still_open = []
             for v in open_vars:
                 d = doms[v]
@@ -201,16 +226,17 @@ class AllDifferent(Propagator):
                         clash |= d & newly
                         newly |= d
                         continue
+                union |= d
                 still_open.append(v)
             if clash:
                 return False  # two variables were forced to one value
             assigned |= newly
             fixed = newly
             open_vars = still_open
-        union = assigned
-        for v in open_vars:
-            union |= doms[v]
-        return union.bit_count() >= len(self.scope)
+        if (union | assigned).bit_count() < len(self.scope):
+            return False
+        store.memo[self] = (epoch, open_vars, assigned)
+        return True
 
     def check(self, values) -> bool:
         seen = set()

@@ -20,6 +20,7 @@ from langford.heuristics import HeuristicKind
 from langford.models import Instance, VariantConfig, build_model
 from langford.oracle import enumerate_bruteforce
 from langford.propagators import (
+    AllDifferent,
     ElementOffsetConst,
     EqOffset,
     InverseChannel,
@@ -103,6 +104,26 @@ class TestStore:
         store.undo_to_mark()
         assert store.doms == doms({1, 2, 3, 4})
 
+    def test_only_undo_moves_the_epoch(self):
+        # A filter's state in `memo` holds for one epoch; domains only shrink
+        # between two undos. Each store starts with a memo of its own.
+        store = Store(doms({1, 2, 3}, {1, 2}))
+        assert store.memo == {} and store.epoch == 0
+        assert Store(doms({1})).memo is not store.memo
+        memo = store.memo
+        memo["filter"] = (0, [0, 1], 0)
+        store.push_mark()
+        store.commit(0, mask_of({1, 2}))
+        store.intersect(1, mask_of({2}))
+        store.push_mark()
+        store.remove_value(0, 1)
+        assert store.memo is memo and memo == {"filter": (0, [0, 1], 0)}
+        assert store.epoch == 0
+        store.undo_to_mark()
+        assert store.epoch == 1
+        store.undo_to_mark()
+        assert store.epoch == 2
+        assert store.memo is memo
 
     def test_view_follows_commits_and_undo(self):
         # cells 2, 0, 4 at positions 1..3 and a non-cell var 1 and 3; the
@@ -416,12 +437,21 @@ class TestSolveAll:
             if len(fixed) == len(model.seq_vars):
                 assert extensible
 
-    def test_concurrent_searches_share_one_model(self):
-        # failure weights are per search, so two threads searching one
-        # model interleave without moving each other's dom/wdeg choices
+    def test_concurrent_searches_share_one_model(self, monkeypatch):
+        # failure weights and AllDifferent's open lists are per search, so
+        # two threads searching one model interleave their calls to the one
+        # AllDifferent object without moving each other's dom/wdeg choices
         config = VariantConfig("positional", sym="p", heuristic=HeuristicKind.DOM_OVER_WDEG)
         model = build_model(Instance(2, 8), config)
         counts = []
+        callers = []
+        filter_ = AllDifferent.filter
+
+        def recording(prop, store):
+            callers.append(threading.get_ident())
+            return filter_(prop, store)
+
+        monkeypatch.setattr(AllDifferent, "filter", recording)
 
         def search():
             solutions, stats = solve_all(model)
@@ -434,10 +464,13 @@ class TestSolveAll:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert counts == [(2064, 883, 150)] * 2
+        # the two searches took turns on the shared filter, mid-search
+        assert sum(a != b for a, b in zip(callers, callers[1:])) > 10
 
 
 @pytest.mark.parametrize("config", [

@@ -190,6 +190,61 @@ class TestAllDifferent:
         # the sample reaches every way to fail and singletons forced in turn
         assert all(count >= 20 for count in outcomes.values()), outcomes
 
+    def test_reuse_path_matches_reference_filter(self):
+        # Steps as a search takes them: narrowing commits, marks, undos and
+        # filter calls, an undo after each failure. The filter's store keeps
+        # the open list of its last call; the twin store runs the rescanning
+        # filter. Every call must give the same result and commits.
+        rng = random.Random(1812)
+        seen = dict.fromkeys(("calls", "reused", "reused_commits", "reused_failed"), 0)
+
+        def filter_both(prop, fast, ref) -> bool:
+            saved = fast.memo.get(prop)
+            reuse = saved is not None and saved[0] == fast.epoch
+            fast.log.clear()
+            ref.log.clear()
+            ok = prop.filter(fast)
+            assert ok == reference_all_different_filter(prop, ref)
+            assert fast.log == ref.log
+            assert fast.doms == ref.doms
+            seen["calls"] += 1
+            seen["reused"] += reuse
+            seen["reused_commits"] += reuse and bool(fast.log)
+            seen["reused_failed"] += reuse and not ok
+            return ok
+
+        for _ in range(1000):
+            domains, prop = random_all_different_case(rng)
+            fast, ref = RecordingStore(domains), RecordingStore(domains)
+            if not filter_both(prop, fast, ref):
+                continue  # fails at the root, as a search would
+            for _ in range(30):
+                open_vars = [v for v in prop.scope if fast.doms[v] & (fast.doms[v] - 1)]
+                step = rng.random()
+                if step < 0.2 and fast.marks:
+                    for store in (fast, ref):
+                        store.undo_to_mark()
+                elif step < 0.3 or not open_vars:
+                    for store in (fast, ref):
+                        store.push_mark()
+                elif step < 0.65:
+                    v = rng.choice(open_vars)
+                    d = fast.doms[v]
+                    kept = 1 << rng.choice(values(d))  # assign v, or keep a random subset
+                    if rng.random() < 0.5:
+                        kept |= d & rng.getrandbits(d.bit_length())
+                    for store in (fast, ref):
+                        assert store.intersect(v, kept)
+                elif not filter_both(prop, fast, ref):
+                    if not fast.marks:
+                        break
+                    for store in (fast, ref):
+                        store.undo_to_mark()
+        # the saved open list served a good share of the calls, some of
+        # which pruned and some of which failed
+        assert seen["reused"] * 4 >= seen["calls"], seen
+        assert seen["reused_commits"] >= 100 and seen["reused_failed"] >= 20, seen
+
 
 class TestElementOffsetConst:
     def test_support_filtering(self):
