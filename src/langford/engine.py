@@ -189,11 +189,13 @@ class Watchers:
     twice if it watches the var twice). Value conditions come in groups,
     one `(vars, mask)` pair of a wake spec each. Every variable covered by
     the same groups holds the same table object, built once, so building
-    costs O(propagators + variables). A search only reads the tables; none
-    may write to them.
+    costs O(propagators + variables). `on_assign[var]` is true iff
+    `assign_any_of[var]` or `assign_value_of[var]` is set, so an event on
+    a variable that no propagator watches for assignment costs one lookup.
+    A search only reads the tables; none may write to them.
     """
 
-    __slots__ = ("any_of", "value_of", "assign_any_of", "assign_value_of", "priority")
+    __slots__ = ("any_of", "value_of", "assign_any_of", "assign_value_of", "on_assign", "priority")
 
     def __init__(self, num_vars: int, propagators: Sequence):
         self.any_of: list[list[int]] = [[] for _ in range(num_vars)]
@@ -224,6 +226,10 @@ class Watchers:
                     max_value = max(max_value, mask.bit_length())
         _share_tables(self.value_of, removal_groups, max_value + 1)
         _share_tables(self.assign_value_of, assign_groups, max_value + 1)
+        self.on_assign = [
+            pids is not None or table is not None
+            for pids, table in zip(self.assign_any_of, self.assign_value_of)
+        ]
 
 
 def _share_tables(tables: list, groups: dict, size: int) -> None:
@@ -263,14 +269,21 @@ def build_watchers(num_vars: int, propagators: Sequence) -> Watchers:
 
 class _Queue:
     """Reusable two-tier propagator queue; left empty after every
-    propagate_to_fixpoint call, including failing ones."""
+    propagate_to_fixpoint call, including failing ones.
 
-    __slots__ = ("cheap", "heavy", "in_queue")
+    Built once per search from the watchers' `priority`: `push[pid]` is
+    the bound `append` of the tier deque that pid goes to, `heavy` if
+    `priority[pid]`, else `cheap`. `clear` keeps both deque objects, so
+    the bound appends stay valid for the whole search.
+    """
 
-    def __init__(self, num_propagators: int):
+    __slots__ = ("cheap", "heavy", "in_queue", "push")
+
+    def __init__(self, priority: Sequence[int]):
         self.cheap: deque[int] = deque()
         self.heavy: deque[int] = deque()
-        self.in_queue = [0] * num_propagators
+        self.in_queue = [0] * len(priority)
+        self.push = [self.heavy.append if tier else self.cheap.append for tier in priority]
 
     def clear(self) -> None:
         in_queue = self.in_queue
@@ -294,17 +307,20 @@ def propagate_to_fixpoint(
     Wake events are the trail entries past `store.seen`, dispatched in trail
     order: first the pending ones, so a freshly committed branching step
     seeds its own wake set, then after each filter the ones it committed.
-    Every return, failing ones included, leaves them all seen. Returns
-    FIXPOINT, or the failing propagator's id.
+    Dispatch runs only when the trail grew, so a filter that committed
+    nothing costs just its call and the next pop. Every return, failing
+    ones included, leaves them all seen. Returns FIXPOINT, or the failing
+    propagator's id.
     """
     if queue is None:
-        queue = _Queue(len(propagators))
+        queue = _Queue(watchers.priority)
     cheap = queue.cheap
     heavy = queue.heavy
     in_queue = queue.in_queue
-    priority = watchers.priority
+    push = queue.push
     any_of = watchers.any_of
     value_of = watchers.value_of
+    on_assign = watchers.on_assign
     assign_any_of = watchers.assign_any_of
     assign_value_of = watchers.assign_value_of
     doms = store.doms
@@ -315,45 +331,46 @@ def propagate_to_fixpoint(
         for pid in queue_pids:
             if not in_queue[pid]:
                 in_queue[pid] = 1
-                (heavy if priority[pid] else cheap).append(pid)
+                push[pid](pid)
     while True:
         end = len(trail)
-        for event in range(seen, end):
-            var = trail[event]
-            for pid in any_of[var]:
-                if not in_queue[pid]:
-                    in_queue[pid] = 1
-                    (heavy if priority[pid] else cheap).append(pid)
-            table = value_of[var]
-            if table is not None:
-                rest = trail_bits[event]
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    pids = table[low.bit_length() - 1]
-                    if pids:
-                        for pid in pids:
-                            if not in_queue[pid]:
-                                in_queue[pid] = 1
-                                (heavy if priority[pid] else cheap).append(pid)
-            if assign_any_of[var] is not None or assign_value_of[var] is not None:
-                d = doms[var]
-                if d & (d - 1) == 0:
-                    pids = assign_any_of[var]
-                    if pids:
-                        for pid in pids:
-                            if not in_queue[pid]:
-                                in_queue[pid] = 1
-                                (heavy if priority[pid] else cheap).append(pid)
-                    table = assign_value_of[var]
-                    if table is not None:
-                        pids = table[d.bit_length() - 1]
+        if end != seen:
+            for event in range(seen, end):
+                var = trail[event]
+                for pid in any_of[var]:
+                    if not in_queue[pid]:
+                        in_queue[pid] = 1
+                        push[pid](pid)
+                table = value_of[var]
+                if table is not None:
+                    rest = trail_bits[event]
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        pids = table[low.bit_length() - 1]
                         if pids:
                             for pid in pids:
                                 if not in_queue[pid]:
                                     in_queue[pid] = 1
-                                    (heavy if priority[pid] else cheap).append(pid)
-        seen = end
+                                    push[pid](pid)
+                if on_assign[var]:
+                    d = doms[var]
+                    if d & (d - 1) == 0:
+                        pids = assign_any_of[var]
+                        if pids:
+                            for pid in pids:
+                                if not in_queue[pid]:
+                                    in_queue[pid] = 1
+                                    push[pid](pid)
+                        table = assign_value_of[var]
+                        if table is not None:
+                            pids = table[d.bit_length() - 1]
+                            if pids:
+                                for pid in pids:
+                                    if not in_queue[pid]:
+                                        in_queue[pid] = 1
+                                        push[pid](pid)
+            seen = end
         if cheap:
             pid = cheap.popleft()
         elif heavy:
@@ -436,7 +453,7 @@ def solve_all(
     if heuristic is HeuristicKind.WDEG or heuristic is HeuristicKind.DOM_OVER_WDEG:
         scorer = WdegScorer(store, model)
     watchers = build_watchers(num_vars, propagators)
-    queue = _Queue(len(propagators))
+    queue = _Queue(watchers.priority)
     stats = SearchStats()
     solutions: list[Solution] = []
     t0 = time.monotonic()

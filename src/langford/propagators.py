@@ -274,17 +274,18 @@ class ElementOffsetConst(Propagator):
         self.targets = tuple(targets)
 
     def filter(self, store) -> bool:
+        # Most calls take neither path that reads `targets` or the value's
+        # bit, so each path loads only what it uses.
         doms = store.doms
-        targets = self.targets
-        num_targets = len(targets)
-        value_bit = 1 << self.value
         d = doms[self.index]
         if d & (d - 1) == 0:  # index assigned: only the target cell matters
+            targets = self.targets
             p = d.bit_length() - 1
-            tv = targets[p] if p < num_targets else -1
+            tv = targets[p] if p < len(targets) else -1
             if tv < 0:
                 return store.commit(self.index, 0)
             dt = doms[tv]
+            value_bit = 1 << self.value
             if dt & value_bit:
                 return dt == value_bit or store.commit(tv, value_bit)
             return store.commit(self.index, 0)
@@ -299,6 +300,7 @@ class ElementOffsetConst(Propagator):
         if allowed & (allowed - 1) == 0:  # index newly assigned
             target = self.targets[allowed.bit_length() - 1]
             dt = doms[target]
+            value_bit = 1 << self.value
             if dt != value_bit and not store.commit(target, dt & value_bit):
                 return False
         return True
@@ -393,6 +395,10 @@ class InverseChannel(Propagator):
         if len(seq) != n * k:
             raise ValueError("sequence length must be n*k")
         flat = [v for row in slots for v in row]
+        # rule (c) relies on (b) narrowing each slot once and on no cell
+        # commit touching a slot
+        if len(set(flat)) != len(flat) or not set(flat).isdisjoint(seq):
+            raise ValueError("slots must be distinct variables, none of them a cell")
         super().__init__((*flat, *seq))
         self.slots = tuple(tuple(row) for row in slots)
         self.seq = tuple(seq)
@@ -439,7 +445,9 @@ class InverseChannel(Propagator):
 
         # (b) every slot of m lies within their union, so narrowing it to
         # can[m], which the commits of (a) have kept up to date, leaves it
-        # the positions whose cell still holds m.
+        # the positions whose cell still holds m. It collects the slots it
+        # leaves assigned, in row and slot order, as (position, number) bits.
+        assigned = []
         for m, row in enumerate(slots, 1):
             positions = can[m]
             for sv in row:
@@ -447,17 +455,16 @@ class InverseChannel(Propagator):
                 nd = d & positions
                 if nd != d and not store.commit(sv, nd):
                     return False
+                if nd and nd & (nd - 1) == 0:
+                    assigned.append((nd, 1 << m))
 
-        number_bit = 2
-        for row in slots:
-            for sv in row:
-                d = doms[sv]
-                if d and d & (d - 1) == 0:
-                    cell = seq[d.bit_length() - 2]
-                    dc = doms[cell]
-                    if dc != number_bit and not store.commit(cell, dc & number_bit):
-                        return False
-            number_bit <<= 1
+        # (c) commits only cells, so the slots (b) left assigned are all of
+        # them, with the same positions.
+        for position_bit, number_bit in assigned:
+            cell = seq[position_bit.bit_length() - 2]
+            dc = doms[cell]
+            if dc != number_bit and not store.commit(cell, dc & number_bit):
+                return False
 
         # (d) visits the assigned cells in ascending position. Its commits
         # only narrow slots, so the set is fixed once (c) is done.

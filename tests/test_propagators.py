@@ -388,6 +388,12 @@ class TestInverseChannel:
         with pytest.raises(ValueError):
             InverseChannel([[0, 1], [2]], [3, 4, 5])
 
+    def test_slots_must_be_distinct_and_not_cells(self):
+        with pytest.raises(ValueError):
+            InverseChannel([[0, 1], [2, 0]], [4, 5, 6, 7])
+        with pytest.raises(ValueError):
+            InverseChannel([[0, 1], [2, 3]], [3, 5, 6, 7])
+
     def test_commits_match_reference_filter(self):
         # Same result and the same (var, mask) commits in the same order as
         # the full-rescan filter, out-of-range cell and slot values included.
@@ -411,6 +417,28 @@ class TestInverseChannel:
         assert checked >= 550
         assert 100 <= failed <= 500
         assert 200 <= stripped <= 400
+
+    def test_empty_slot_is_not_assigned(self):
+        # a slot whose domain is 0 before the call holds no position, so
+        # rule (c) must not fix any cell from it; the reference skips it too
+        domains = doms(set(), {1, 2, 3, 4}, {3}, {1, 2, 4}, {1, 2}, {1, 2}, {1, 2}, {1, 2})
+        prop = InverseChannel([[0, 1], [2, 3]], [4, 5, 6, 7])
+        fast, ref = RecordingStore(domains, prop.seq), RecordingStore(domains, prop.seq)
+        assert prop.filter(fast) == reference_inverse_channel_filter(prop, ref)
+        assert fast.log == ref.log
+        assert values(fast.doms[6]) == [2]  # from slot 2 alone
+        rng = random.Random(1809)
+        checked = 0
+        for _ in range(200):
+            domains, prop = random_channel_case(rng, rng.choice((2, 3)), rng.choice((2, 3, 4)))
+            domains[rng.choice([sv for row in prop.slots for sv in row])] = 0
+            if not in_contract(domains, prop):
+                continue
+            checked += 1
+            fast, ref = RecordingStore(domains, prop.seq), RecordingStore(domains, prop.seq)
+            assert prop.filter(fast) == reference_inverse_channel_filter(prop, ref)
+            assert fast.log == ref.log
+        assert checked >= 180
 
 
     def test_view_matches_plain_store(self):

@@ -164,6 +164,7 @@ def reference_watchers(num_vars: int, propagators) -> SimpleNamespace:
         value_of=value_of,
         assign_any_of=assign_any_of,
         assign_value_of=assign_value_of,
+        on_assign=[a is not None or t is not None for a, t in zip(assign_any_of, assign_value_of)],
         priority=priority,
     )
 
