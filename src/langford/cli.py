@@ -1,9 +1,8 @@
 """Experiment front end.
 
 Subcommands: solve one instance/variant, sweep a grid into a CSV, render a
-markdown report from a sweep CSV, run the brute-force enumerator, and
-export a DIMACS encoding. Batch outputs only; exit codes: 0 done, 1 usage
-or input error, 2 timeout.
+markdown report from a sweep CSV, and run the brute-force enumerator.
+Batch outputs only; exit codes: 0 done, 1 usage or input error, 2 timeout.
 
 A CSV row is a `RunRecord`: the instance (k, n), the variant key (model,
 branch, sym, cons, heuristic) and the search's `SearchStats` (solutions,
@@ -25,7 +24,6 @@ from .engine import SearchStats, solve_all
 from .heuristics import HeuristicKind
 from .models import Instance, VariantConfig, build_model
 from .oracle import enumerate_bruteforce
-from .satgen import encode, write_dimacs
 
 CSV_FIELDS = [
     "k",
@@ -119,7 +117,7 @@ def _variant_from_args(parser, args) -> VariantConfig:
             sym=args.sym if args.sym is not None else _default_sym(args.model),
             cons=(args.cons or "both") if args.model == "channelled" else None,
             heuristic=HeuristicKind(args.heuristic),
-            implied=not getattr(args, "no_implied", False),
+            implied=not args.no_implied,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -188,16 +186,14 @@ def _read_csv(path: Path) -> list[RunRecord]:
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_FIELDS:
-            raise ValueError(f"{path}:1: bad header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                records.append(RunRecord.from_csv(row))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
+        try:
+            header = next(reader, None)
+            if header == CSV_FIELDS:
+                records = [RunRecord.from_csv(row) for row in reader if row]
+        except (csv.Error, ValueError) as exc:  # csv.Error: e.g. a field over the size limit
+            raise ValueError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
+    if header != CSV_FIELDS:
+        raise ValueError(f"{path}:1: bad header {header!r}")
     return records
 
 
@@ -294,14 +290,10 @@ def cmd_sweep(parser, args) -> int:
     bad = _bad_limit(args)
     if bad:
         return _error(bad)
-    if args.full:
-        k_range = range(2, 7)
-        n_range = range(2, 18)
-    else:
-        k_range = range(args.k_min, args.k_max + 1)
-        n_range = range(args.n_min, args.n_max + 1)
     try:
-        instances = [Instance(k, n) for k in k_range for n in n_range]
+        instances = [Instance(k, n)
+                     for k in range(args.k_min, args.k_max + 1)
+                     for n in range(args.n_min, args.n_max + 1)]
     except ValueError as exc:
         return _error(exc)
     if not instances:
@@ -316,7 +308,7 @@ def cmd_sweep(parser, args) -> int:
     except OSError as exc:
         return _cannot_write(out, exc)
     existing: dict[tuple, RunRecord] = {}
-    if args.skip_existing and out.exists():
+    if args.skip_existing and out.exists() and out.stat().st_size > 0:
         try:
             for rec in _read_csv(out):
                 existing[rec.sort_key()] = rec
@@ -424,85 +416,28 @@ def cmd_oracle(parser, args) -> int:
     return 0
 
 
-def cmd_export_dimacs(parser, args) -> int:
-    config = _variant_from_args(parser, args)
-    try:
-        instance = Instance(args.k, args.n)
-    except ValueError as exc:
-        return _error(exc)
-    cnf = encode(build_model(instance, config))
-    try:
-        write_dimacs(cnf, args.out)
-    except OSError as exc:
-        return _cannot_write(args.out, exc)
-    print(f"wrote {cnf.num_vars} vars, {len(cnf.clauses)} clauses to {args.out}")
-    return 0
-
-
-_FLAG_ONLY_KEYS = {"print-solutions", "skip-existing", "full", "no-implied"}
-
-
-def _apply_config(argv: list[str]) -> list[str]:
-    """Expand `--config FILE` or `--config=FILE` (key=value lines mirroring
-    long flag names) into flags appended after the explicit ones; explicit
-    flags, `--flag value` and `--flag=value` alike, win."""
-    for at, token in enumerate(argv):
-        if token == "--config":
-            path = argv[at + 1]
-            argv = argv[:at] + argv[at + 2 :]
-            break
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            argv = argv[:at] + argv[at + 1 :]
-            break
-    else:
-        return argv
-    given = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        flag = "--" + key.replace("_", "-")
-        if flag in given:
-            continue
-        if key.replace("_", "-") in _FLAG_ONLY_KEYS:
-            if value.lower() in ("1", "true", "yes"):
-                argv.append(flag)
-        else:
-            argv.extend([flag, value])
-    return argv
-
-
-def _add_variant_flags(sub) -> None:
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--model", choices=["direct", "positional", "channelled"], required=True)
-    sub.add_argument("--branch", choices=["d", "p"])
-    sub.add_argument("--sym", choices=["d", "p", "none"])
-    sub.add_argument("--cons", choices=["both", "d", "p"])
-    sub.add_argument(
-        "--heuristic",
-        choices=[h.value for h in HeuristicKind],
-        default="static",
-    )
-    sub.add_argument("--no-implied", action="store_true",
-                     help="drop the redundant per-number occurrence constraints")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="langford", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve one instance/variant")
-    _add_variant_flags(p_solve)
+    p_solve.add_argument("--k", type=int, required=True)
+    p_solve.add_argument("--n", type=int, required=True)
+    p_solve.add_argument("--model", choices=["direct", "positional", "channelled"], required=True)
+    p_solve.add_argument("--branch", choices=["d", "p"])
+    p_solve.add_argument("--sym", choices=["d", "p", "none"])
+    p_solve.add_argument("--cons", choices=["both", "d", "p"])
+    p_solve.add_argument(
+        "--heuristic",
+        choices=[h.value for h in HeuristicKind],
+        default="static",
+    )
+    p_solve.add_argument("--no-implied", action="store_true",
+                         help="drop the redundant per-number occurrence constraints")
     p_solve.add_argument("--timeout", type=float, help="wall-clock limit in seconds")
     p_solve.add_argument("--node-limit", type=int)
     p_solve.add_argument("--print-solutions", action="store_true")
     p_solve.add_argument("--out", help="CSV file to append the run row to")
-    p_solve.add_argument("--config", help="key=value defaults file")
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="run a grid of instances and variants")
@@ -510,8 +445,6 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--k-max", type=int, default=4)
     p_sweep.add_argument("--n-min", type=int, default=2)
     p_sweep.add_argument("--n-max", type=int, default=10)
-    p_sweep.add_argument("--full", action="store_true",
-                         help="the full grid: k 2..6, n 2..17 (pair with a long --timeout)")
     p_sweep.add_argument("--variant", action="append",
                          help="model=...,branch=...,sym=...,cons=...,heuristic=... (repeatable)")
     p_sweep.add_argument("--timeout", type=float, default=60.0)
@@ -519,7 +452,6 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--skip-existing", action="store_true")
     p_sweep.add_argument("--out", default="sweep.csv")
-    p_sweep.add_argument("--config", help="key=value defaults file")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_report = sub.add_parser("report", help="render a sweep CSV as markdown")
@@ -534,23 +466,11 @@ def build_parser() -> _Parser:
     p_oracle.add_argument("--print-solutions", action="store_true")
     p_oracle.set_defaults(func=cmd_oracle)
 
-    p_dimacs = sub.add_parser("export-dimacs", help="write a DIMACS encoding")
-    _add_variant_flags(p_dimacs)
-    p_dimacs.add_argument("--out", required=True)
-    p_dimacs.set_defaults(func=cmd_export_dimacs)
-
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    try:
-        argv = _apply_config(argv)
-    except IndexError:  # `--config` was the last argument
-        return _error("--config needs a file")
-    except (OSError, ValueError) as exc:
-        return _error(f"bad config file: {exc}")
     args = parser.parse_args(argv)
     return args.func(parser, args)
 

@@ -118,7 +118,6 @@ class Model:
 
     instance: Instance
     config: VariantConfig
-    names: list[str]
     initial_domains: list[int]
     propagators: list[Propagator]
     branch_order: list[int]
@@ -143,13 +142,11 @@ class Model:
 
 class _Builder:
     def __init__(self):
-        self.names: list[str] = []
         self.domains: list[int] = []
 
-    def var(self, name: str, lo: int, hi: int) -> int:
-        self.names.append(name)
+    def var(self, lo: int, hi: int) -> int:
         self.domains.append(((1 << (hi - lo + 1)) - 1) << lo)
-        return len(self.names) - 1
+        return len(self.domains) - 1
 
 
 def _direct_constraints(instance, seq, first, implied: bool) -> list[Propagator]:
@@ -191,15 +188,15 @@ def build_model(instance: Instance, config: VariantConfig) -> Model:
     b = _Builder()
     seq = pos = first = None
     if config.model != "positional":
-        seq = [b.var(f"seq_{i}", 1, n) for i in range(1, kn + 1)]
+        seq = [b.var(1, n) for _ in range(kn)]
     if config.model != "direct":
-        pos = [[b.var(f"pos_{m}_{j}", 1, kn) for j in range(1, k + 1)] for m in range(1, n + 1)]
+        pos = [[b.var(1, kn) for _ in range(k)] for _ in range(n)]
     if with_direct:
         # Latest start still fitting the whole chain; when the chain cannot
         # fit at all (n < k) the placeholder {1} is wiped at root by the
         # element bounds rule.
         first = [
-            b.var(f"first_{m}", 1, max(kn - (k - 1) * (m + 1), 1)) for m in range(1, n + 1)
+            b.var(1, max(kn - (k - 1) * (m + 1), 1)) for m in range(1, n + 1)
         ]
 
     props: list[Propagator] = []
@@ -230,7 +227,6 @@ def build_model(instance: Instance, config: VariantConfig) -> Model:
     return Model(
         instance=instance,
         config=config,
-        names=b.names,
         initial_domains=b.domains,
         propagators=props,
         branch_order=order + (first or []),

@@ -10,7 +10,8 @@ from langford.engine import SearchStats
 from langford.heuristics import HeuristicKind
 from langford.models import Instance, VariantConfig
 
-from allsat import read_dimacs_map
+# a row whose last field is one character over the csv module's field limit
+HUGE_FIELD_ROW = "2,3,direct,,d,,static,1,0,0,1," + "x" * (csv.field_size_limit() + 1)
 
 
 def read_rows(path):
@@ -97,13 +98,14 @@ class TestSolve:
 
     def test_csv_append_refuses_malformed_row(self, tmp_path, capsys):
         out = tmp_path / "runs.csv"
-        text = ",".join(CSV_FIELDS) + "\n2,3,direct,,d,,static,1,0,0,1,maybe\n"
-        out.write_text(text)
-        code = main(["solve", "--k", "2", "--n", "3", "--model", "direct", "--sym", "d",
-                     "--out", str(out)])
-        assert code == 1
-        assert f"{out}:2: malformed row" in capsys.readouterr().err
-        assert out.read_text() == text
+        for row in ("2,3,direct,,d,,static,1,0,0,1,maybe", HUGE_FIELD_ROW):
+            text = ",".join(CSV_FIELDS) + "\n" + row + "\n"
+            out.write_text(text)
+            code = main(["solve", "--k", "2", "--n", "3", "--model", "direct", "--sym", "d",
+                         "--out", str(out)])
+            assert code == 1
+            assert f"{out}:2: malformed row" in capsys.readouterr().err
+            assert out.read_text() == text
 
     def test_no_implied_out_refused_before_search(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -133,30 +135,6 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""  # no result line: the search never ran
         assert captured.err.startswith(f"error: cannot write {out}: ")
-
-    def test_config_file(self, tmp_path, capsys):
-        config = tmp_path / "run.conf"
-        config.write_text("k=2\nn=3\nmodel=direct\nsym=d\n")
-        assert main(["solve", "--config", str(config)]) == 0
-        assert "solutions=1" in capsys.readouterr().out
-
-    def test_config_flag_override(self, tmp_path, capsys):
-        config = tmp_path / "run.conf"
-        config.write_text("k=2\nn=3\nmodel=direct\nsym=d\n")
-        assert main(["solve", "--config", str(config), "--n", "5"]) == 0
-        assert "solutions=0" in capsys.readouterr().out
-
-    def test_config_equals_form(self, tmp_path, capsys):
-        config = tmp_path / "run.conf"
-        config.write_text("k=2\nn=3\nmodel=direct\nsym=d\n")
-        assert main(["solve", f"--config={config}"]) == 0
-        assert "solutions=1" in capsys.readouterr().out
-
-    def test_config_flag_equals_form_override(self, tmp_path, capsys):
-        config = tmp_path / "run.conf"
-        config.write_text("k=2\nn=3\nmodel=direct\nsym=d\n")
-        assert main(["solve", "--config", str(config), "--n=5"]) == 0
-        assert capsys.readouterr().out.startswith("02_05 ")
 
     def test_out_of_range_instance(self, capsys):
         assert main(["solve", "--k", "1", "--n", "3", "--model", "direct"]) == 1
@@ -192,14 +170,25 @@ class TestSweep:
 
     def test_skip_existing_refuses_malformed_row(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "sweep.csv"
-        text = ",".join(CSV_FIELDS) + "\n2,3,bogus,,d,,static,1,0,0,1,false\n"
-        out.write_text(text)
         monkeypatch.setattr(cli, "run", lambda *a: pytest.fail("a cell ran"))
-        code = main(["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
+        for row in ("2,3,bogus,,d,,static,1,0,0,1,false", HUGE_FIELD_ROW):
+            text = ",".join(CSV_FIELDS) + "\n" + row + "\n"
+            out.write_text(text)
+            code = main(["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
+                         "--variant", "model=direct,sym=d", "--skip-existing", "--out", str(out)])
+            assert code == 1
+            assert f"{out}:2: malformed row" in capsys.readouterr().err
+            assert out.read_text() == text
+
+    def test_skip_existing_empty_out_is_fresh(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        out.touch()
+        code = main(["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "4",
                      "--variant", "model=direct,sym=d", "--skip-existing", "--out", str(out)])
-        assert code == 1
-        assert f"{out}:2: malformed row" in capsys.readouterr().err
-        assert out.read_text() == text
+        assert code == 0
+        rows = read_rows(out)
+        assert rows[0] == CSV_FIELDS
+        assert [row[:3] for row in rows[1:]] == [["2", "3", "direct"], ["2", "4", "direct"]]
 
     def test_invalid_variant_combo_skipped(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -241,10 +230,6 @@ class TestSweep:
         assert calls == []
         assert capsys.readouterr().err.endswith(message)
         assert out.read_bytes() == before
-
-    def test_config_without_file(self, capsys):
-        assert main(["sweep", "--config"]) == 1
-        assert capsys.readouterr().err == "error: --config needs a file\n"
 
     @pytest.mark.parametrize("specs", [
         ["model=direct,sym=d,implied=yes"],
@@ -393,7 +378,9 @@ class TestReport:
         "2,3,direct,,d,,static,1,-4,0,1,false",  # negative count
         "1,3,direct,,d,,static,1,0,0,1,false",  # k below 2
         "2,3,direct,,d,,static,1,0,0,1,false,extra",  # too many fields
-    ], ids=["no-branch", "model", "sym", "heuristic", "timed-out", "negative", "k", "fields"])
+        HUGE_FIELD_ROW,  # csv.Error, not ValueError
+    ], ids=["no-branch", "model", "sym", "heuristic", "timed-out", "negative", "k", "fields",
+            "huge-field"])
     def test_malformed_row_rejected(self, tmp_path, capsys, row):
         bad = tmp_path / "bad.csv"
         bad.write_text(",".join(CSV_FIELDS) + "\n" + row + "\n")
@@ -423,27 +410,23 @@ class TestOracleCmd:
         assert "guard" in capsys.readouterr().err
 
 
-class TestExportDimacs:
-    def test_writes_file_with_map(self, tmp_path, capsys):
-        out = tmp_path / "model.cnf"
-        code = main(
-            ["export-dimacs", "--k", "2", "--n", "3", "--model", "positional",
-             "--sym", "p", "--out", str(out)]
-        )
-        assert code == 0
-        text = out.read_text()
-        assert text.splitlines()[0].startswith("c map pos_1_1 1 ")
-        assert "p cnf " in text
-        mapping = read_dimacs_map(out)
-        assert mapping[1] == ("pos_1_1", 1)
-
-    def test_out_of_range_instance(self, tmp_path, capsys):
-        out = tmp_path / "model.cnf"
-        code = main(["export-dimacs", "--k", "2", "--n", "0", "--model", "positional",
-                     "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err == "error: n must be at least 1\n"
-        assert not out.exists()
+@pytest.mark.parametrize("argv, message", [
+    (["export-dimacs", "--k", "2", "--n", "3", "--model", "positional", "--out", "model.cnf"],
+     "invalid choice: 'export-dimacs'"),
+    (["solve", "--k", "2", "--n", "3", "--model", "direct", "--config", "run.conf"],
+     "unrecognized arguments: --config run.conf"),
+    (["sweep", "--full"], "unrecognized arguments: --full"),
+], ids=["export-dimacs", "solve-config", "sweep-full"])
+def test_removed_surface_is_usage_error(capsys, monkeypatch, argv, message):
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *task: calls.append(task))
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("usage: langford ")
+    assert message in err
 
 
 def test_instance_label():

@@ -7,9 +7,8 @@ import pytest
 from langford.engine import solve_all, values
 from langford.models import Instance, VariantConfig, build_model
 from langford.oracle import enumerate_bruteforce
-from langford.satgen import Cnf, encode, write_dimacs
 
-from allsat import allsat_tiny, decode_model, read_dimacs_map
+from allsat import Cnf, allsat_tiny, decode_model, encode
 from util import TinyModel, doms
 
 
@@ -72,40 +71,6 @@ class TestEncode:
         assert got == expected
 
 
-class TestDimacs:
-    def test_header_and_shape(self, tmp_path):
-        model = build_model(Instance(2, 3), VariantConfig("positional", sym="p"))
-        cnf = encode(model)
-        path = tmp_path / "out.cnf"
-        write_dimacs(cnf, path)
-        lines = path.read_text().splitlines()
-        map_lines = [l for l in lines if l.startswith("c map ")]
-        header = [l for l in lines if l.startswith("p cnf ")]
-        clause_lines = [l for l in lines if l and not l.startswith(("c", "p"))]
-        assert len(map_lines) == cnf.num_csp_lits
-        assert header == [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
-        assert len(clause_lines) == len(cnf.clauses)
-        assert all(l.endswith(" 0") for l in clause_lines)
-
-    def test_trivial_model_single_unit(self, tmp_path):
-        model = TinyModel(doms({1}), [])
-        cnf = encode(model)
-        path = tmp_path / "tiny.cnf"
-        write_dimacs(cnf, path)
-        body = [l for l in path.read_text().splitlines() if not l.startswith("c")]
-        assert body == ["p cnf 1 1", "1 0"]
-
-    def test_map_round_trip(self, tmp_path):
-        model = build_model(Instance(2, 3), VariantConfig("direct", sym="d"))
-        cnf = encode(model)
-        path = tmp_path / "direct.cnf"
-        write_dimacs(cnf, path)
-        mapping = read_dimacs_map(path)
-        assert len(mapping) == cnf.num_csp_lits
-        for (var, value), idx in cnf.lit_of.items():
-            assert mapping[idx] == (model.names[var], value)
-
-
 class TestAllSat:
     def test_unsatisfiable(self):
         cnf = Cnf(
@@ -113,7 +78,6 @@ class TestAllSat:
             clauses=[[1], [-1]],
             lit_of={(0, 1): 1},
             csp_of=[None, (0, 1)],
-            names=["v0"],
             num_csp_lits=1,
         )
         result = allsat_tiny(cnf)

@@ -39,7 +39,6 @@ class TinyModel:
     initial_domains: list
     propagators: list
     branch_order: list = field(default_factory=list)
-    names: list = field(default_factory=list)
     seq_vars: list = None  # the cells, in position order, if any
     # solve_all reads the heuristic from here when none is passed
     config = SimpleNamespace(heuristic=HeuristicKind.STATIC)
@@ -47,8 +46,6 @@ class TinyModel:
     def __post_init__(self):
         if not self.branch_order:
             self.branch_order = list(range(len(self.initial_domains)))
-        if not self.names:
-            self.names = [f"v{i}" for i in range(len(self.initial_domains))]
 
 
 def every_variant(implied: bool = True) -> list[VariantConfig]:
