@@ -577,55 +577,72 @@ def test_every_undo_goes_through_store_undo_to_mark(monkeypatch, config):
     assert set(calls) == {Store}
 
 
-def test_commit_sequence_is_pinned(monkeypatch):
-    # The reproduction contract down to each commit and each filter call,
-    # over every variant at k 2-4, n 2-6, in one pass:
-    # - every (var, mask) a search hands to Store.commit, in order, and its
-    #   node, failure and solution counts. Which commit comes first decides
-    #   which propagator fails and is blamed, and so the wdeg and dom/wdeg
-    #   counts; a change to the wake tables, the queue or a filter that
-    #   moves one commit fails here.
-    # - every filter call, as (pid, kind) in order, and the same counts. The
-    #   commits say nothing of the calls that commit nothing; this pins them
-    #   too, so a cheaper fixpoint loop or filter still makes each no-op
-    #   call, in the same place. The benchmark's traced per-kind call counts
-    #   rely on that.
-    commits = []
-    commit = Store.commit
+@pytest.fixture(scope="module")
+def pinned_sequences():
+    # One pass over every variant at k 2-4, n 2-6 that records, per search,
+    # both the commits and the filter calls, for the two tests below. It
+    # returns the cell count and, for each sequence, its length over all
+    # cells and a sha256 digest of it with each search's node, failure and
+    # solution counts.
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        commits = []
+        commit = Store.commit
 
-    def recording_commit(store, var, mask):
-        commits.append((var, mask))
-        return commit(store, var, mask)
+        def recording_commit(store, var, mask):
+            commits.append((var, mask))
+            return commit(store, var, mask)
 
-    monkeypatch.setattr(Store, "commit", recording_commit)
-    calls = []
-    pid_of = {}
-    for cls in vars(propagators_module).values():
-        if isinstance(cls, type) and issubclass(cls, Propagator) and "filter" in vars(cls):
-            def recording(prop, store, _filter=cls.filter):
-                calls.append((pid_of[id(prop)], prop.kind))
-                return _filter(prop, store)
+        monkeypatch.setattr(Store, "commit", recording_commit)
+        calls = []
+        pid_of = {}
+        for cls in vars(propagators_module).values():
+            if isinstance(cls, type) and issubclass(cls, Propagator) and "filter" in vars(cls):
+                def recording(prop, store, _filter=cls.filter):
+                    calls.append((pid_of[id(prop)], prop.kind))
+                    return _filter(prop, store)
 
-            monkeypatch.setattr(cls, "filter", recording)
-    commit_digest = hashlib.sha256()
-    call_digest = hashlib.sha256()
-    cells = commit_total = call_total = 0
-    for config in every_variant():
-        for k in (2, 3, 4):
-            for n in range(2, 7):
-                model = build_model(Instance(k, n), config)
-                pid_of.clear()
-                pid_of.update((id(p), pid) for pid, p in enumerate(model.propagators))
-                _, stats = solve_all(model, node_limit=300)
-                counts = (stats.nodes, stats.failures, stats.solutions)
-                commit_digest.update(repr((commits, *counts)).encode())
-                call_digest.update(repr((calls, *counts)).encode())
-                cells += 1
-                commit_total += len(commits)
-                call_total += len(calls)
-                commits.clear()
-                calls.clear()
+                monkeypatch.setattr(cls, "filter", recording)
+        commit_digest = hashlib.sha256()
+        call_digest = hashlib.sha256()
+        cells = commit_total = call_total = 0
+        for config in every_variant():
+            for k in (2, 3, 4):
+                for n in range(2, 7):
+                    model = build_model(Instance(k, n), config)
+                    pid_of.clear()
+                    pid_of.update((id(p), pid) for pid, p in enumerate(model.propagators))
+                    _, stats = solve_all(model, node_limit=300)
+                    counts = (stats.nodes, stats.failures, stats.solutions)
+                    commit_digest.update(repr((commits, *counts)).encode())
+                    call_digest.update(repr((calls, *counts)).encode())
+                    cells += 1
+                    commit_total += len(commits)
+                    call_total += len(calls)
+                    commits.clear()
+                    calls.clear()
+    return {
+        "commits": (cells, commit_total, commit_digest.hexdigest()),
+        "calls": (cells, call_total, call_digest.hexdigest()),
+    }
+
+
+def test_commit_sequence_is_pinned(pinned_sequences):
+    # The reproduction contract down to each commit: every (var, mask) a
+    # search hands to Store.commit, in order, and its node, failure and
+    # solution counts. Which commit comes first decides which propagator
+    # fails and is blamed, and so the wdeg and dom/wdeg counts; a change to
+    # the wake tables, the queue or a filter that moves one commit fails here.
+    cells, commit_total, commit_digest = pinned_sequences["commits"]
     assert (cells, commit_total) == (1320, 1106046)
-    assert commit_digest.hexdigest() == "2a52466d4126e4da9e772e269eaba0c0d021fa722aebee8a6f277b27bfafe035"
+    assert commit_digest == "2a52466d4126e4da9e772e269eaba0c0d021fa722aebee8a6f277b27bfafe035"
+
+
+def test_call_sequence_is_pinned(pinned_sequences):
+    # Every filter call a search makes, as (pid, kind) in order, and the same
+    # counts. The commit sequence says nothing of the calls that commit
+    # nothing; this pins them too, so a cheaper fixpoint loop or filter still
+    # makes each no-op call, in the same place. The benchmark's traced
+    # per-kind call counts rely on that.
+    cells, call_total, call_digest = pinned_sequences["calls"]
     assert (cells, call_total) == (1320, 1604641)
-    assert call_digest.hexdigest() == "be72fe59658d74569066fbd7e82fadc4566ad1c5d96ab32609d4e8caec66b08f"
+    assert call_digest == "be72fe59658d74569066fbd7e82fadc4566ad1c5d96ab32609d4e8caec66b08f"
