@@ -22,7 +22,15 @@ from typing import Optional, Sequence
 
 from .engine import SearchStats, solve_all
 from .heuristics import HeuristicKind
-from .models import Instance, VariantConfig, build_model
+from .models import (
+    BRANCH_CHOICES,
+    CONS_CHOICES,
+    MODEL_KINDS,
+    SYM_CHOICES,
+    Instance,
+    VariantConfig,
+    build_model,
+)
 from .oracle import enumerate_bruteforce
 
 CSV_FIELDS = [
@@ -423,10 +431,10 @@ def build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="solve one instance/variant")
     p_solve.add_argument("--k", type=int, required=True)
     p_solve.add_argument("--n", type=int, required=True)
-    p_solve.add_argument("--model", choices=["direct", "positional", "channelled"], required=True)
-    p_solve.add_argument("--branch", choices=["d", "p"])
-    p_solve.add_argument("--sym", choices=["d", "p", "none"])
-    p_solve.add_argument("--cons", choices=["both", "d", "p"])
+    p_solve.add_argument("--model", choices=MODEL_KINDS, required=True)
+    p_solve.add_argument("--branch", choices=BRANCH_CHOICES)
+    p_solve.add_argument("--sym", choices=SYM_CHOICES)
+    p_solve.add_argument("--cons", choices=CONS_CHOICES)
     p_solve.add_argument(
         "--heuristic",
         choices=[h.value for h in HeuristicKind],

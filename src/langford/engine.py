@@ -122,19 +122,6 @@ class Store:
                     self.fixed &= keep
         return new_mask != 0
 
-    def intersect(self, var: int, mask: int) -> bool:
-        d = self.doms[var]
-        nd = d & mask
-        if nd == d:
-            return True
-        return self.commit(var, nd)
-
-    def remove_value(self, var: int, v: int) -> bool:
-        return self.intersect(var, ~(1 << v))
-
-    def assign(self, var: int, v: int) -> bool:
-        return self.intersect(var, 1 << v)
-
     def push_mark(self) -> None:
         self.marks.append((len(self.trail), self.can.copy(), self.fixed))
 
@@ -147,10 +134,6 @@ class Store:
             doms[trail.pop()] |= bits.pop()
         self.seen = depth
         self.epoch += 1
-
-    def min_value(self, var: int) -> int:
-        d = self.doms[var]
-        return (d & -d).bit_length() - 1
 
     def value(self, var: int) -> int:
         d = self.doms[var]
@@ -186,10 +169,13 @@ class Watchers:
 
     `value_of[var]` and `assign_value_of[var]` are tables indexed by value,
     each entry None or the pids to wake, in ascending pid order (a pid
-    twice if it watches the var twice). Value conditions come in groups,
-    one `(vars, mask)` pair of a wake spec each. Every variable covered by
-    the same groups holds the same table object, built once, so building
-    costs O(propagators + variables). `on_assign[var]` is true iff
+    twice if it watches the var twice). Every table has an entry for each
+    value of every wake mask and of the initial domain of every variable
+    that has a table, so each value such a variable can lose or be
+    assigned has one. Value conditions come in groups, one `(vars, mask)`
+    pair of a wake spec each. Every variable covered by the same groups
+    holds the same table object, built once, so building costs
+    O(propagators + variables). `on_assign[var]` is true iff
     `assign_any_of[var]` or `assign_value_of[var]` is set, so an event on
     a variable that no propagator watches for assignment costs one lookup.
     A search only reads the tables; none may write to them.
@@ -197,7 +183,8 @@ class Watchers:
 
     __slots__ = ("any_of", "value_of", "assign_any_of", "assign_value_of", "on_assign", "priority")
 
-    def __init__(self, num_vars: int, propagators: Sequence):
+    def __init__(self, domains: Sequence[int], propagators: Sequence):
+        num_vars = len(domains)
         self.any_of: list[list[int]] = [[] for _ in range(num_vars)]
         self.value_of: list = [None] * num_vars
         self.assign_any_of: list = [None] * num_vars
@@ -224,8 +211,11 @@ class Watchers:
                 else:
                     assign_groups.setdefault(vars_, []).append((pid, mask))
                     max_value = max(max_value, mask.bit_length())
-        _share_tables(self.value_of, removal_groups, max_value + 1)
-        _share_tables(self.assign_value_of, assign_groups, max_value + 1)
+        widest = max((domains[var].bit_length() for vars_ in (*removal_groups, *assign_groups)
+                      for var in vars_), default=0)
+        size = max(max_value + 1, widest)
+        _share_tables(self.value_of, removal_groups, size)
+        _share_tables(self.assign_value_of, assign_groups, size)
         self.on_assign = [
             pids is not None or table is not None
             for pids, table in zip(self.assign_any_of, self.assign_value_of)
@@ -263,8 +253,10 @@ def _share_tables(tables: list, groups: dict, size: int) -> None:
         tables[var] = table
 
 
-def build_watchers(num_vars: int, propagators: Sequence) -> Watchers:
-    return Watchers(num_vars, propagators)
+def build_watchers(domains: Sequence[int], propagators: Sequence) -> Watchers:
+    """The wake tables of `propagators` over variables whose initial
+    domains are `domains`."""
+    return Watchers(domains, propagators)
 
 
 class _Queue:
@@ -387,7 +379,8 @@ def propagate_to_fixpoint(
 
 def validate_model(model) -> None:
     """Reject models whose propagators reference unknown variables, or
-    whose cell filters would misread the store's sequence value view. An
+    whose cell filters would misread the store's sequence value view. The
+    cells must be distinct: the view gives each cell one position. An
     `ElementOffsetConst`, `Occurrence` or `InverseChannel` must range over
     the model's cells in position order, and must not ask for a value (for
     the channel, n) above the largest one a cell's initial domain holds."""
@@ -396,6 +389,8 @@ def validate_model(model) -> None:
     for v in (*model.branch_order, *cells):
         if not (0 <= v < num_vars):
             raise ValueError(f"branching order or cells reference unknown var {v}")
+    if len(set(cells)) != len(cells):
+        raise ValueError("the model's cells repeat a variable")
     top = max((model.initial_domains[cell].bit_length() for cell in cells), default=0) - 1
     for pid, p in enumerate(model.propagators):
         if not p.scope:
@@ -429,7 +424,8 @@ def solve_all(
     argument overrides it. 2-way branching: the left child assigns the
     selected variable its minimum value, the right child removes that
     value. Both children go through one block (budget check, mark, commit,
-    propagation) that differs only in the commit. Each committed child
+    propagation) that differs only in the mask it commits: the lowest bit
+    of the variable's domain, or the domain without it. Each committed child
     counts one node; a wipeout during its propagation counts one failure.
     On hitting a node or time limit the partial solution list is returned
     with `timed_out` set; `stats.solutions` is always its length.
@@ -437,11 +433,13 @@ def solve_all(
     A wdeg or dom/wdeg search keeps failure weights in a `WdegScorer` over
     its store. They belong to this search: each starts at 1, so repeated
     or concurrent searches of one model agree. A failure bumps the failing
-    propagator's weight. The scorer syncs with the trail at every
-    selection and follows every `undo_to_mark`, so at each selection its
-    score of an unassigned variable equals `wdeg_scores` of the store and
-    weights: the same selections as the reference walk over every scope,
-    at the cost of the trail entries since the last selection.
+    propagator's weight. The scorer syncs at every selection and follows
+    every `undo_to_mark`, so at each selection its open variables are the
+    unassigned ones of the branching order, in order, and its score of
+    each equals `wdeg_scores` of the store and weights. A selection ranks
+    only those: the same selections as the reference ranking of the whole
+    branching order by a walk over every scope, at the cost of a scan of
+    the variables the last selection left open.
     """
     if heuristic is None:
         heuristic = model.config.heuristic
@@ -452,7 +450,7 @@ def solve_all(
     scorer = None
     if heuristic is HeuristicKind.WDEG or heuristic is HeuristicKind.DOM_OVER_WDEG:
         scorer = WdegScorer(store, model)
-    watchers = build_watchers(num_vars, propagators)
+    watchers = build_watchers(model.initial_domains, propagators)
     queue = _Queue(watchers.priority)
     stats = SearchStats()
     solutions: list[Solution] = []
@@ -474,8 +472,11 @@ def solve_all(
             stats.failures += 1
             return solutions, stats
 
-        # Frames track committed children: phase 1 = the left child (assign),
-        # phase 2 = the right child (remove the value). One mark per child.
+        # Frames track committed children: (var, its domain before the
+        # child, phase), phase 1 = the left child, which keeps the lowest
+        # value of that domain, phase 2 = the right child, which removes it.
+        # One mark per child.
+        doms = store.doms
         frames: list[tuple[int, int, int]] = []
         descend = True
         while True:
@@ -486,28 +487,27 @@ def solve_all(
                     stats.solutions += 1
                     descend = False
                     continue
-                value = store.min_value(var)
+                d = doms[var]
+                mask = d & -d
                 phase = 1
             else:
                 if not frames:
                     break
-                var, value, phase = frames.pop()
+                var, d, phase = frames.pop()
                 store.undo_to_mark()
                 if scorer is not None:
                     scorer.undo()
                 if phase == 2:
                     continue  # both children done: keep unwinding
+                mask = d & (d - 1)
                 phase = 2
             if budget_hit():
                 stats.timed_out = True
                 break
             store.push_mark()
             stats.nodes += 1
-            frames.append((var, value, phase))
-            if phase == 1:
-                store.assign(var, value)
-            else:
-                store.remove_value(var, value)
+            frames.append((var, d, phase))
+            store.commit(var, mask)
             failed = propagate_to_fixpoint(store, propagators, watchers, None, queue)
             descend = failed == FIXPOINT
             if not descend:

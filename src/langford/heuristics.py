@@ -8,8 +8,9 @@ wdeg and dom/wdeg read the weighted degree of each unassigned variable:
 the sum of the failure weights of the propagators over it that still have
 at least two unassigned scope variables. `wdeg_scores` computes it from
 scratch and is the reference. A search keeps it in a `WdegScorer`
-instead, which follows the store's trail, so a selection costs the trail
-entries since the last one rather than a walk over every scope.
+instead, along with the search's open variables, so a selection scans
+and ranks only what the last one left open rather than walking every
+scope and the whole branching order.
 """
 
 from __future__ import annotations
@@ -22,6 +23,14 @@ class HeuristicKind(str, Enum):
     SDF = "sdf"
     WDEG = "wdeg"
     DOM_OVER_WDEG = "domoverwdeg"
+
+
+# `select_variable` runs once per node and compares its kind against these:
+# a lookup through the enum class costs several times a global's.
+_STATIC = HeuristicKind.STATIC
+_SDF = HeuristicKind.SDF
+_WDEG = HeuristicKind.WDEG
+_DOM_OVER_WDEG = HeuristicKind.DOM_OVER_WDEG
 
 
 def wdeg_scores(store, model, weights) -> list[int]:
@@ -47,25 +56,35 @@ def wdeg_scores(store, model, weights) -> list[int]:
 
 
 class WdegScorer:
-    """One search's failure weights and its wdeg scores, kept in step with
-    the store's trail.
+    """One search's failure weights and its wdeg scores, and its open
+    variables, kept in step with the store.
 
-    Invariant, after `sync`: `unassigned[pid]` counts the scope occurrences
-    of propagator pid whose variable is unassigned, and for every variable v
-    `scores[v]` is the sum of `weights[pid]` over the scope occurrences
+    Invariant, after `sync`: `open` lists the unassigned variables of
+    `model.branch_order`, in that order, and `unranked` the unassigned
+    variables outside it; `unassigned[pid]` counts the scope occurrences
+    of propagator pid whose variable is unassigned; and for every variable
+    v `scores[v]` is the sum of `weights[pid]` over the scope occurrences
     (pid, v) with `unassigned[pid] >= 2`. On an unassigned v that is
     `wdeg_scores(store, model, weights)[v]`; an assigned v keeps a score
-    that no selection reads.
+    that no selection reads. A variable outside the branching order moves
+    scores like any other, but no selection ranks it.
 
-    `sync` reads the trail entries past `synced` and marks each variable
-    they left assigned; `undo` unmarks those whose entries an undo removed.
-    The search syncs at every selection and pushes each store mark right
-    after a sync or at the depth of an earlier mark, so no mark falls
-    inside the entries of one sync, and `undo` drops whole syncs.
+    `sync` scans `open` and `unranked` for the variables assigned since
+    the last sync and marks them. When it finds some, it saves the trail
+    length, the two lists it scanned and the variables it marked, then
+    keeps the rest. `undo` pops every saved sync that the store's undo cut
+    into: it puts back the lists that sync scanned and unmarks the
+    variables it marked. The search syncs at every selection and pushes
+    each store mark right after a sync or at the depth of an earlier mark,
+    so its undos pop whole syncs, and the saved lists take O(depth x open
+    variables). A caller that pushes a mark between two syncs cuts a sync
+    in two; `undo` pops it whole, so some variables it unmarks are still
+    assigned, and the next sync, scanning the restored lists, marks them
+    again.
     """
 
     __slots__ = ("store", "weights", "scopes", "occurs", "unassigned", "scores",
-                 "assigned", "marked", "marked_at", "synced")
+                 "open", "unranked", "saved")
 
     def __init__(self, store, model, weights=None):
         doms = store.doms
@@ -73,46 +92,51 @@ class WdegScorer:
         self.scopes = scopes = [p.scope for p in model.propagators]
         self.weights = weights = [1] * len(scopes) if weights is None else list(weights)
         self.occurs = occurs = [[] for _ in doms]
-        self.assigned = assigned = [int(not d & (d - 1)) for d in doms]
+        is_open = [d & (d - 1) != 0 for d in doms]
         self.scores = scores = [0] * len(doms)
         self.unassigned = []
         for pid, scope in enumerate(scopes):
             count = 0
             for v in scope:
                 occurs[v].append(pid)
-                count += not assigned[v]
+                count += is_open[v]
             self.unassigned.append(count)
             if count >= 2:
                 w = weights[pid]
                 for v in scope:
                     scores[v] += w
-        # the variables sync marked, and the trail entry each was read from
-        self.marked: list[int] = []
-        self.marked_at: list[int] = []
-        self.synced = len(store.trail)
+        ranked = dict.fromkeys(model.branch_order)
+        self.open = [v for v in ranked if is_open[v]]
+        self.unranked = [v for v, o in enumerate(is_open) if o and v not in ranked]
+        # one (trail length, open, unranked, marked) per sync that marked any
+        self.saved: list[tuple[int, list[int], list[int], list[int]]] = []
 
     def sync(self) -> list[int]:
         """Mark the variables assigned since the last sync; the scores."""
-        trail = self.store.trail
-        end = len(trail)
-        if self.synced < end:
-            doms = self.store.doms
-            assigned = self.assigned
+        store = self.store
+        doms = store.doms
+        still = []
+        marked = []
+        for v in self.open:
+            d = doms[v]
+            if d & (d - 1):
+                still.append(v)
+            else:
+                marked.append(v)
+        unranked = self.unranked
+        if unranked:
+            marked += [v for v in unranked if not doms[v] & (doms[v] - 1)]
+            unranked = [v for v in unranked if doms[v] & (doms[v] - 1)]
+        if marked:
+            self.saved.append((len(store.trail), self.open, self.unranked, marked))
+            self.open = still
+            self.unranked = unranked
             occurs = self.occurs
             unassigned = self.unassigned
             scopes = self.scopes
             weights = self.weights
             scores = self.scores
-            for at in range(self.synced, end):
-                v = trail[at]
-                if assigned[v]:
-                    continue
-                d = doms[v]
-                if d & (d - 1):
-                    continue
-                assigned[v] = 1
-                self.marked.append(v)
-                self.marked_at.append(at)
+            for v in marked:
                 for pid in occurs[v]:
                     count = unassigned[pid] - 1
                     unassigned[pid] = count
@@ -120,34 +144,29 @@ class WdegScorer:
                         w = weights[pid]
                         for u in scopes[pid]:
                             scores[u] -= w
-            self.synced = end
         return self.scores
 
     def undo(self) -> None:
-        """Follow an undo of the store: unmark what its entries assigned."""
+        """Follow an undo of the store: pop the syncs it cut into."""
         depth = len(self.store.trail)
-        if self.synced <= depth:
+        saved = self.saved
+        if not saved or saved[-1][0] <= depth:
             return
-        self.synced = depth
-        marked = self.marked
-        marked_at = self.marked_at
-        assigned = self.assigned
         occurs = self.occurs
         unassigned = self.unassigned
         scopes = self.scopes
         weights = self.weights
         scores = self.scores
-        while marked_at and marked_at[-1] >= depth:
-            marked_at.pop()
-            v = marked.pop()
-            assigned[v] = 0
-            for pid in occurs[v]:
-                count = unassigned[pid]
-                if count == 1:  # pid counts again
-                    w = weights[pid]
-                    for u in scopes[pid]:
-                        scores[u] += w
-                unassigned[pid] = count + 1
+        while saved and saved[-1][0] > depth:
+            _, self.open, self.unranked, marked = saved.pop()
+            for v in marked:
+                for pid in occurs[v]:
+                    count = unassigned[pid]
+                    if count == 1:  # pid counts again
+                        w = weights[pid]
+                        for u in scopes[pid]:
+                            scores[u] += w
+                    unassigned[pid] = count + 1
 
     def bump(self, pid: int) -> None:
         """Add one to the weight of propagator pid, which failed."""
@@ -162,19 +181,19 @@ def select_variable(store, model, kind: HeuristicKind, scorer=None):
     """Pick the next branching variable, or None when all are assigned.
 
     wdeg and dom/wdeg read the scores of `scorer`, a `WdegScorer` over
-    `store`; static and sdf need none.
+    `store`, and rank only its open variables; static and sdf need none.
     """
     doms = store.doms
     order = model.branch_order
 
-    if kind is HeuristicKind.STATIC:
+    if kind is _STATIC:
         for v in order:
             d = doms[v]
             if d & (d - 1):
                 return v
         return None
 
-    if kind is HeuristicKind.SDF:
+    if kind is _SDF:
         best = None
         best_size = 0
         for v in order:
@@ -186,32 +205,31 @@ def select_variable(store, model, kind: HeuristicKind, scorer=None):
                     best_size = size
         return best
 
-    if kind is HeuristicKind.WDEG:
+    if kind is _WDEG:
         scores = scorer.sync()
         best = None
         best_score = -1
-        for v in order:
-            d = doms[v]
-            if d & (d - 1) and scores[v] > best_score:
+        for v in scorer.open:
+            score = scores[v]
+            if score > best_score:
                 best = v
-                best_score = scores[v]
+                best_score = score
         return best
 
-    if kind is HeuristicKind.DOM_OVER_WDEG:
+    if kind is _DOM_OVER_WDEG:
         scores = scorer.sync()
+        # the sentinel ratio 1/0, which every real size/score beats
         best = None
-        best_size = 0
-        best_score = 1
-        for v in order:
-            d = doms[v]
-            if d & (d - 1):
-                size = d.bit_count()
-                score = scores[v] or 1
-                # size/score < best_size/best_score, compared exactly
-                if best is None or size * best_score < best_size * score:
-                    best = v
-                    best_size = size
-                    best_score = score
+        best_size = 1
+        best_score = 0
+        for v in scorer.open:
+            size = doms[v].bit_count()
+            score = scores[v] or 1
+            # size/score < best_size/best_score, compared exactly
+            if size * best_score < best_size * score:
+                best = v
+                best_size = size
+                best_score = score
         return best
 
     raise ValueError(f"unknown heuristic {kind!r}")

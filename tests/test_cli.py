@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 
 import pytest
@@ -8,7 +9,7 @@ from langford import cli
 from langford.cli import CSV_FIELDS, RunRecord, main, render_report
 from langford.engine import SearchStats
 from langford.heuristics import HeuristicKind
-from langford.models import Instance, VariantConfig
+from langford.models import BRANCH_CHOICES, CONS_CHOICES, MODEL_KINDS, SYM_CHOICES, Instance, VariantConfig
 
 # a row whose last field is one character over the csv module's field limit
 HUGE_FIELD_ROW = "2,3,direct,,d,,static,1,0,0,1," + "x" * (csv.field_size_limit() + 1)
@@ -427,6 +428,18 @@ def test_removed_surface_is_usage_error(capsys, monkeypatch, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("usage: langford ")
     assert message in err
+
+
+def test_solve_choices_are_the_variant_values():
+    # one list of each variant axis's values, in models, serves both the
+    # VariantConfig check and solve's flags
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {action.dest: action.choices for action in commands.choices["solve"]._actions}
+    assert tuple(choices["model"]) == MODEL_KINDS
+    assert tuple(choices["branch"]) == BRANCH_CHOICES
+    assert tuple(choices["sym"]) == SYM_CHOICES
+    assert tuple(choices["cons"]) == CONS_CHOICES
+    assert list(choices["heuristic"]) == [h.value for h in HeuristicKind]
 
 
 def test_instance_label():

@@ -33,12 +33,16 @@ from langford.propagators import (
 
 from util import (
     TinyModel,
+    assign,
     doms,
     every_variant,
+    intersect,
     is_assigned,
     mask_of,
+    min_value,
     naive_fixpoint,
     reference_watchers,
+    remove_value,
     store_of,
     view_of,
 )
@@ -77,24 +81,24 @@ class Narrow(Propagator):
 
     def filter(self, store) -> bool:
         self.log.append(self.name)
-        return store.intersect(self.var, self.mask)
+        return intersect(store, self.var, self.mask)
 
 
 def run_fixpoint(store, props):
-    watchers = build_watchers(len(store.doms), props)
+    watchers = build_watchers(store.doms, props)
     return propagate_to_fixpoint(store, props, watchers, range(len(props)))
 
 
 class TestStore:
     def test_assign_and_value(self):
         store = Store(doms({1, 2, 3}))
-        assert store.assign(0, 2)
+        assert assign(store, 0, 2)
         assert is_assigned(store, 0)
         assert store.value(0) == 2
 
     def test_wipeout_reported(self):
         store = Store(doms({1, 2}))
-        assert not store.intersect(0, 0b1000)
+        assert not intersect(store, 0, 0b1000)
 
     def test_undo_restores_bit_exactly(self):
         rng = random.Random(13)
@@ -108,18 +112,18 @@ class TestStore:
                 d = store.doms[var]
                 if d and not (d & (d - 1)):
                     continue
-                store.remove_value(var, rng.choice(values(d)))
+                remove_value(store, var, rng.choice(values(d)))
             store.undo_to_mark()
             assert store.doms == snapshot
 
     def test_nested_marks(self):
         store = Store(doms({1, 2, 3, 4}))
         store.push_mark()
-        store.remove_value(0, 1)
+        remove_value(store, 0, 1)
         inner = list(store.doms)
         store.push_mark()
-        store.remove_value(0, 2)
-        store.remove_value(0, 3)
+        remove_value(store, 0, 2)
+        remove_value(store, 0, 3)
         store.undo_to_mark()
         assert store.doms == inner
         store.undo_to_mark()
@@ -135,9 +139,9 @@ class TestStore:
         memo["filter"] = (0, [0, 1], 0)
         store.push_mark()
         store.commit(0, mask_of({1, 2}))
-        store.intersect(1, mask_of({2}))
+        intersect(store, 1, mask_of({2}))
         store.push_mark()
-        store.remove_value(0, 1)
+        remove_value(store, 0, 1)
         assert store.memo is memo and memo == {"filter": (0, [0, 1], 0)}
         assert store.epoch == 0
         store.undo_to_mark()
@@ -218,12 +222,12 @@ class TestPropagateToFixpoint:
         first, second = Probe([0]), Probe([1])
         props = [first, second]
         store = Store(doms({1, 2, 3, 4}, {1, 2, 3}))
-        watchers = build_watchers(2, props)
+        watchers = build_watchers(store.doms, props)
         assert propagate_to_fixpoint(store, props, watchers, range(2)) == FIXPOINT
         assert (first.calls, second.calls) == (1, 1)
-        store.remove_value(0, 1)
-        store.remove_value(0, 2)
-        store.remove_value(1, 3)
+        remove_value(store, 0, 1)
+        remove_value(store, 0, 2)
+        remove_value(store, 1, 3)
         assert propagate_to_fixpoint(store, props, watchers) == FIXPOINT
         assert (first.calls, second.calls) == (2, 2)
         assert propagate_to_fixpoint(store, props, watchers) == FIXPOINT
@@ -235,10 +239,10 @@ class TestPropagateToFixpoint:
         watcher, wiper = Probe([0, 1]), Probe([0, 1], wipe=True)
         props = [watcher, wiper]
         store = Store(doms({1, 2, 3}, {1, 2, 3}))
-        watchers = build_watchers(2, props)
+        watchers = build_watchers(store.doms, props)
         assert propagate_to_fixpoint(store, props, watchers) == FIXPOINT
         store.push_mark()
-        store.remove_value(0, 1)
+        remove_value(store, 0, 1)
         assert propagate_to_fixpoint(store, props, watchers) == 1
         assert (watcher.calls, wiper.calls) == (1, 1)
         assert propagate_to_fixpoint(store, props, watchers) == FIXPOINT
@@ -246,11 +250,11 @@ class TestPropagateToFixpoint:
         assert propagate_to_fixpoint(store, props, watchers) == FIXPOINT
         assert (watcher.calls, wiper.calls) == (1, 1)
         store.push_mark()
-        store.remove_value(0, 1)
+        remove_value(store, 0, 1)
         assert propagate_to_fixpoint(store, props, watchers) == 1
         store.undo_to_mark()
         wiper.wipe = False
-        store.remove_value(1, 3)
+        remove_value(store, 1, 3)
         assert propagate_to_fixpoint(store, props, watchers) == FIXPOINT
         assert (watcher.calls, wiper.calls) == (3, 3)
 
@@ -268,7 +272,7 @@ class TestPropagateToFixpoint:
         log = []
         props = chain(log)
         store = Store(doms({1, 2, 3}, {1, 2, 3}, {1, 2, 3}))
-        watchers = build_watchers(3, props)
+        watchers = build_watchers(store.doms, props)
         queue = _Queue(watchers.priority)
         assert propagate_to_fixpoint(store, props, watchers, [0], queue) == FIXPOINT
         assert log == ["A", "B", "C", "D", "A"]
@@ -280,7 +284,7 @@ class TestPropagateToFixpoint:
         log.clear()
         store.push_mark()
         props[2].mask = 0
-        store.remove_value(0, 2)
+        remove_value(store, 0, 2)
         assert propagate_to_fixpoint(store, props, watchers, None, queue) == 2
         assert log == ["B", "C"]
         assert store.seen == len(store.trail) == 5
@@ -322,8 +326,8 @@ class TestWatchers:
                 if config.heuristic is not HeuristicKind.STATIC:
                     continue
                 model = build_model(Instance(k, n), config)
-                watchers = build_watchers(model.num_vars, model.propagators)
-                reference = reference_watchers(model.num_vars, model.propagators)
+                watchers = build_watchers(model.initial_domains, model.propagators)
+                reference = reference_watchers(model.initial_domains, model.propagators)
                 for name in WATCHER_TABLES:
                     assert getattr(watchers, name) == getattr(reference, name), (config, name)
 
@@ -339,14 +343,26 @@ class TestWatchers:
             LessThan(0, 3),
         ]
         model = TinyModel(doms(*[{1, 2, 3}] * 4), props)
-        num_vars = len(model.initial_domains)
-        watchers = build_watchers(num_vars, model.propagators)
-        reference = reference_watchers(num_vars, model.propagators)
+        watchers = build_watchers(model.initial_domains, model.propagators)
+        reference = reference_watchers(model.initial_domains, model.propagators)
         for name in WATCHER_TABLES:
             assert getattr(watchers, name) == getattr(reference, name), name
         assert watchers.value_of[1][2] == [1, 2, 3, 3]
         assert watchers.value_of[2][2] == [1, 2, 3]
         assert watchers.value_of[3][1] is None and watchers.value_of[3][2] == [1]
+
+    def test_tables_cover_every_value_of_the_covered_domains(self):
+        # the Occurrence's masks go up to value 1, but its cells hold 3: the
+        # tables must cover the values the cells lose or are assigned, 2 and 3
+        model = TinyModel(doms({1, 2, 3}, {1, 2, 3}), [Occurrence([0, 1], 1, 1)], seq_vars=[0, 1])
+        watchers = build_watchers(model.initial_domains, model.propagators)
+        reference = reference_watchers(model.initial_domains, model.propagators)
+        for name in WATCHER_TABLES:
+            assert getattr(watchers, name) == getattr(reference, name), name
+        assert len(watchers.value_of[0]) == len(watchers.assign_value_of[1]) == 4
+        solutions, stats = solve_all(model)
+        assert sorted(solutions) == [(1, 2), (1, 3), (2, 1), (3, 1)]
+        assert not stats.timed_out
 
 
 class TestQueue:
@@ -367,7 +383,7 @@ class TestQueue:
 
     def test_push_follows_the_models_priority(self):
         model = build_model(Instance(2, 4), VariantConfig("channelled", branch="d", sym="d", cons="both"))
-        priority = build_watchers(model.num_vars, model.propagators).priority
+        priority = build_watchers(model.initial_domains, model.propagators).priority
         assert 0 in priority and 1 in priority
         queue = _Queue(priority)
         for pid, tier in enumerate(priority):
@@ -450,6 +466,10 @@ class TestSolveAll:
         for prop, seq_vars in bad:
             with pytest.raises(ValueError):
                 validate_model(TinyModel(domains, [prop], seq_vars=seq_vars))
+        # a repeated cell would hold one position of the view only, and its
+        # Occurrence would recommit an unchanged domain, waking itself forever
+        with pytest.raises(ValueError):
+            solve_all(TinyModel(doms({1, 2}), [Occurrence([0, 0], 1, 2)], seq_vars=[0, 0]))
 
     def test_min_value_two_way_branching(self):
         # one variable {2,5,7}: assign 2 | remove 2, assign 5 | remove 5 -> {7}
@@ -475,13 +495,13 @@ class TestSolveAll:
     def test_trail_soundness_through_search(self):
         model = build_model(Instance(2, 4), VariantConfig("direct"))
         store = store_of(model)
-        watchers = build_watchers(model.num_vars, model.propagators)
+        watchers = build_watchers(model.initial_domains, model.propagators)
         snapshot = list(store.doms)
         rng = random.Random(5)
         for _ in range(50):
             store.push_mark()
             var = rng.randrange(model.num_vars)
-            store.assign(var, rng.choice(values(store.doms[var])))
+            assign(store, var, rng.choice(values(store.doms[var])))
             propagate_to_fixpoint(store, model.propagators, watchers)
             store.undo_to_mark()
             assert store.doms == snapshot
@@ -493,13 +513,13 @@ class TestSolveAll:
         model = build_model(Instance(2, 3), VariantConfig("direct", sym="d"))
         arrangements = enumerate_bruteforce(2, 3, "first-less-last")
         store = store_of(model)
-        watchers = build_watchers(model.num_vars, model.propagators)
+        watchers = build_watchers(model.initial_domains, model.propagators)
         assert propagate_to_fixpoint(store, model.propagators, watchers, range(len(model.propagators))) == FIXPOINT
         while True:
             var = next((v for v in model.branch_order if not is_assigned(store, v)), None)
             if var is None:
                 break
-            store.assign(var, store.min_value(var))
+            assign(store, var, min_value(store, var))
             failed = propagate_to_fixpoint(store, model.propagators, watchers) != FIXPOINT
             fixed = {
                 i: store.value(v)

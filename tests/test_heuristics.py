@@ -8,16 +8,16 @@ from langford import engine
 from langford.engine import solve_all
 from langford.heuristics import HeuristicKind, WdegScorer, select_variable, wdeg_scores
 from langford.models import Instance, VariantConfig, build_model
-from langford.propagators import LessThan
+from langford.propagators import EqOffset, LessThan
 
-from util import TinyModel, doms, is_assigned, store_of
+from util import TinyModel, assign, doms, is_assigned, min_value, reference_select, store_of
 
 
 def test_static_follows_branching_order():
     model = TinyModel(doms({1, 2}, {1, 2}, {1, 2}), [], branch_order=[2, 0, 1])
     store = store_of(model)
     assert select_variable(store, model, HeuristicKind.STATIC) == 2
-    store.assign(2, 1)
+    assign(store, 2, 1)
     assert select_variable(store, model, HeuristicKind.STATIC) == 0
 
 
@@ -41,7 +41,7 @@ def test_never_selects_assigned():
     for _ in range(50):
         store = store_of(model)
         for var in rng.sample(range(model.num_vars), rng.randint(0, model.num_vars)):
-            store.assign(var, store.min_value(var))
+            assign(store, var, min_value(store, var))
         scorer = WdegScorer(store, model, weights)
         for kind in HeuristicKind:
             picked = select_variable(store, model, kind, scorer)
@@ -68,7 +68,7 @@ def test_wdeg_ignores_propagators_with_one_unassigned():
     model = TinyModel(doms({1, 2}, {1, 2, 3}), [LessThan(0, 1)])
     store = store_of(model)
     assert wdeg_scores(store, model, [1]) == [1, 1]
-    store.assign(0, 1)
+    assign(store, 0, 1)
     assert wdeg_scores(store, model, [1]) == [0, 0]
 
 
@@ -92,7 +92,7 @@ def test_weight_scaling_leaves_selection_unchanged():
         for _ in range(30):
             store = store_of(model)
             for var in rng.sample(range(model.num_vars), rng.randint(0, 6)):
-                store.assign(var, store.min_value(var))
+                assign(store, var, min_value(store, var))
             weights = [rng.randint(1, 9) for _ in model.propagators]
             scaled = [w * scale for w in weights]
             for kind in (HeuristicKind.WDEG, HeuristicKind.DOM_OVER_WDEG):
@@ -148,21 +148,34 @@ SCORED_VARIANTS = {
 }
 
 
-@pytest.mark.parametrize("kind", WDEG_KINDS, ids=lambda kind: kind.value)
-@pytest.mark.parametrize("model_kind", SCORED_VARIANTS)
-def test_scorer_matches_reference_at_every_selection(monkeypatch, model_kind, kind):
-    # Every selection of a search, failures and undos included, sees the
-    # scores that the full walk of wdeg_scores gives.
+def check_every_selection(monkeypatch) -> list:
+    """Make every selection of a search check itself against the reference
+    (the scores that the full walk of wdeg_scores gives, the open list,
+    and the pick of ranking the whole branching order), and log its pick
+    in the returned list."""
     select = engine.select_variable
     selections = []
 
     def checking(store, model, heuristic, scorer=None):
+        reference = reference_select(store, model, heuristic, scorer.weights)
         picked = select(store, model, heuristic, scorer)
         assert_scores_match(scorer, store, model)
+        assert scorer.open == [v for v in model.branch_order if not is_assigned(store, v)]
+        assert picked == reference
         selections.append(picked)
         return picked
 
     monkeypatch.setattr(engine, "select_variable", checking)
+    return selections
+
+
+@pytest.mark.parametrize("kind", WDEG_KINDS, ids=lambda kind: kind.value)
+@pytest.mark.parametrize("model_kind", SCORED_VARIANTS)
+def test_scorer_matches_reference_at_every_selection(monkeypatch, model_kind, kind):
+    # Every selection of a search, failures and undos included, sees the
+    # scores that the full walk of wdeg_scores gives, and picks what the
+    # ranking of the whole branching order picks.
+    selections = check_every_selection(monkeypatch)
     searches = failures = 0
     for variant in SCORED_VARIANTS[model_kind]:
         config = VariantConfig(model_kind, heuristic=kind, **variant)
@@ -174,6 +187,51 @@ def test_scorer_matches_reference_at_every_selection(monkeypatch, model_kind, ki
     assert len(selections) > searches and failures > 0
 
 
+def unranked_model() -> TinyModel:
+    # var 0 is outside the branching order. It scores highest, from two
+    # LessThan over it, yet is never picked; once it is assigned, those two
+    # stop counting and var 2 loses its lead over var 1.
+    return TinyModel(
+        doms({1, 2}, {1, 2, 3}, {2, 3}),
+        [LessThan(0, 2), LessThan(1, 2), LessThan(0, 1)],
+        branch_order=[1, 2],
+    )
+
+
+def test_unranked_variable_moves_scores_but_is_never_picked():
+    model = unranked_model()
+    store = store_of(model)
+    scorer = WdegScorer(store, model, [3, 1, 2])
+    assert scorer.sync() == [5, 3, 4]
+    assert scorer.open == [1, 2] and scorer.unranked == [0]
+    assert select_variable(store, model, HeuristicKind.WDEG, scorer) == 2
+    store.push_mark()
+    assign(store, 0, 1)
+    assert select_variable(store, model, HeuristicKind.WDEG, scorer) == 1
+    assert scorer.open == [1, 2] and scorer.unranked == []
+    assert_scores_match(scorer, store, model)
+    store.undo_to_mark()
+    scorer.undo()
+    assert scorer.unranked == [0]
+    assert select_variable(store, model, HeuristicKind.WDEG, scorer) == 2
+    assert_scores_match(scorer, store, model)
+
+
+@pytest.mark.parametrize("kind", WDEG_KINDS, ids=lambda kind: kind.value)
+def test_search_never_picks_an_unranked_variable(monkeypatch, kind):
+    # var 0 is outside the branching order and equals var 1, so only
+    # propagation assigns it; each selection checks itself as above
+    model = TinyModel(
+        doms({1, 2, 3}, {1, 2, 3}, {1, 2, 3}),
+        [LessThan(0, 2), LessThan(1, 2), EqOffset(0, 1, 0)],
+        branch_order=[1, 2],
+    )
+    selections = check_every_selection(monkeypatch)
+    solutions, _ = solve_all(model, kind)
+    assert sorted(solutions) == [(1, 1, 2), (1, 1, 3), (2, 2, 3)]
+    assert 0 not in selections and None in selections
+
+
 def test_scorer_bump_below_two_unassigned_then_undo():
     # A bump of a propagator with one unassigned variable adds to its
     # weight but to no score; once an undo frees its other variable, the
@@ -183,9 +241,9 @@ def test_scorer_bump_below_two_unassigned_then_undo():
     scorer = WdegScorer(store, model)
     assert scorer.sync() == [1, 2, 1]
     store.push_mark()
-    store.assign(0, 1)
+    assign(store, 0, 1)
     store.push_mark()
-    store.assign(2, 2)
+    assign(store, 2, 2)
     scorer.sync()
     assert scorer.unassigned == [1, 1]
     scorer.bump(0)
@@ -209,7 +267,7 @@ def test_scorer_undo_of_several_levels_at_once():
     scorer.sync()
     for var in model.branch_order[:4]:
         store.push_mark()
-        store.assign(var, store.min_value(var))
+        assign(store, var, min_value(store, var))
         scorer.bump(len(model.propagators) - 1)
         scorer.sync()
         assert_scores_match(scorer, store, model)

@@ -151,7 +151,7 @@ class TestBuildPositional:
     def test_root_propagation_prunes_late_slots(self):
         model = build_model(Instance(2, 4), POSITIONAL)
         store = Store(model.initial_domains)
-        watchers = build_watchers(model.num_vars, model.propagators)
+        watchers = build_watchers(model.initial_domains, model.propagators)
         assert propagate_to_fixpoint(
             store, model.propagators, watchers, range(len(model.propagators))
         ) == FIXPOINT
@@ -341,7 +341,7 @@ def test_cells_share_one_wake_table():
         if config.model == "positional" or config.heuristic is not HeuristicKind.STATIC:
             continue
         model = build_model(Instance(3, 4), config)
-        watchers = build_watchers(model.num_vars, model.propagators)
+        watchers = build_watchers(model.initial_domains, model.propagators)
         first = watchers.value_of[model.seq_vars[0]]
         assert first is not None
         assert all(watchers.value_of[c] is first for c in model.seq_vars), config

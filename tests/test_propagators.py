@@ -23,8 +23,10 @@ from util import (
     assert_checker_agreement,
     assert_filter_sound,
     assert_monotone,
+    assign,
     doms,
     in_contract,
+    intersect,
     mask_of,
     random_all_different_case,
     random_case,
@@ -234,7 +236,7 @@ class TestAllDifferent:
                     if rng.random() < 0.5:
                         kept |= d & rng.getrandbits(d.bit_length())
                     for store in (fast, ref):
-                        assert store.intersect(v, kept)
+                        assert intersect(store, v, kept)
                 elif not filter_both(prop, fast, ref):
                     if not fast.marks:
                         break
@@ -268,7 +270,7 @@ class TestElementOffsetConst:
         model = build_model(Instance(2, 3), VariantConfig("direct", sym="d"))
         store = store_of(model)
         assert values(store.doms[model.first_occ[2]]) == [1, 2]
-        store.assign(model.seq_vars[1], 2)
+        assign(store, model.seq_vars[1], 2)
         store.seen = len(store.trail)
         chain_props = [
             p

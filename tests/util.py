@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from langford.engine import Store, solve_all, validate_model, values
-from langford.heuristics import HeuristicKind
+from langford.heuristics import HeuristicKind, wdeg_scores
 from langford.models import BRANCH_CHOICES, CONS_CHOICES, MODEL_KINDS, SYM_CHOICES, VariantConfig
 from langford.propagators import (
     AllDifferent,
@@ -112,16 +112,72 @@ def is_assigned(store: Store, var: int) -> bool:
     return d != 0 and d & (d - 1) == 0
 
 
+def intersect(store: Store, var: int, mask: int) -> bool:
+    """Narrow `var`'s domain to `mask`, committing only if that removes a
+    value; False on wipeout."""
+    d = store.doms[var]
+    nd = d & mask
+    if nd == d:
+        return True
+    return store.commit(var, nd)
+
+
+def remove_value(store: Store, var: int, v: int) -> bool:
+    return intersect(store, var, ~(1 << v))
+
+
+def assign(store: Store, var: int, v: int) -> bool:
+    return intersect(store, var, 1 << v)
+
+
+def min_value(store: Store, var: int) -> int:
+    d = store.doms[var]
+    return (d & -d).bit_length() - 1
+
+
+def reference_select(store: Store, model, kind: HeuristicKind, weights) -> int | None:
+    """The wdeg or dom/wdeg pick made by ranking the whole branching order,
+    assigned variables skipped, on the scores `wdeg_scores` walks every
+    scope for. A search, which ranks only its scorer's open variables,
+    must pick the same."""
+    doms = store.doms
+    scores = wdeg_scores(store, model, weights)
+    best = None
+    if kind is HeuristicKind.WDEG:
+        best_score = -1
+        for v in model.branch_order:
+            d = doms[v]
+            if d & (d - 1) and scores[v] > best_score:
+                best = v
+                best_score = scores[v]
+        return best
+    best_size = 0
+    best_score = 1
+    for v in model.branch_order:
+        d = doms[v]
+        if d & (d - 1):
+            size = d.bit_count()
+            score = scores[v] or 1
+            if best is None or size * best_score < best_size * score:
+                best = v
+                best_size = size
+                best_score = score
+    return best
+
+
 def describe(prop) -> str:
     """A propagator's kind and scope, for failure messages."""
     return f"{prop.kind}({', '.join(map(str, prop.scope))})"
 
 
-def reference_watchers(num_vars: int, propagators) -> SimpleNamespace:
+def reference_watchers(domains: list[int], propagators) -> SimpleNamespace:
     """The wake tables built one (var, mask) pair at a time, each variable
     with a table of its own: every `(vars, mask)` condition is expanded
     into one pair per var, and each pair adds its pid to the var's table.
-    `engine.Watchers` must build equal tables."""
+    Every table covers each value of every mask and of the initial domain
+    of every variable with a table. `engine.Watchers` must build equal
+    tables."""
+    num_vars = len(domains)
     any_of = [[] for _ in range(num_vars)]
     value_of = [None] * num_vars
     assign_any_of = [None] * num_vars
@@ -133,10 +189,16 @@ def reference_watchers(num_vars: int, propagators) -> SimpleNamespace:
         (mask.bit_length() for spec in removal_specs + assign_specs for _, mask in spec if mask is not None),
         default=0,
     )
+    widest = max(
+        (domains[var].bit_length() for spec in removal_specs + assign_specs for var, mask in spec
+         if mask is not None),
+        default=0,
+    )
+    size = max(max_value + 1, widest)
 
     def add_to_table(tables, var, mask, pid):
         if tables[var] is None:
-            tables[var] = [None] * (max_value + 1)
+            tables[var] = [None] * size
         for v in values(mask):
             if tables[var][v] is None:
                 tables[var][v] = []
@@ -569,7 +631,7 @@ def assert_checker_agreement(rng: random.Random, domains: list[int], prop) -> bo
         return False
     store = Store(domains, cells_of(prop))
     for var, value in enumerate(assignment):
-        store.assign(var, value)
+        assign(store, var, value)
     surviving = prop.filter(store)
     assert surviving == prop.check(assignment), (
         f"{describe(prop)} filter/checker disagree on {assignment}"
@@ -593,7 +655,7 @@ def assert_monotone(rng: random.Random, domains: list[int], prop) -> bool:
     wide = Store(domains, cells_of(prop))
     narrow = Store(domains, cells_of(prop))
     for var, sub in enumerate(subs):
-        narrow.intersect(var, sub)
+        intersect(narrow, var, sub)
     ok_wide = prop.filter(wide)
     ok_narrow = prop.filter(narrow)
     if not ok_narrow:
