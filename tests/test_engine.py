@@ -466,10 +466,11 @@ class TestSolveAll:
         for prop, seq_vars in bad:
             with pytest.raises(ValueError):
                 validate_model(TinyModel(domains, [prop], seq_vars=seq_vars))
-        # a repeated cell would hold one position of the view only, and its
-        # Occurrence would recommit an unchanged domain, waking itself forever
+        # a repeated cell holds one position of the view only; a search of
+        # this model recommitted an unchanged domain that woke its
+        # Occurrence again, forever
         with pytest.raises(ValueError):
-            solve_all(TinyModel(doms({1, 2}), [Occurrence([0, 0], 1, 2)], seq_vars=[0, 0]))
+            validate_model(TinyModel(doms({1, 2}), [Occurrence([0, 0], 1, 2)], seq_vars=[0, 0]))
 
     def test_min_value_two_way_branching(self):
         # one variable {2,5,7}: assign 2 | remove 2, assign 5 | remove 5 -> {7}

@@ -187,19 +187,15 @@ def test_scorer_matches_reference_at_every_selection(monkeypatch, model_kind, ki
     assert len(selections) > searches and failures > 0
 
 
-def unranked_model() -> TinyModel:
+def test_unranked_variable_moves_scores_but_is_never_picked():
     # var 0 is outside the branching order. It scores highest, from two
     # LessThan over it, yet is never picked; once it is assigned, those two
     # stop counting and var 2 loses its lead over var 1.
-    return TinyModel(
+    model = TinyModel(
         doms({1, 2}, {1, 2, 3}, {2, 3}),
         [LessThan(0, 2), LessThan(1, 2), LessThan(0, 1)],
         branch_order=[1, 2],
     )
-
-
-def test_unranked_variable_moves_scores_but_is_never_picked():
-    model = unranked_model()
     store = store_of(model)
     scorer = WdegScorer(store, model, [3, 1, 2])
     assert scorer.sync() == [5, 3, 4]
