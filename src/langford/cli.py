@@ -3,6 +3,8 @@
 Subcommands: solve one instance/variant, sweep a grid into a CSV, render a
 markdown report from a sweep CSV, and run the brute-force enumerator.
 Batch outputs only; exit codes: 0 done, 1 usage or input error, 2 timeout.
+`solve` streams: it holds one solution at a time, prints each as it is
+found under --print-solutions, and prints its summary line last.
 
 A CSV row is a `RunRecord`: the instance (k, n), the variant key (model,
 branch, sym, cons, heuristic) and the search's `SearchStats` (solutions,
@@ -15,12 +17,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .engine import SearchStats, solve_all
+from .engine import SearchStats, iter_solutions, solve_all
 from .heuristics import HeuristicKind
 from .models import (
     BRANCH_CHOICES,
@@ -228,23 +229,23 @@ def cmd_solve(parser, args) -> int:
             _probe_writable(out)  # before the search, whose result would be lost
         except OSError as exc:
             return _cannot_write(out, exc)
-    model, solutions, record = run(instance, config, args.node_limit, args.timeout)
-    stats = record.stats
+    model = build_model(instance, config)
+    stats = SearchStats()
+    for sol in iter_solutions(model, stats, node_limit=args.node_limit, time_limit=args.timeout):
+        if args.print_solutions:
+            print(" ".join(map(str, model.sequence_of(sol))))
     print(
         f"{instance.label} {config.label()}: solutions={stats.solutions} "
         f"nodes={stats.nodes} failures={stats.failures} "
         f"time_ms={stats.elapsed_ms} timed_out={str(stats.timed_out).lower()}"
     )
-    if args.print_solutions:
-        for sol in solutions:
-            print(" ".join(map(str, model.sequence_of(sol))))
     if out:
         try:
             with open(out, "a", newline="") as fh:
                 writer = csv.writer(fh)
                 if fresh:
                     writer.writerow(CSV_FIELDS)
-                writer.writerow(record.to_csv())
+                writer.writerow(RunRecord(instance, config, stats).to_csv())
         except OSError as exc:
             return _cannot_write(out, exc)
     return 2 if stats.timed_out else 0
@@ -331,6 +332,7 @@ def cmd_sweep(parser, args) -> int:
     ]
     records = list(existing.values())
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded by a parallel sweep only
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records.extend(pool.map(_sweep_cell, tasks))
     else:
@@ -444,7 +446,9 @@ def build_parser() -> _Parser:
                          help="drop the redundant per-number occurrence constraints")
     p_solve.add_argument("--timeout", type=float, help="wall-clock limit in seconds")
     p_solve.add_argument("--node-limit", type=int)
-    p_solve.add_argument("--print-solutions", action="store_true")
+    p_solve.add_argument("--print-solutions", action="store_true",
+                         help="print each solution as it is found, before the summary "
+                              "line; time_ms then includes the printing")
     p_solve.add_argument("--out", help="CSV file to append the run row to")
     p_solve.set_defaults(func=cmd_solve)
 

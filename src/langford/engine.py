@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .heuristics import HeuristicKind, WdegScorer, select_variable
 from .propagators import ElementOffsetConst, InverseChannel, Occurrence
@@ -378,17 +378,21 @@ def propagate_to_fixpoint(
 
 
 def validate_model(model) -> None:
-    """Reject models whose propagators reference unknown variables, or
-    whose cell filters would misread the store's sequence value view. The
-    cells must be distinct: the view gives each cell one position. An
-    `ElementOffsetConst`, `Occurrence` or `InverseChannel` must range over
-    the model's cells in position order, and must not ask for a value (for
-    the channel, n) above the largest one a cell's initial domain holds."""
+    """Reject models whose branching order is not a permutation of their
+    variables (a leaf is where every ordered variable is assigned, so an
+    unordered one could still be open there), whose propagators reference
+    unknown variables, or whose cell filters would misread the store's
+    sequence value view. The cells must be distinct: the view gives each
+    cell one position. An `ElementOffsetConst`, `Occurrence` or
+    `InverseChannel` must range over the model's cells in position order,
+    and must not ask for a value (for the channel, n) above the largest
+    one a cell's initial domain holds."""
     num_vars = len(model.initial_domains)
     cells = tuple(model.seq_vars or ())
-    for v in (*model.branch_order, *cells):
-        if not (0 <= v < num_vars):
-            raise ValueError(f"branching order or cells reference unknown var {v}")
+    if sorted(model.branch_order) != list(range(num_vars)):
+        raise ValueError("the branching order is not a permutation of the model's variables")
+    if not all(0 <= v < num_vars for v in cells):
+        raise ValueError("the cells reference an unknown var")
     if len(set(cells)) != len(cells):
         raise ValueError("the model's cells repeat a variable")
     top = max((model.initial_domains[cell].bit_length() for cell in cells), default=0) - 1
@@ -418,7 +422,26 @@ def solve_all(
     node_limit: Optional[int] = None,
     time_limit: Optional[float] = None,
 ) -> tuple[list[Solution], SearchStats]:
-    """Enumerate every solution of `model`, depth first.
+    """Every solution of `model` in a list, and the search's counters:
+    `iter_solutions` run to its end, or to a node or time limit with
+    `timed_out` set; the list grows with the solutions."""
+    stats = SearchStats()
+    return list(iter_solutions(model, stats, heuristic, node_limit, time_limit)), stats
+
+
+def iter_solutions(
+    model,
+    stats: SearchStats,
+    heuristic: Optional[HeuristicKind] = None,
+    node_limit: Optional[int] = None,
+    time_limit: Optional[float] = None,
+) -> Iterator[Solution]:
+    """Enumerate every solution of `model`, depth first, yielding each as
+    it is found and holding no other. The search fills `stats`, current at
+    each yield, and sets `elapsed_ms` when it ends or is closed. Its clock,
+    time limit included, runs while the caller holds a solution, so a
+    caller that prints each one is timed too. The model is validated at
+    the first `next`.
 
     Variables are selected by `model.config.heuristic`; a `heuristic`
     argument overrides it. 2-way branching: the left child assigns the
@@ -427,8 +450,7 @@ def solve_all(
     propagation) that differs only in the mask it commits: the lowest bit
     of the variable's domain, or the domain without it. Each committed child
     counts one node; a wipeout during its propagation counts one failure.
-    On hitting a node or time limit the partial solution list is returned
-    with `timed_out` set; `stats.solutions` is always its length.
+    On hitting a node or time limit the search stops with `timed_out` set.
 
     A wdeg or dom/wdeg search keeps failure weights in a `WdegScorer` over
     its store. They belong to this search: each starts at 1, so repeated
@@ -452,8 +474,6 @@ def solve_all(
         scorer = WdegScorer(store, model)
     watchers = build_watchers(model.initial_domains, propagators)
     queue = _Queue(watchers.priority)
-    stats = SearchStats()
-    solutions: list[Solution] = []
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
 
@@ -467,10 +487,10 @@ def solve_all(
     try:
         if budget_hit():
             stats.timed_out = True
-            return solutions, stats
+            return
         if propagate_to_fixpoint(store, propagators, watchers, range(len(propagators)), queue) != FIXPOINT:
             stats.failures += 1
-            return solutions, stats
+            return
 
         # Frames track committed children: (var, its domain before the
         # child, phase), phase 1 = the left child, which keeps the lowest
@@ -483,8 +503,9 @@ def solve_all(
             if descend:
                 var = select_variable(store, model, heuristic, scorer)
                 if var is None:
-                    solutions.append(tuple(store.value(v) for v in range(num_vars)))
                     stats.solutions += 1
+                    # built at its exact size, so it reuses a freed tuple's memory
+                    yield tuple([store.value(v) for v in range(num_vars)])
                     descend = False
                     continue
                 d = doms[var]
@@ -516,4 +537,3 @@ def solve_all(
                     scorer.bump(failed)
     finally:
         stats.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return solutions, stats

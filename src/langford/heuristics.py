@@ -60,31 +60,29 @@ class WdegScorer:
     variables, kept in step with the store.
 
     Invariant, after `sync`: `open` lists the unassigned variables of
-    `model.branch_order`, in that order, and `unranked` the unassigned
-    variables outside it; `unassigned[pid]` counts the scope occurrences
+    `model.branch_order`, in that order, which holds every variable once
+    (`validate_model`); `unassigned[pid]` counts the scope occurrences
     of propagator pid whose variable is unassigned; and for every variable
     v `scores[v]` is the sum of `weights[pid]` over the scope occurrences
     (pid, v) with `unassigned[pid] >= 2`. On an unassigned v that is
     `wdeg_scores(store, model, weights)[v]`; an assigned v keeps a score
-    that no selection reads. A variable outside the branching order moves
-    scores like any other, but no selection ranks it.
+    that no selection reads.
 
-    `sync` scans `open` and `unranked` for the variables assigned since
-    the last sync and marks them. When it finds some, it saves the trail
-    length, the two lists it scanned and the variables it marked, then
-    keeps the rest. `undo` pops every saved sync that the store's undo cut
-    into: it puts back the lists that sync scanned and unmarks the
-    variables it marked. The search syncs at every selection and pushes
-    each store mark right after a sync or at the depth of an earlier mark,
-    so its undos pop whole syncs, and the saved lists take O(depth x open
-    variables). A caller that pushes a mark between two syncs cuts a sync
-    in two; `undo` pops it whole, so some variables it unmarks are still
-    assigned, and the next sync, scanning the restored lists, marks them
-    again.
+    `sync` scans `open` for the variables assigned since the last sync and
+    marks them. When it finds some, it saves the trail length, the list
+    it scanned and the variables it marked, then keeps the rest. `undo`
+    pops every saved sync that the store's undo cut into: it puts back the
+    list that sync scanned and unmarks the variables it marked. The search
+    syncs at every selection and pushes each store mark right after a sync
+    or at the depth of an earlier mark, so its undos pop whole syncs, and
+    the saved lists take O(depth x open variables). A caller that pushes a
+    mark between two syncs cuts a sync in two; `undo` pops it whole, so
+    some variables it unmarks are still assigned, and the next sync,
+    scanning the restored list, marks them again.
     """
 
     __slots__ = ("store", "weights", "scopes", "occurs", "unassigned", "scores",
-                 "open", "unranked", "saved")
+                 "open", "saved")
 
     def __init__(self, store, model, weights=None):
         doms = store.doms
@@ -105,11 +103,9 @@ class WdegScorer:
                 w = weights[pid]
                 for v in scope:
                     scores[v] += w
-        ranked = dict.fromkeys(model.branch_order)
-        self.open = [v for v in ranked if is_open[v]]
-        self.unranked = [v for v, o in enumerate(is_open) if o and v not in ranked]
-        # one (trail length, open, unranked, marked) per sync that marked any
-        self.saved: list[tuple[int, list[int], list[int], list[int]]] = []
+        self.open = [v for v in model.branch_order if is_open[v]]
+        # one (trail length, open, marked) per sync that marked any
+        self.saved: list[tuple[int, list[int], list[int]]] = []
 
     def sync(self) -> list[int]:
         """Mark the variables assigned since the last sync; the scores."""
@@ -123,14 +119,9 @@ class WdegScorer:
                 still.append(v)
             else:
                 marked.append(v)
-        unranked = self.unranked
-        if unranked:
-            marked += [v for v in unranked if not doms[v] & (doms[v] - 1)]
-            unranked = [v for v in unranked if doms[v] & (doms[v] - 1)]
         if marked:
-            self.saved.append((len(store.trail), self.open, self.unranked, marked))
+            self.saved.append((len(store.trail), self.open, marked))
             self.open = still
-            self.unranked = unranked
             occurs = self.occurs
             unassigned = self.unassigned
             scopes = self.scopes
@@ -158,7 +149,7 @@ class WdegScorer:
         weights = self.weights
         scores = self.scores
         while saved and saved[-1][0] > depth:
-            _, self.open, self.unranked, marked = saved.pop()
+            _, self.open, marked = saved.pop()
             for v in marked:
                 for pid in occurs[v]:
                     count = unassigned[pid]

@@ -2,14 +2,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from langford import cli
 from langford.cli import CSV_FIELDS, RunRecord, main, render_report
-from langford.engine import SearchStats
+from langford.engine import SearchStats, solve_all
 from langford.heuristics import HeuristicKind
-from langford.models import BRANCH_CHOICES, CONS_CHOICES, MODEL_KINDS, SYM_CHOICES, Instance, VariantConfig
+from langford.models import (
+    BRANCH_CHOICES, CONS_CHOICES, MODEL_KINDS, SYM_CHOICES, Instance, VariantConfig, build_model,
+)
 
 # a row whose last field is one character over the csv module's field limit
 HUGE_FIELD_ROW = "2,3,direct,,d,,static,1,0,0,1," + "x" * (csv.field_size_limit() + 1)
@@ -18,6 +25,25 @@ HUGE_FIELD_ROW = "2,3,direct,,d,,static,1,0,0,1," + "x" * (csv.field_size_limit(
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+# Runs every subcommand but a parallel sweep, checks that none of them
+# loaded the process pool, then that a --jobs 2 sweep does.
+POOL_PROBE = """
+import sys
+from langford.cli import main
+out = sys.argv[1]
+sweep = ["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "4",
+         "--variant", "model=direct,sym=d", "--out", out]
+assert main(["solve", "--k", "2", "--n", "4", "--model", "positional"]) == 0
+assert main(sweep + ["--jobs", "1"]) == 0
+assert main(["report", out]) == 0
+assert main(["oracle", "--k", "2", "--n", "4"]) == 0
+assert not {"concurrent.futures", "multiprocessing"} & set(sys.modules)
+assert main(sweep + ["--jobs", "2"]) == 0
+assert "concurrent.futures" in sys.modules
+print("pool loaded by --jobs 2 only")
+"""
 
 
 class TestSolve:
@@ -49,6 +75,25 @@ class TestSolve:
         )
         assert "2 3 1 2 1 3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("limit", [[], ["--node-limit", "400"]], ids=["full", "node-limit"])
+    def test_streamed_solutions_match_solve_all(self, capsys, limit):
+        # the solutions print as the search finds them, in solve_all's
+        # order, and the summary line comes last with solve_all's counts
+        argv = ["solve", "--k", "2", "--n", "7", "--model", "positional", "--sym", "none",
+                "--print-solutions", *limit]
+        code = main(argv)
+        model = build_model(Instance(2, 7), VariantConfig("positional", sym="none"))
+        solutions, stats = solve_all(model, node_limit=int(limit[1]) if limit else None)
+        *printed, summary = capsys.readouterr().out.splitlines()
+        assert code == (2 if limit else 0)
+        assert stats.timed_out == bool(limit)
+        assert 0 < len(solutions) < 52 if limit else len(solutions) == 52
+        assert printed == [" ".join(map(str, model.sequence_of(s))) for s in solutions]
+        assert re.sub(r"time_ms=\d+", "time_ms=T", summary) == (
+            f"02_07 positional sym:NONE static: solutions={stats.solutions} "
+            f"nodes={stats.nodes} failures={stats.failures} time_ms=T "
+            f"timed_out={str(stats.timed_out).lower()}")
+
     def test_incompatible_flags_exit_1(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["solve", "--k", "2", "--n", "3", "--model", "direct", "--branch", "d"])
@@ -69,7 +114,7 @@ class TestSolve:
     ], ids=["node-limit-negative", "node-limit-zero", "timeout-negative"])
     def test_bad_limit_exit_1(self, capsys, monkeypatch, flag, value, message):
         calls = []
-        monkeypatch.setattr(cli, "run", lambda *task: calls.append(task))
+        monkeypatch.setattr(cli, "iter_solutions", lambda *task, **limits: calls.append(task))
         code = main(["solve", "--k", "2", "--n", "3", "--model", "direct", flag, value])
         assert code == 1
         assert calls == []
@@ -110,7 +155,7 @@ class TestSolve:
 
     def test_no_implied_out_refused_before_search(self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "run", lambda *task: calls.append(task))
+        monkeypatch.setattr(cli, "iter_solutions", lambda *task, **limits: calls.append(task))
         out = tmp_path / "runs.csv"
         code = main(["solve", "--k", "2", "--n", "3", "--model", "direct", "--sym", "d",
                      "--no-implied", "--out", str(out)])
@@ -319,6 +364,17 @@ class TestSweep:
         assert strip(read_rows(serial)) == strip(read_rows(parallel))
 
 
+    def test_only_a_parallel_sweep_loads_the_process_pool(self, tmp_path):
+        # a fresh interpreter, so no earlier test has imported the pool
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run([sys.executable, "-c", POOL_PROBE, str(tmp_path / "s.csv")],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "pool loaded by --jobs 2 only"
+
+
 class TestReport:
     def build_rows(self):
         mk = lambda k, n, cons, nodes, timed=False: RunRecord(
@@ -421,6 +477,7 @@ class TestOracleCmd:
 def test_removed_surface_is_usage_error(capsys, monkeypatch, argv, message):
     calls = []
     monkeypatch.setattr(cli, "run", lambda *task: calls.append(task))
+    monkeypatch.setattr(cli, "iter_solutions", lambda *task, **limits: calls.append(task))
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 1
@@ -488,14 +545,13 @@ GOLDEN_REPORT_TABLE = """\
 def test_golden_solve_lines_and_report(tmp_path, capsys, monkeypatch):
     # the solve line, CSV row and report column of each model kind are
     # derived from the record's Instance, VariantConfig and SearchStats
-    inner = cli.solve_all
+    inner = cli.iter_solutions
 
-    def solve_all(*args, **kwargs):
-        solutions, stats = inner(*args, **kwargs)
+    def iter_solutions(model, stats, *args, **kwargs):
+        yield from inner(model, stats, *args, **kwargs)
         stats.elapsed_ms = 7
-        return solutions, stats
 
-    monkeypatch.setattr(cli, "solve_all", solve_all)
+    monkeypatch.setattr(cli, "iter_solutions", iter_solutions)
     out = tmp_path / "runs.csv"
     for flags, line in GOLDEN_SOLVE:
         assert main(["solve", "--k", "2", "--n", "4", *flags, "--out", str(out)]) == 0

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import collections
+import dataclasses
+import gc
 import hashlib
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
 from langford import propagators as propagators_module
 from langford.engine import (
     FIXPOINT,
+    SearchStats,
     Store,
     _Queue,
     build_watchers,
+    iter_solutions,
     propagate_to_fixpoint,
     solve_all,
     validate_model,
@@ -427,6 +433,27 @@ class TestSolveAll:
         assert cut_stats.nodes == full_stats.nodes // 2
         assert cut == full[: len(cut)]  # prefix of the full enumeration
 
+    def test_iter_solutions_streams_what_solve_all_lists(self):
+        model = build_model(Instance(2, 7), VariantConfig("positional", sym="p"))
+        full, full_stats = solve_all(model)
+        stats = SearchStats()
+        seen = []
+        for solution in iter_solutions(model, stats):
+            seen.append(solution)
+            assert stats.solutions == len(seen)  # counted before it is yielded
+        assert seen == full
+        assert dataclasses.replace(stats, elapsed_ms=0) == dataclasses.replace(full_stats, elapsed_ms=0)
+
+    def test_closing_the_search_keeps_its_counts(self):
+        model = build_model(Instance(2, 7), VariantConfig("positional", sym="p"))
+        full, _ = solve_all(model)
+        stats = SearchStats(elapsed_ms=-1)
+        search = iter_solutions(model, stats)
+        assert next(search) == full[0]
+        search.close()
+        assert stats.solutions == 1 and stats.nodes > 0 and not stats.timed_out
+        assert stats.elapsed_ms >= 0  # set on close
+
     def test_time_limit(self):
         cfg = VariantConfig("channelled", branch="p", sym="p", cons="both")
         model = build_model(Instance(3, 11), cfg)
@@ -572,6 +599,37 @@ class TestSolveAll:
         assert counts == [(2064, 883, 150)] * 2
         # the two searches took turns on the shared filter, mid-search
         assert sum(a != b for a, b in zip(callers, callers[1:])) > 10
+
+
+def traced_peak(search, sym: str) -> int:
+    """Peak traced bytes of `search` over L(2,8) positional sdf under
+    `sym`, the model built before tracing starts. A full collection
+    first empties the free lists, so that every solution tuple a search
+    keeps is newly allocated, and traced, rather than a freed one reused."""
+    model = build_model(Instance(2, 8), VariantConfig("positional", sym=sym, heuristic="sdf"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        search(model)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_search_memory_does_not_grow_with_the_solutions():
+    # L(2,8) positional has 300 solutions under sym:none and 150 under
+    # sym:P. A search consumed one solution at a time peaks alike on both
+    # (sdf searches both to about the same depth); solve_all's list holds
+    # the 150 more tuples.
+    def stream(model):
+        collections.deque(iter_solutions(model, SearchStats()), maxlen=0)
+
+    streamed = [traced_peak(stream, sym) for sym in ("none", "p")]
+    listed = [traced_peak(solve_all, sym) for sym in ("none", "p")]
+    solution = solve_all(build_model(Instance(2, 8), VariantConfig("positional", sym="p")))[0][0]
+    kept = 150 * sys.getsizeof(solution)
+    assert abs(streamed[0] - streamed[1]) < kept / 4
+    assert listed[0] - listed[1] >= kept
 
 
 @pytest.mark.parametrize("config", [

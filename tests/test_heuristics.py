@@ -5,7 +5,7 @@ import random
 import pytest
 
 from langford import engine
-from langford.engine import solve_all
+from langford.engine import solve_all, validate_model
 from langford.heuristics import HeuristicKind, WdegScorer, select_variable, wdeg_scores
 from langford.models import Instance, VariantConfig, build_model
 from langford.propagators import EqOffset, LessThan
@@ -187,45 +187,33 @@ def test_scorer_matches_reference_at_every_selection(monkeypatch, model_kind, ki
     assert len(selections) > searches and failures > 0
 
 
-def test_unranked_variable_moves_scores_but_is_never_picked():
-    # var 0 is outside the branching order. It scores highest, from two
-    # LessThan over it, yet is never picked; once it is assigned, those two
-    # stop counting and var 2 loses its lead over var 1.
-    model = TinyModel(
-        doms({1, 2}, {1, 2, 3}, {2, 3}),
-        [LessThan(0, 2), LessThan(1, 2), LessThan(0, 1)],
-        branch_order=[1, 2],
-    )
-    store = store_of(model)
-    scorer = WdegScorer(store, model, [3, 1, 2])
-    assert scorer.sync() == [5, 3, 4]
-    assert scorer.open == [1, 2] and scorer.unranked == [0]
-    assert select_variable(store, model, HeuristicKind.WDEG, scorer) == 2
-    store.push_mark()
-    assign(store, 0, 1)
-    assert select_variable(store, model, HeuristicKind.WDEG, scorer) == 1
-    assert scorer.open == [1, 2] and scorer.unranked == []
-    assert_scores_match(scorer, store, model)
-    store.undo_to_mark()
-    scorer.undo()
-    assert scorer.unranked == [0]
-    assert select_variable(store, model, HeuristicKind.WDEG, scorer) == 2
-    assert_scores_match(scorer, store, model)
+def test_partial_branch_order_is_refused():
+    # A leaf is where every variable of the branching order is assigned,
+    # so a variable outside the order could still be open there, and its
+    # solution would read it. A model must order every variable once.
+    for order in ([0], [0, 0], [0, 1, 1], [1, 2]):
+        model = TinyModel(doms({1, 2}, {1, 2}, {1, 2}), [LessThan(0, 1)], branch_order=order)
+        with pytest.raises(ValueError, match="not a permutation"):
+            validate_model(model)
+    with pytest.raises(ValueError, match="not a permutation"):
+        validate_model(TinyModel(doms({1, 2}, {1, 2}), [], branch_order=[0]))
+    validate_model(TinyModel(doms({1, 2}, {1, 2}, {1, 2}), [], branch_order=[2, 0, 1]))
 
 
 @pytest.mark.parametrize("kind", WDEG_KINDS, ids=lambda kind: kind.value)
-def test_search_never_picks_an_unranked_variable(monkeypatch, kind):
+def test_search_refuses_a_partial_branch_order(monkeypatch, kind):
     # var 0 is outside the branching order and equals var 1, so only
-    # propagation assigns it; each selection checks itself as above
+    # propagation would assign it; the search refuses the model before it
+    # makes any selection
     model = TinyModel(
         doms({1, 2, 3}, {1, 2, 3}, {1, 2, 3}),
         [LessThan(0, 2), LessThan(1, 2), EqOffset(0, 1, 0)],
         branch_order=[1, 2],
     )
     selections = check_every_selection(monkeypatch)
-    solutions, _ = solve_all(model, kind)
-    assert sorted(solutions) == [(1, 1, 2), (1, 1, 3), (2, 2, 3)]
-    assert 0 not in selections and None in selections
+    with pytest.raises(ValueError, match="not a permutation"):
+        solve_all(model, kind)
+    assert selections == []
 
 
 def test_scorer_bump_below_two_unassigned_then_undo():
