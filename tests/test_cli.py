@@ -363,7 +363,6 @@ class TestSweep:
         strip = lambda rows: [r[:10] + r[11:] for r in rows]  # drop time_ms
         assert strip(read_rows(serial)) == strip(read_rows(parallel))
 
-
     def test_only_a_parallel_sweep_loads_the_process_pool(self, tmp_path):
         # a fresh interpreter, so no earlier test has imported the pool
         src = Path(cli.__file__).resolve().parents[1]
