@@ -316,13 +316,13 @@ def cmd_sweep(parser, args) -> int:
         _probe_writable(out)  # before the first cell, not after the whole grid
     except OSError as exc:
         return _cannot_write(out, exc)
-    existing: dict[tuple, RunRecord] = {}
+    records: list[RunRecord] = []  # every row read is written back, repeats included
     if args.skip_existing and out.exists() and out.stat().st_size > 0:
         try:
-            for rec in _read_csv(out):
-                existing[rec.sort_key()] = rec
+            records = _read_csv(out)
         except ValueError as exc:
             return _error(exc)
+    existing = {rec.sort_key() for rec in records}
 
     tasks = [
         (instance, config, args.node_limit, args.timeout)
@@ -330,7 +330,6 @@ def cmd_sweep(parser, args) -> int:
         for key, (_, config) in configs.items()
         if (instance, *key) not in existing
     ]
-    records = list(existing.values())
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded by a parallel sweep only
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

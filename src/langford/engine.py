@@ -59,19 +59,17 @@ class Store:
     undos.
 
     A filter may keep state of its own for this search in `memo`, keyed by
-    the propagator, next to `epoch`, the number of undos so far. The
-    premise that makes such state sound: domains change only through
-    `commit`, which only narrows, and `undo_to_mark`, which alone moves
-    `epoch`. So within one epoch a domain can only shrink, and a variable
-    once assigned keeps its value, because any further removal would wipe
-    it out, and a wipeout is always undone before the next filter call.
-    State saved in one epoch says nothing about the next. `commit` and
-    `push_mark` never touch either field.
+    the propagator, valid until the next undo. The premise that makes such
+    state sound: domains change only through `commit`, which only narrows,
+    and `undo_to_mark`, which empties `memo`. So while a state is in
+    `memo` a domain can only shrink, and a variable once assigned keeps its
+    value, because any further removal would wipe it out, and a wipeout is
+    always undone before the next filter call. `commit` and `push_mark`
+    never touch `memo`.
     """
 
     __slots__ = (
-        "doms", "trail", "trail_bits", "marks", "seen", "cells", "cell_bit", "can", "fixed",
-        "memo", "epoch",
+        "doms", "trail", "trail_bits", "marks", "seen", "cells", "cell_bit", "can", "fixed", "memo",
     )
 
     def __init__(self, domains: Sequence[int], cells: tuple = ()):
@@ -86,7 +84,6 @@ class Store:
         self.can = [0] * max((doms[cell].bit_length() for cell in cells), default=0)
         self.fixed = 0
         self.memo: dict = {}
-        self.epoch = 0
         for i, cell in enumerate(cells, 1):
             bit = 1 << i
             self.cell_bit[cell] = bit
@@ -133,7 +130,7 @@ class Store:
         while len(trail) > depth:
             doms[trail.pop()] |= bits.pop()
         self.seen = depth
-        self.epoch += 1
+        self.memo.clear()
 
     def value(self, var: int) -> int:
         d = self.doms[var]
@@ -167,41 +164,41 @@ class Watchers:
     wake bookkeeping. Heavy propagators are queued behind cheap ones; that
     ordering does not change the fixpoint either.
 
-    `value_of[var]` and `assign_value_of[var]` are tables indexed by value,
-    each entry None or the pids to wake, in ascending pid order (a pid
-    twice if it watches the var twice). Every table has an entry for each
-    value of every wake mask and of the initial domain of every variable
-    that has a table, so each value such a variable can lose or be
-    assigned has one. Value conditions come in groups, one `(vars, mask)`
-    pair of a wake spec each. Every variable covered by the same groups
-    holds the same table object, built once, so building costs
-    O(propagators + variables). `on_assign[var]` is true iff
-    `assign_any_of[var]` or `assign_value_of[var]` is set, so an event on
-    a variable that no propagator watches for assignment costs one lookup.
-    A search only reads the tables; none may write to them.
+    Value conditions range over `cells`, the model's cells in position
+    order (`validate_model` holds every propagator with a value mask to
+    them); a condition over other variables raises ValueError. So there is
+    one removal table and one assignment table, each built if some
+    condition fills it and held by every cell: `value_of[cell]` and
+    `assign_value_of[cell]`, None for every other variable. A table is
+    indexed by value, each entry None or the pids to wake, in ascending pid
+    order (a pid twice if it watches the cells twice), with an entry for
+    each value of every mask and of every cell's initial domain.
+    `on_assign[var]` is true iff `assign_any_of[var]` or
+    `assign_value_of[var]` is set, so an event on a variable that no
+    propagator watches for assignment costs one lookup. A search only
+    reads the tables; none may write to them.
     """
 
     __slots__ = ("any_of", "value_of", "assign_any_of", "assign_value_of", "on_assign", "priority")
 
-    def __init__(self, domains: Sequence[int], propagators: Sequence):
+    def __init__(self, domains: Sequence[int], propagators: Sequence, cells: tuple):
         num_vars = len(domains)
         self.any_of: list[list[int]] = [[] for _ in range(num_vars)]
         self.value_of: list = [None] * num_vars
         self.assign_any_of: list = [None] * num_vars
         self.assign_value_of: list = [None] * num_vars
         self.priority = [p.cost_tier for p in propagators]
-        # vars tuple -> [(pid, mask)], in pid order
-        removal_groups: dict[tuple, list] = {}
-        assign_groups: dict[tuple, list] = {}
-        max_value = 0
+        removals: list[tuple[int, int]] = []  # (pid, mask), in pid order
+        assigns: list[tuple[int, int]] = []
+        size = max((domains[cell].bit_length() for cell in cells), default=0)
         for pid, p in enumerate(propagators):
             for vars_, mask in p.wake_spec():
                 if mask is None:
                     for var in vars_:
                         self.any_of[var].append(pid)
                 else:
-                    removal_groups.setdefault(vars_, []).append((pid, mask))
-                    max_value = max(max_value, mask.bit_length())
+                    removals.append(_value_condition(pid, vars_, mask, cells))
+                    size = max(size, mask.bit_length() + 1)
             for vars_, mask in p.wake_on_assign():
                 if mask is None:
                     for var in vars_:
@@ -209,54 +206,34 @@ class Watchers:
                             self.assign_any_of[var] = []
                         self.assign_any_of[var].append(pid)
                 else:
-                    assign_groups.setdefault(vars_, []).append((pid, mask))
-                    max_value = max(max_value, mask.bit_length())
-        widest = max((domains[var].bit_length() for vars_ in (*removal_groups, *assign_groups)
-                      for var in vars_), default=0)
-        size = max(max_value + 1, widest)
-        _share_tables(self.value_of, removal_groups, size)
-        _share_tables(self.assign_value_of, assign_groups, size)
+                    assigns.append(_value_condition(pid, vars_, mask, cells))
+                    size = max(size, mask.bit_length() + 1)
+        for tables, conditions in ((self.value_of, removals), (self.assign_value_of, assigns)):
+            if conditions:
+                table = [None] * size
+                for pid, mask in conditions:
+                    for v in values(mask):
+                        if table[v] is None:
+                            table[v] = []
+                        table[v].append(pid)
+                for cell in cells:
+                    tables[cell] = table
         self.on_assign = [
             pids is not None or table is not None
             for pids, table in zip(self.assign_any_of, self.assign_value_of)
         ]
 
 
-def _share_tables(tables: list, groups: dict, size: int) -> None:
-    """Give each variable in `groups` one value table of `size` entries,
-    shared by every variable covered by the same groups."""
-    covering: dict[int, list[int]] = {}
-    for g, vars_ in enumerate(groups):
-        for var in vars_:
-            covering.setdefault(var, []).append(g)
-    entries = list(groups.values())
-    built: dict[tuple, list] = {}
-    for var, gs in covering.items():
-        key = tuple(gs)
-        table = built.get(key)
-        if table is None:
-            table = [None] * size
-            for g in key:
-                for pid, mask in entries[g]:
-                    while mask:
-                        low = mask & -mask
-                        mask ^= low
-                        v = low.bit_length() - 1
-                        if table[v] is None:
-                            table[v] = []
-                        table[v].append(pid)
-            if len(key) > 1:  # merged groups: back to pid order
-                for pids in table:
-                    if pids:
-                        pids.sort()
-            built[key] = table
-        tables[var] = table
+def _value_condition(pid: int, vars_: tuple, mask: int, cells: tuple) -> tuple[int, int]:
+    if vars_ != cells:
+        raise ValueError(f"propagator {pid} has a value condition off the model's cells")
+    return pid, mask
 
 
-def build_watchers(domains: Sequence[int], propagators: Sequence) -> Watchers:
+def build_watchers(domains: Sequence[int], propagators: Sequence, cells: tuple) -> Watchers:
     """The wake tables of `propagators` over variables whose initial
-    domains are `domains`."""
-    return Watchers(domains, propagators)
+    domains are `domains`, with every value condition over `cells`."""
+    return Watchers(domains, propagators, cells)
 
 
 class _Queue:
@@ -468,11 +445,12 @@ def iter_solutions(
     validate_model(model)
     propagators = model.propagators
     num_vars = len(model.initial_domains)
-    store = Store(model.initial_domains, tuple(model.seq_vars or ()))
+    cells = tuple(model.seq_vars or ())
+    store = Store(model.initial_domains, cells)
     scorer = None
     if heuristic is HeuristicKind.WDEG or heuristic is HeuristicKind.DOM_OVER_WDEG:
         scorer = WdegScorer(store, model)
-    watchers = build_watchers(model.initial_domains, propagators)
+    watchers = build_watchers(model.initial_domains, propagators, cells)
     queue = _Queue(watchers.priority)
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit

@@ -24,10 +24,10 @@ how a filter finds the cells, never what it commits: the tests hold each
 of the three to a reference filter that scans the cell domains.
 
 A filter may keep state of its own for one search in `store.memo`, keyed
-by the propagator. The state is valid for one `store.epoch` only: within
-an epoch domains only shrink, and an undo starts the next one (see
-`engine.Store`). The state may only save work: the filter must make the
-same commits, in the same order, as it would with `store.memo` empty.
+by the propagator. The state lasts until the next undo, which empties
+`store.memo`: until then domains only shrink (see `engine.Store`). The
+state may only save work: the filter must make the same commits, in the
+same order, as it would with `store.memo` empty.
 `AllDifferent` keeps the open variables its last call left.
 """
 
@@ -57,9 +57,9 @@ class Propagator:
     def wake_spec(self) -> list:
         """(vars, mask) wake conditions, `vars` a tuple of var ids: requeue
         when a removal from any of `vars` intersects `mask` (None = any
-        removal). A condition on many variables is one pair, not one per
-        variable: the engine builds one value table per group of variables
-        and every variable in the group shares it."""
+        removal). A condition with a mask must range over the model's
+        cells, `vars` their tuple in position order: the engine builds one
+        value table that every cell shares, and refuses any other."""
         return [(self.scope, None)]
 
     def wake_on_assign(self) -> tuple:
@@ -175,12 +175,12 @@ class AllDifferent(Propagator):
     fails once it ends. When no round is left, the pigeonhole test counts
     the values of the whole scope.
 
-    Each exit that does not fail saves `(epoch, open variables, assigned
-    values)` in `store.memo`. A later call in the same epoch scans only
-    that open list, starting from that mask: every scope variable outside
-    it is still assigned to a value already in the mask (see
-    `engine.Store`), so the scan finds the same open list, the same mask
-    and the same repeated value as a scan of the whole scope would.
+    Each exit that does not fail saves `(open variables, assigned values)`
+    in `store.memo`, which the next undo empties. A later call before it
+    scans only that open list, starting from that mask: every scope
+    variable outside it is still assigned to a value already in the mask
+    (see `engine.Store`), so the scan finds the same open list, the same
+    mask and the same repeated value as a scan of the whole scope would.
     """
 
     kind = "all_different"
@@ -193,10 +193,9 @@ class AllDifferent(Propagator):
 
     def filter(self, store) -> bool:
         doms = store.doms
-        epoch = store.epoch
         saved = store.memo.get(self)
-        if saved is not None and saved[0] == epoch:
-            _, scan, assigned = saved
+        if saved is not None:
+            scan, assigned = saved
         else:
             scan, assigned = self.scope, 0
         open_vars = []
@@ -235,7 +234,7 @@ class AllDifferent(Propagator):
             open_vars = still_open
         if (union | assigned).bit_count() < len(self.scope):
             return False
-        store.memo[self] = (epoch, open_vars, assigned)
+        store.memo[self] = (open_vars, assigned)
         return True
 
     def check(self, values) -> bool:

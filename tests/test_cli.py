@@ -236,6 +236,21 @@ class TestSweep:
         assert rows[0] == CSV_FIELDS
         assert [row[:3] for row in rows[1:]] == [["2", "3", "direct"], ["2", "4", "direct"]]
 
+    def test_skip_existing_keeps_every_row_read(self, tmp_path, capsys):
+        # a cell recorded twice, once finished and once cut by its node
+        # limit, keeps both rows when a sweep of another cell rewrites the file
+        out = tmp_path / "runs.csv"
+        solve = ["solve", "--k", "2", "--n", "4", "--model", "direct", "--sym", "d", "--out", str(out)]
+        assert main(solve) == 0
+        assert main(solve + ["--node-limit", "1"]) == 2
+        assert main(["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
+                     "--variant", "model=direct,sym=d", "--skip-existing", "--out", str(out)]) == 0
+        rows = read_rows(out)[1:]
+        fields = CSV_FIELDS.index("n"), CSV_FIELDS.index("nodes"), CSV_FIELDS.index("timed_out")
+        assert sorted(tuple(row[i] for i in fields) for row in rows) == [
+            ("3", "0", "false"), ("4", "1", "true"), ("4", "34", "false"),
+        ]
+
     def test_invalid_variant_combo_skipped(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main(

@@ -91,7 +91,7 @@ class Narrow(Propagator):
 
 
 def run_fixpoint(store, props):
-    watchers = build_watchers(store.doms, props)
+    watchers = build_watchers(store.doms, props, store.cells)
     return propagate_to_fixpoint(store, props, watchers, range(len(props)))
 
 
@@ -135,26 +135,25 @@ class TestStore:
         store.undo_to_mark()
         assert store.doms == doms({1, 2, 3, 4})
 
-    def test_only_undo_moves_the_epoch(self):
-        # A filter's state in `memo` holds for one epoch; domains only shrink
-        # between two undos. Each store starts with a memo of its own.
+    def test_only_undo_empties_the_memo(self):
+        # A filter's state in `memo` lasts until the next undo; domains only
+        # shrink until then. Each store starts with a memo of its own.
         store = Store(doms({1, 2, 3}, {1, 2}))
-        assert store.memo == {} and store.epoch == 0
+        assert store.memo == {}
         assert Store(doms({1})).memo is not store.memo
         memo = store.memo
-        memo["filter"] = (0, [0, 1], 0)
+        memo["filter"] = ([0, 1], 0)
         store.push_mark()
         store.commit(0, mask_of({1, 2}))
         intersect(store, 1, mask_of({2}))
         store.push_mark()
         remove_value(store, 0, 1)
-        assert store.memo is memo and memo == {"filter": (0, [0, 1], 0)}
-        assert store.epoch == 0
+        assert store.memo is memo and memo == {"filter": ([0, 1], 0)}
         store.undo_to_mark()
-        assert store.epoch == 1
+        assert store.memo is memo and memo == {}
+        memo["filter"] = ([0], 0)
         store.undo_to_mark()
-        assert store.epoch == 2
-        assert store.memo is memo
+        assert store.memo is memo and memo == {}
 
     def test_view_follows_commits_and_undo(self):
         # cells 2, 0, 4 at positions 1..3 and a non-cell var 1 and 3; the
@@ -228,7 +227,7 @@ class TestPropagateToFixpoint:
         first, second = Probe([0]), Probe([1])
         props = [first, second]
         store = Store(doms({1, 2, 3, 4}, {1, 2, 3}))
-        watchers = build_watchers(store.doms, props)
+        watchers = build_watchers(store.doms, props, store.cells)
         assert propagate_to_fixpoint(store, props, watchers, range(2)) == FIXPOINT
         assert (first.calls, second.calls) == (1, 1)
         remove_value(store, 0, 1)
@@ -245,7 +244,7 @@ class TestPropagateToFixpoint:
         watcher, wiper = Probe([0, 1]), Probe([0, 1], wipe=True)
         props = [watcher, wiper]
         store = Store(doms({1, 2, 3}, {1, 2, 3}))
-        watchers = build_watchers(store.doms, props)
+        watchers = build_watchers(store.doms, props, store.cells)
         assert propagate_to_fixpoint(store, props, watchers) == FIXPOINT
         store.push_mark()
         remove_value(store, 0, 1)
@@ -278,7 +277,7 @@ class TestPropagateToFixpoint:
         log = []
         props = chain(log)
         store = Store(doms({1, 2, 3}, {1, 2, 3}, {1, 2, 3}))
-        watchers = build_watchers(store.doms, props)
+        watchers = build_watchers(store.doms, props, store.cells)
         queue = _Queue(watchers.priority)
         assert propagate_to_fixpoint(store, props, watchers, [0], queue) == FIXPOINT
         assert log == ["A", "B", "C", "D", "A"]
@@ -322,46 +321,55 @@ class TestPropagateToFixpoint:
 WATCHER_TABLES = ("any_of", "value_of", "assign_any_of", "assign_value_of", "on_assign", "priority")
 
 
-class TestWatchers:
-    @pytest.mark.parametrize("k, n", [(2, 3), (3, 5), (4, 4)])
-    def test_tables_equal_the_per_pair_build(self, k, n):
-        # every model kind, branch, sym and cons; the heuristic does not
-        # change the model
-        for implied in (True, False):
-            for config in every_variant(implied):
-                if config.heuristic is not HeuristicKind.STATIC:
-                    continue
-                model = build_model(Instance(k, n), config)
-                watchers = build_watchers(model.initial_domains, model.propagators)
-                reference = reference_watchers(model.initial_domains, model.propagators)
-                for name in WATCHER_TABLES:
-                    assert getattr(watchers, name) == getattr(reference, name), (config, name)
+# cells 3, 0, 2 at positions 1..3: out of var order and skipping var 1, an
+# element index; var 4 is neither
+SCATTERED_CELLS = TinyModel(
+    doms({1, 2, 3}, {1, 2, 3}, {1, 2, 3}, {1, 2, 3}, {1, 2}),
+    [
+        Occurrence((3, 0, 2), 2, 1),
+        ElementOffsetConst((3, 0, 2), 1, 0, 3),
+        LessThan(4, 1),
+        Occurrence((3, 0, 2), 1, 1),
+    ],
+    seq_vars=[3, 0, 2],
+)
 
-    def test_merged_groups_keep_pid_order(self):
-        # var 1 and var 2 are each covered by three value groups, var 1 twice
-        # by the last; a merged table lists its pids in ascending order,
-        # duplicates included, as the per-pair build does
-        props = [
-            Occurrence((0, 1, 2), 1, 1),
-            Occurrence((1, 2, 3), 2, 1),
-            ElementOffsetConst((0, 1, 2), 3, 0, 2),
-            Occurrence((1, 1, 2), 2, 1),
-            LessThan(0, 3),
-        ]
-        model = TinyModel(doms(*[{1, 2, 3}] * 4), props)
-        watchers = build_watchers(model.initial_domains, model.propagators)
-        reference = reference_watchers(model.initial_domains, model.propagators)
-        for name in WATCHER_TABLES:
-            assert getattr(watchers, name) == getattr(reference, name), name
-        assert watchers.value_of[1][2] == [1, 2, 3, 3]
-        assert watchers.value_of[2][2] == [1, 2, 3]
-        assert watchers.value_of[3][1] is None and watchers.value_of[3][2] == [1]
+
+class TestWatchers:
+    @pytest.mark.parametrize("instance", [(2, 3), (3, 5), (4, 4), None],
+                             ids=["2-3", "3-5", "4-4", "scattered-cells"])
+    def test_tables_equal_the_per_pair_build(self, instance):
+        # every model kind, branch, sym and cons of an instance (the heuristic
+        # does not change the model), or a hand-made model whose cells are
+        # not in var order: the cells, not the var ids, decide which
+        # variables hold the value tables
+        if instance is None:
+            models = [SCATTERED_CELLS]
+        else:
+            models = [build_model(Instance(*instance), config)
+                      for implied in (True, False) for config in every_variant(implied)
+                      if config.heuristic is HeuristicKind.STATIC]
+        for model in models:
+            cells = tuple(model.seq_vars or ())
+            watchers = build_watchers(model.initial_domains, model.propagators, cells)
+            reference = reference_watchers(model.initial_domains, model.propagators)
+            for name in WATCHER_TABLES:
+                assert getattr(watchers, name) == getattr(reference, name), (model.config, name)
+
+    def test_value_condition_off_the_cells_is_refused(self):
+        # a value condition must range over exactly the cells, in position
+        # order: not a subset, a superset or another order of them
+        domains = doms(*[{1, 2, 3}] * 4)
+        for cells, scope in (((0, 1, 2), (0, 1)), ((0, 1, 2), (0, 1, 2, 3)),
+                             ((0, 1, 2), (1, 0, 2)), ((), (0, 1, 2))):
+            with pytest.raises(ValueError, match="propagator 1 has a value condition"):
+                build_watchers(domains, [LessThan(0, 3), Occurrence(scope, 2, 1)], cells)
 
     def test_tables_cover_every_value_of_the_covered_domains(self):
         # the Occurrence's masks go up to value 1, but its cells hold 3: the
         # tables must cover the values the cells lose or are assigned, 2 and 3
         model = TinyModel(doms({1, 2, 3}, {1, 2, 3}), [Occurrence([0, 1], 1, 1)], seq_vars=[0, 1])
-        watchers = build_watchers(model.initial_domains, model.propagators)
+        watchers = build_watchers(model.initial_domains, model.propagators, tuple(model.seq_vars or ()))
         reference = reference_watchers(model.initial_domains, model.propagators)
         for name in WATCHER_TABLES:
             assert getattr(watchers, name) == getattr(reference, name), name
@@ -389,7 +397,8 @@ class TestQueue:
 
     def test_push_follows_the_models_priority(self):
         model = build_model(Instance(2, 4), VariantConfig("channelled", branch="d", sym="d", cons="both"))
-        priority = build_watchers(model.initial_domains, model.propagators).priority
+        cells = tuple(model.seq_vars or ())
+        priority = build_watchers(model.initial_domains, model.propagators, cells).priority
         assert 0 in priority and 1 in priority
         queue = _Queue(priority)
         for pid, tier in enumerate(priority):
@@ -523,7 +532,7 @@ class TestSolveAll:
     def test_trail_soundness_through_search(self):
         model = build_model(Instance(2, 4), VariantConfig("direct"))
         store = store_of(model)
-        watchers = build_watchers(model.initial_domains, model.propagators)
+        watchers = build_watchers(model.initial_domains, model.propagators, tuple(model.seq_vars or ()))
         snapshot = list(store.doms)
         rng = random.Random(5)
         for _ in range(50):
@@ -541,7 +550,7 @@ class TestSolveAll:
         model = build_model(Instance(2, 3), VariantConfig("direct", sym="d"))
         arrangements = enumerate_bruteforce(2, 3, "first-less-last")
         store = store_of(model)
-        watchers = build_watchers(model.initial_domains, model.propagators)
+        watchers = build_watchers(model.initial_domains, model.propagators, tuple(model.seq_vars or ()))
         assert propagate_to_fixpoint(store, model.propagators, watchers, range(len(model.propagators))) == FIXPOINT
         while True:
             var = next((v for v in model.branch_order if not is_assigned(store, v)), None)

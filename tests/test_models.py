@@ -151,7 +151,7 @@ class TestBuildPositional:
     def test_root_propagation_prunes_late_slots(self):
         model = build_model(Instance(2, 4), POSITIONAL)
         store = Store(model.initial_domains)
-        watchers = build_watchers(model.initial_domains, model.propagators)
+        watchers = build_watchers(model.initial_domains, model.propagators, tuple(model.seq_vars or ()))
         assert propagate_to_fixpoint(
             store, model.propagators, watchers, range(len(model.propagators))
         ) == FIXPOINT
@@ -335,13 +335,17 @@ def test_sequence_of_derives_from_slots():
 
 def test_cells_share_one_wake_table():
     # every value condition of a built model ranges over the whole of
-    # its cells, so all cells hold one table: the wake tables are built
-    # per group of variables, not per cell
+    # its cells, so all cells hold one removal table and one assignment
+    # table: the wake tables are built once, not per cell
+    assign_tables = 0
     for config in every_variant():
         if config.model == "positional" or config.heuristic is not HeuristicKind.STATIC:
             continue
         model = build_model(Instance(3, 4), config)
-        watchers = build_watchers(model.initial_domains, model.propagators)
-        first = watchers.value_of[model.seq_vars[0]]
-        assert first is not None
-        assert all(watchers.value_of[c] is first for c in model.seq_vars), config
+        watchers = build_watchers(model.initial_domains, model.propagators, tuple(model.seq_vars or ()))
+        assert watchers.value_of[model.seq_vars[0]] is not None
+        for tables in (watchers.value_of, watchers.assign_value_of):
+            first = tables[model.seq_vars[0]]
+            assert all(tables[c] is first for c in model.seq_vars), config
+        assign_tables += watchers.assign_value_of[model.seq_vars[0]] is not None
+    assert assign_tables  # the Occurrence constraints of the implied direct model
