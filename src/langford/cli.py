@@ -346,7 +346,8 @@ def cmd_sweep(parser, args) -> int:
 
 def render_report(records: list[RunRecord]) -> str:
     """Markdown node-count table: instances as rows, variants as columns,
-    row minima in bold, Mean and Sum footers over the non-trivial rows."""
+    row minima in bold, Mean and Sum footers over the non-trivial rows. Of
+    a cell's rows the last finished one shows, else the last timed out."""
     records = sorted(records, key=RunRecord.sort_key)
     columns: list[str] = []
     col_of: dict[str, int] = {}
@@ -356,7 +357,10 @@ def render_report(records: list[RunRecord]) -> str:
         if label not in col_of:
             col_of[label] = len(columns)
             columns.append(label)
-        rows.setdefault(rec.instance, {})[col_of[label]] = rec.stats
+        row = rows.setdefault(rec.instance, {})
+        kept = row.get(col_of[label])
+        if kept is None or kept.timed_out or not rec.stats.timed_out:
+            row[col_of[label]] = rec.stats
 
     lines = [
         f"Nodes are branching commits (assignments and value removals); an "

@@ -53,6 +53,8 @@ class Store:
     * `fixed` has bit i set iff the cell at position i is assigned, i.e.
       its domain holds exactly one value.
 
+    The constructor fills `can` once per distinct initial cell domain, not
+    once per cell and value: every cell of a built model has one domain.
     `commit` updates the view when it reduces a cell; `push_mark` saves
     the view with the trail length and `undo_to_mark` puts both back. Undo
     stays in that one method, which the benchmark's tracer wraps to count
@@ -80,18 +82,19 @@ class Store:
         self.marks: list[tuple[int, list[int], int]] = []
         self.seen = 0
         self.cells = cells
-        self.cell_bit = [0] * len(doms)  # 1 << position of a cell, else 0
-        self.can = [0] * max((doms[cell].bit_length() for cell in cells), default=0)
+        self.cell_bit = cell_bit = [0] * len(doms)  # 1 << position of a cell, else 0
+        positions: dict[int, int] = {}  # initial cell domain -> its cells' position bits
+        for i, cell in enumerate(cells, 1):
+            cell_bit[cell] = bit = 1 << i
+            positions[doms[cell]] = positions.get(doms[cell], 0) | bit
+        self.can = can = [0] * max((d.bit_length() for d in positions), default=0)
         self.fixed = 0
         self.memo: dict = {}
-        for i, cell in enumerate(cells, 1):
-            bit = 1 << i
-            self.cell_bit[cell] = bit
-            d = doms[cell]
+        for d, bits in positions.items():
             for v in values(d):
-                self.can[v] |= bit
+                can[v] |= bits
             if d and d & (d - 1) == 0:
-                self.fixed |= bit
+                self.fixed |= bits
 
     def commit(self, var: int, new_mask: int) -> bool:
         """Install a reduced domain, trailing the removed bits.
@@ -183,51 +186,55 @@ class Watchers:
 
     def __init__(self, domains: Sequence[int], propagators: Sequence, cells: tuple):
         num_vars = len(domains)
-        self.any_of: list[list[int]] = [[] for _ in range(num_vars)]
+        self.any_of = any_of = [[] for _ in range(num_vars)]
         self.value_of: list = [None] * num_vars
-        self.assign_any_of: list = [None] * num_vars
+        self.assign_any_of = assign_any_of = [None] * num_vars
         self.assign_value_of: list = [None] * num_vars
         self.priority = [p.cost_tier for p in propagators]
         removals: list[tuple[int, int]] = []  # (pid, mask), in pid order
         assigns: list[tuple[int, int]] = []
-        size = max((domains[cell].bit_length() for cell in cells), default=0)
+        top = 0  # the union of every mask
         for pid, p in enumerate(propagators):
             for vars_, mask in p.wake_spec():
                 if mask is None:
                     for var in vars_:
-                        self.any_of[var].append(pid)
+                        any_of[var].append(pid)
+                elif vars_ != cells:
+                    raise ValueError(f"propagator {pid} has a value condition off the model's cells")
                 else:
-                    removals.append(_value_condition(pid, vars_, mask, cells))
-                    size = max(size, mask.bit_length() + 1)
+                    removals.append((pid, mask))
+                    top |= mask
             for vars_, mask in p.wake_on_assign():
                 if mask is None:
                     for var in vars_:
-                        if self.assign_any_of[var] is None:
-                            self.assign_any_of[var] = []
-                        self.assign_any_of[var].append(pid)
+                        if assign_any_of[var] is None:
+                            assign_any_of[var] = [pid]
+                        else:
+                            assign_any_of[var].append(pid)
+                elif vars_ != cells:
+                    raise ValueError(f"propagator {pid} has a value condition off the model's cells")
                 else:
-                    assigns.append(_value_condition(pid, vars_, mask, cells))
-                    size = max(size, mask.bit_length() + 1)
+                    assigns.append((pid, mask))
+                    top |= mask
+        size = max(top.bit_length() + 1, max((domains[cell].bit_length() for cell in cells), default=0))
         for tables, conditions in ((self.value_of, removals), (self.assign_value_of, assigns)):
             if conditions:
                 table = [None] * size
                 for pid, mask in conditions:
-                    for v in values(mask):
+                    while mask:
+                        low = mask & -mask
+                        mask ^= low
+                        v = low.bit_length() - 1
                         if table[v] is None:
-                            table[v] = []
-                        table[v].append(pid)
+                            table[v] = [pid]
+                        else:
+                            table[v].append(pid)
                 for cell in cells:
                     tables[cell] = table
         self.on_assign = [
             pids is not None or table is not None
-            for pids, table in zip(self.assign_any_of, self.assign_value_of)
+            for pids, table in zip(assign_any_of, self.assign_value_of)
         ]
-
-
-def _value_condition(pid: int, vars_: tuple, mask: int, cells: tuple) -> tuple[int, int]:
-    if vars_ != cells:
-        raise ValueError(f"propagator {pid} has a value condition off the model's cells")
-    return pid, mask
 
 
 def build_watchers(domains: Sequence[int], propagators: Sequence, cells: tuple) -> Watchers:
@@ -242,8 +249,9 @@ class _Queue:
 
     Built once per search from the watchers' `priority`: `push[pid]` is
     the bound `append` of the tier deque that pid goes to, `heavy` if
-    `priority[pid]`, else `cheap`. `clear` keeps both deque objects, so
-    the bound appends stay valid for the whole search.
+    `priority[pid]`, else `cheap`; each tier's append is bound once and
+    shared by its pids. `clear` keeps both deque objects, so the bound
+    appends stay valid for the whole search.
     """
 
     __slots__ = ("cheap", "heavy", "in_queue", "push")
@@ -252,7 +260,8 @@ class _Queue:
         self.cheap: deque[int] = deque()
         self.heavy: deque[int] = deque()
         self.in_queue = [0] * len(priority)
-        self.push = [self.heavy.append if tier else self.cheap.append for tier in priority]
+        heavy, cheap = self.heavy.append, self.cheap.append
+        self.push = [heavy if tier else cheap for tier in priority]
 
     def clear(self) -> None:
         in_queue = self.in_queue
@@ -363,7 +372,11 @@ def validate_model(model) -> None:
     cell one position. An `ElementOffsetConst`, `Occurrence` or
     `InverseChannel` must range over the model's cells in position order,
     and must not ask for a value (for the channel, n) above the largest
-    one a cell's initial domain holds."""
+    one a cell's initial domain holds. The cells are range-checked once, so
+    a cell filter whose array is the cells has only the rest of its scope
+    checked (an element's index, the channel's slots): the k·n element
+    filters would otherwise walk the cells k·n times. Any other scope is
+    checked whole, so every error is raised as before."""
     num_vars = len(model.initial_domains)
     cells = tuple(model.seq_vars or ())
     if sorted(model.branch_order) != list(range(num_vars)):
@@ -374,18 +387,21 @@ def validate_model(model) -> None:
         raise ValueError("the model's cells repeat a variable")
     top = max((model.initial_domains[cell].bit_length() for cell in cells), default=0) - 1
     for pid, p in enumerate(model.propagators):
-        if not p.scope:
+        scope = p.scope
+        if not scope:
             raise ValueError(f"propagator {pid} has an empty scope")
-        for v in p.scope:
+        if isinstance(p, ElementOffsetConst):
+            array, value, rest = p.array, p.value, (p.index,)
+        elif isinstance(p, Occurrence):
+            array, value, rest = scope, p.value, ()
+        elif isinstance(p, InverseChannel):
+            array, value, rest = p.seq, p.n, scope[:-len(p.seq)]
+        else:
+            array, rest = None, scope
+        for v in rest if array == cells else scope:
             if not (0 <= v < num_vars):
                 raise ValueError(f"propagator {pid} references unknown var {v}")
-        if isinstance(p, ElementOffsetConst):
-            array, value = p.array, p.value
-        elif isinstance(p, Occurrence):
-            array, value = p.scope, p.value
-        elif isinstance(p, InverseChannel):
-            array, value = p.seq, p.n
-        else:
+        if array is None:
             continue
         if array != cells:
             raise ValueError(f"propagator {pid} does not range over the model's cells in order")
@@ -430,15 +446,17 @@ def iter_solutions(
     On hitting a node or time limit the search stops with `timed_out` set.
 
     A wdeg or dom/wdeg search keeps failure weights in a `WdegScorer` over
-    its store. They belong to this search: each starts at 1, so repeated
-    or concurrent searches of one model agree. A failure bumps the failing
-    propagator's weight. The scorer syncs at every selection and follows
-    every `undo_to_mark`, so at each selection its open variables are the
-    unassigned ones of the branching order, in order, and its score of
-    each equals `wdeg_scores` of the store and weights. A selection ranks
-    only those: the same selections as the reference ranking of the whole
-    branching order by a walk over every scope, at the cost of a scan of
-    the variables the last selection left open.
+    its store, built after a root propagation that did not fail: a search
+    that ends at its root needs none. The weights belong to this search:
+    each starts at 1, so repeated or concurrent searches of one model
+    agree. A failure bumps the failing propagator's weight. The scorer
+    syncs at every selection and follows every `undo_to_mark`, so at each
+    selection its open variables are the unassigned ones of the branching
+    order, in order, and its score of each equals `wdeg_scores` of the
+    store and weights. A selection ranks only those: the same selections
+    as the reference ranking of the whole branching order by a walk over
+    every scope, at the cost of a scan of the variables the last selection
+    left open.
     """
     if heuristic is None:
         heuristic = model.config.heuristic
@@ -447,9 +465,6 @@ def iter_solutions(
     num_vars = len(model.initial_domains)
     cells = tuple(model.seq_vars or ())
     store = Store(model.initial_domains, cells)
-    scorer = None
-    if heuristic is HeuristicKind.WDEG or heuristic is HeuristicKind.DOM_OVER_WDEG:
-        scorer = WdegScorer(store, model)
     watchers = build_watchers(model.initial_domains, propagators, cells)
     queue = _Queue(watchers.priority)
     t0 = time.monotonic()
@@ -469,6 +484,9 @@ def iter_solutions(
         if propagate_to_fixpoint(store, propagators, watchers, range(len(propagators)), queue) != FIXPOINT:
             stats.failures += 1
             return
+        scorer = None
+        if heuristic is HeuristicKind.WDEG or heuristic is HeuristicKind.DOM_OVER_WDEG:
+            scorer = WdegScorer(store, model)
 
         # Frames track committed children: (var, its domain before the
         # child, phase), phase 1 = the left child, which keeps the lowest

@@ -251,6 +251,10 @@ class ElementOffsetConst(Propagator):
 
     Prunes index positions whose target cell cannot hold c (or falls outside
     the array); once the index is assigned, fixes the target cell to c.
+
+    `targets[p]` is the cell at position p + offset, else -1, for every p
+    up to the last in range. One slice fills the in-range run lo..hi; it is
+    empty once offset >= len(array), where a negative end would cut the list.
     """
 
     kind = "element_offset_const"
@@ -258,18 +262,15 @@ class ElementOffsetConst(Propagator):
 
     def __init__(self, array: Sequence[int], index: int, offset: int, value: int):
         super().__init__((*array, index))
-        self.array = tuple(array)
+        self.array = array = tuple(array)
         self.index = index
         self.offset = offset
         self.value = value
-        # targets[p] = cell holding position p + offset, -1 when out of range;
-        # sized so every in-range p fits even for negative offsets
-        highest = len(array) - min(offset, 0)
-        targets = [-1] * (highest + 1)
-        for p in range(1, highest + 1):
-            pos = p + offset
-            if 1 <= pos <= len(array):
-                targets[p] = array[pos - 1]
+        targets = [-1] * (len(array) - min(offset, 0) + 1)
+        lo = max(1, 1 - offset)
+        hi = len(array) - offset
+        if lo <= hi:
+            targets[lo:hi + 1] = array[lo + offset - 1:]
         self.targets = tuple(targets)
 
     def filter(self, store) -> bool:

@@ -421,6 +421,21 @@ class TestReport:
         assert mean.split("|")[2].strip() == "70"
         assert mean.split("|")[3].strip() == "64"
 
+    @pytest.mark.parametrize("finished_first", [True, False], ids=["finished-first", "timed-out-first"])
+    def test_finished_row_of_a_cell_beats_a_timed_out_one(self, tmp_path, capsys, finished_first):
+        # the same cell solved to its end (34 nodes) and stopped at one
+        # node: the report shows the finished row whichever comes later
+        out = tmp_path / "runs.csv"
+        runs = [((), 0), (("--node-limit", "1"), 2)]
+        for extra, code in runs if finished_first else runs[::-1]:
+            argv = ["solve", "--k", "2", "--n", "4", "--model", "direct", "--sym", "d", *extra]
+            assert main([*argv, "--out", str(out)]) == code
+        assert len(out.read_text().splitlines()) == 3  # the header and both rows
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        row = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("| 02_04"))
+        assert row == "| 02_04 | **34** |"
+
     def test_report_cmd_round_trip(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         main(["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "6", "--n-max", "7",

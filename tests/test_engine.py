@@ -157,12 +157,15 @@ class TestStore:
 
     def test_view_follows_commits_and_undo(self):
         # cells 2, 0, 4 at positions 1..3 and a non-cell var 1 and 3; the
-        # view matches the domains after every commit, wipeouts included,
-        # and after every undo
+        # view matches the domains at construction, after every commit,
+        # wipeouts included, and after every undo. The masks come from a
+        # pool of one to three, so cells often share an initial domain, as
+        # every cell of a built model does, and some start assigned.
         rng = random.Random(17)
         cells = (2, 0, 4)
         for _ in range(200):
-            masks = [mask_of(rng.sample(range(0, 6), rng.randint(1, 5))) for _ in range(5)]
+            pool = [mask_of(rng.sample(range(0, 6), rng.randint(1, 5))) for _ in range(rng.randint(1, 3))]
+            masks = [rng.choice(pool) for _ in range(5)]
             store = Store(masks, cells)
             assert (store.can, store.fixed) == view_of(store)
             snapshots = []
@@ -474,6 +477,19 @@ class TestSolveAll:
         with pytest.raises(ValueError):
             solve_all(model)
         validate_model(TinyModel(doms({1, 2}, {1, 2}), [LessThan(0, 1)]))
+        # a cell filter's scope is range-checked past its cells too: an
+        # unknown var in an element's array or index, an occurrence's scope
+        # or a channel's slots is refused before the search starts
+        cells = [0, 1, 2]
+        domains = doms({1, 2}, {1, 2}, {1, 2}, {1, 2, 3}, {1, 2})
+        for prop, seq_vars in (
+            (ElementOffsetConst([0, 1, 9], 3, 0, 2), cells),
+            (ElementOffsetConst(cells, 9, 0, 2), cells),
+            (Occurrence([0, 9, 2], 2, 1), cells),
+            (InverseChannel([[4], [9]], [0, 1]), [0, 1]),
+        ):
+            with pytest.raises(ValueError, match="propagator 0 references unknown var 9"):
+                solve_all(TinyModel(domains, [prop], seq_vars=seq_vars))
 
     def test_cell_filters_must_read_the_models_cells(self):
         # the cell filters read the store's view over the model's cells, so
@@ -498,6 +514,10 @@ class TestSolveAll:
             (ElementOffsetConst(cells, 3, 0, 3), cells),  # a value no cell holds
             (Occurrence(cells, 3, 1), cells),
             (InverseChannel([[3], [4], [5]], cells), cells),  # n = 3
+            (ElementOffsetConst([0, 1, 9], 3, 0, 2), cells),  # an unknown var in the array
+            (ElementOffsetConst(cells, 9, 0, 2), cells),  # an unknown index
+            (Occurrence([0, 1, 9], 2, 1), cells),  # an unknown var
+            (InverseChannel([[4], [9]], [0, 1]), [0, 1]),  # an unknown slot
         ]
         for prop, seq_vars in bad:
             with pytest.raises(ValueError):

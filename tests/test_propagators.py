@@ -36,6 +36,7 @@ from util import (
     reference_element_filter,
     reference_inverse_channel_filter,
     reference_occurrence_filter,
+    reference_targets,
     store_of,
     view_of,
 )
@@ -293,6 +294,15 @@ class TestElementOffsetConst:
         # come up often, and so do cases without strays
         assert seen["checked"] >= 550 and seen["wipeout"] >= 100, seen
         assert 200 <= seen["stray"] <= 400, seen
+
+    def test_targets_equal_the_per_index_build(self):
+        # every offset that puts the array partly, wholly or not at all in
+        # reach, offset >= len included, where no index has a target
+        for length in range(1, 7):
+            array = [10 + i for i in range(length)]
+            for offset in range(-(length + 2), length + 3):
+                prop = ElementOffsetConst(array, 99, offset, 1)
+                assert prop.targets == reference_targets(array, offset), (length, offset)
 
     def test_view_covers_negative_offsets_and_index_zero(self):
         # with offset -1 index p targets position p - 1: only position 2

@@ -414,6 +414,19 @@ def reference_element_filter(prop: ElementOffsetConst, store: Store) -> bool:
     return True
 
 
+def reference_targets(array, offset: int) -> tuple:
+    """`ElementOffsetConst.targets` built one index at a time: entry p is
+    the cell at position p + offset, or -1 when that position is off the
+    array, for every p from 0 up to len(array) - min(offset, 0)."""
+    highest = len(array) - min(offset, 0)
+    targets = [-1] * (highest + 1)
+    for p in range(1, highest + 1):
+        pos = p + offset
+        if 1 <= pos <= len(array):
+            targets[p] = array[pos - 1]
+    return tuple(targets)
+
+
 def reference_occurrence_filter(prop: Occurrence, store: Store) -> bool:
     """The scanning Occurrence filter: it counts the variables that can
     take the value and those assigned to it, then walks the scope again to
