@@ -8,8 +8,7 @@ found under --print-solutions, and prints its summary line last.
 
 A CSV row is a `RunRecord`: the instance (k, n), the variant key (model,
 branch, sym, cons, heuristic) and the search's `SearchStats` (solutions,
-nodes, failures, time_ms = elapsed_ms, timed_out). There is no column for
-`implied`, so a run without the implied constraints is never written.
+nodes, failures, time_ms = elapsed_ms, timed_out).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .models import (
     VariantConfig,
     build_model,
 )
-from .oracle import enumerate_bruteforce
+from .oracle import SYMMETRY_CHOICES, enumerate_bruteforce
 
 CSV_FIELDS = [
     "k",
@@ -48,6 +47,7 @@ CSV_FIELDS = [
     "time_ms",
     "timed_out",
 ]
+VARIANT_KEYS = CSV_FIELDS[2:7]  # the VariantConfig fields, which a sweep spec sets
 
 TRIVIAL_NODE_BOUND = 5
 
@@ -126,7 +126,6 @@ def _variant_from_args(parser, args) -> VariantConfig:
             sym=args.sym if args.sym is not None else _default_sym(args.model),
             cons=(args.cons or "both") if args.model == "channelled" else None,
             heuristic=HeuristicKind(args.heuristic),
-            implied=not args.no_implied,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -216,8 +215,6 @@ def cmd_solve(parser, args) -> int:
     except ValueError as exc:
         return _error(exc)
     out = Path(args.out) if args.out else None
-    if out and not config.implied:
-        return _error(f"--no-implied cannot be recorded in {out}: the CSV has no implied column")
     fresh = out is None or not out.exists() or out.stat().st_size == 0
     if not fresh:
         try:
@@ -262,15 +259,10 @@ def _parse_variant_spec(parser, text: str) -> dict:
         key, value = token.split("=", 1)
         key = key.strip()
         value = value.strip()
-        if key not in ("model", "branch", "sym", "cons", "heuristic", "implied"):
+        if key not in VARIANT_KEYS:
             parser.error(f"unknown variant key {key!r}")
-        if key == "implied":
-            if value == "false":
-                parser.error(f"variant {text!r}: implied=false cannot be recorded, "
-                             f"the CSV has no implied column")
-            if value != "true":
-                parser.error(f"implied takes true or false, not {value!r}")
-            continue  # implied=true is VariantConfig's default
+        if key in variant:
+            parser.error(f"variant spec {text!r} gives {key} twice")
         variant[key] = value
     if "model" not in variant:
         parser.error(f"variant spec {text!r} needs model=...")
@@ -368,7 +360,7 @@ def render_report(records: list[RunRecord]) -> str:
         f"{TRIVIAL_NODE_BOUND} nodes. Mean/Sum cover non-trivial rows with a "
         f"complete, untimed-out set of entries.",
         "",
-        "| Instance | " + " | ".join(columns) + " |",
+        "| " + " | ".join(["Instance", *columns]) + " |",
         "|---" * (len(columns) + 1) + "|",
     ]
     sums = [0] * len(columns)
@@ -445,8 +437,6 @@ def build_parser() -> _Parser:
         choices=[h.value for h in HeuristicKind],
         default="static",
     )
-    p_solve.add_argument("--no-implied", action="store_true",
-                         help="drop the redundant per-number occurrence constraints")
     p_solve.add_argument("--timeout", type=float, help="wall-clock limit in seconds")
     p_solve.add_argument("--node-limit", type=int)
     p_solve.add_argument("--print-solutions", action="store_true",
@@ -477,7 +467,7 @@ def build_parser() -> _Parser:
     p_oracle = sub.add_parser("oracle", help="brute-force enumeration count")
     p_oracle.add_argument("--k", type=int, required=True)
     p_oracle.add_argument("--n", type=int, required=True)
-    p_oracle.add_argument("--sym", choices=["none", "first-less-last"], default="none")
+    p_oracle.add_argument("--sym", choices=SYMMETRY_CHOICES, default="none")
     p_oracle.add_argument("--print-solutions", action="store_true")
     p_oracle.set_defaults(func=cmd_oracle)
 

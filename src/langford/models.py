@@ -64,9 +64,8 @@ class Instance:
 class VariantConfig:
     """One point of the model/search variant space.
 
-    `branch` and `cons` apply to channelled models only. `implied` toggles
-    the redundant per-number occurrence constraints wherever the direct
-    constraints are posted.
+    `branch` and `cons` apply to channelled models only. Every field is
+    a CSV column.
     """
 
     model: str
@@ -74,7 +73,6 @@ class VariantConfig:
     sym: str = "none"
     cons: Optional[str] = None
     heuristic: HeuristicKind = HeuristicKind.STATIC
-    implied: bool = True
 
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
@@ -149,15 +147,14 @@ class _Builder:
         return len(self.domains) - 1
 
 
-def _direct_constraints(instance, seq, first, implied: bool) -> list[Propagator]:
+def _direct_constraints(instance, cells, first) -> list[Propagator]:
     k, n = instance.k, instance.n
     props: list[Propagator] = []
     for m in range(1, n + 1):
         for t in range(k):
-            props.append(ElementOffsetConst(seq, first[m - 1], t * (m + 1), m))
-    if implied:
-        for m in range(1, n + 1):
-            props.append(Occurrence(seq, m, k))
+            props.append(ElementOffsetConst(cells, first[m - 1], t * (m + 1), m))
+    for m in range(1, n + 1):
+        props.append(Occurrence(cells, m, k))
     return props
 
 
@@ -199,6 +196,7 @@ def build_model(instance: Instance, config: VariantConfig) -> Model:
             b.var(1, max(kn - (k - 1) * (m + 1), 1)) for m in range(1, n + 1)
         ]
 
+    cells = tuple(seq or ())  # every cell filter keeps this one tuple: tuple(cells) is cells
     props: list[Propagator] = []
     if config.model == "channelled":
         # InverseChannel rules (b) and (c) already prune as much as these
@@ -208,13 +206,13 @@ def build_model(instance: Instance, config: VariantConfig) -> Model:
         # dom/wdeg node counts.
         for m in range(1, n + 1):
             for j in range(1, k + 1):
-                props.append(ElementOffsetConst(seq, pos[m - 1][j - 1], 0, m))
-        props.append(InverseChannel(pos, seq))
+                props.append(ElementOffsetConst(cells, pos[m - 1][j - 1], 0, m))
+        props.append(InverseChannel(pos, cells))
         for m in range(1, n + 1):
             for j in range(2, k + 1):
                 props.append(LessThan(pos[m - 1][j - 2], pos[m - 1][j - 1]))
     if with_direct:
-        props.extend(_direct_constraints(instance, seq, first, config.implied))
+        props.extend(_direct_constraints(instance, cells, first))
     if with_positional:
         props.extend(_positional_constraints(instance, pos))
     if config.sym == "d":

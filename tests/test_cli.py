@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import re
 import subprocess
@@ -17,6 +18,7 @@ from langford.heuristics import HeuristicKind
 from langford.models import (
     BRANCH_CHOICES, CONS_CHOICES, MODEL_KINDS, SYM_CHOICES, Instance, VariantConfig, build_model,
 )
+from langford.oracle import SYMMETRY_CHOICES
 
 # a row whose last field is one character over the csv module's field limit
 HUGE_FIELD_ROW = "2,3,direct,,d,,static,1,0,0,1," + "x" * (csv.field_size_limit() + 1)
@@ -153,26 +155,6 @@ class TestSolve:
             assert f"{out}:2: malformed row" in capsys.readouterr().err
             assert out.read_text() == text
 
-    def test_no_implied_out_refused_before_search(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        monkeypatch.setattr(cli, "iter_solutions", lambda *task, **limits: calls.append(task))
-        out = tmp_path / "runs.csv"
-        code = main(["solve", "--k", "2", "--n", "3", "--model", "direct", "--sym", "d",
-                     "--no-implied", "--out", str(out)])
-        assert code == 1
-        assert calls == []
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: --no-implied cannot be recorded in {out}: "
-                                f"the CSV has no implied column\n")
-        assert not out.exists()
-
-    def test_no_implied_without_out(self, capsys):
-        code = main(["solve", "--k", "2", "--n", "3", "--model", "direct", "--sym", "d",
-                     "--no-implied"])
-        assert code == 0
-        assert "solutions=1" in capsys.readouterr().out
-
     def test_unwritable_out_fails_before_search(self, tmp_path, capsys):
         out = tmp_path / "missing" / "runs.csv"
         code = main(["solve", "--k", "2", "--n", "3", "--model", "direct", "--sym", "d",
@@ -292,11 +274,16 @@ class TestSweep:
         assert capsys.readouterr().err.endswith(message)
         assert out.read_bytes() == before
 
-    @pytest.mark.parametrize("specs", [
-        ["model=direct,sym=d,implied=yes"],
-        ["model=direct,sym=d", "model=direct,sym=d,heuristic=static"],
-    ], ids=["implied-not-boolean", "duplicate-csv-key"])
-    def test_bad_variant_specs_exit_1(self, tmp_path, capsys, specs):
+    @pytest.mark.parametrize("specs, message", [
+        (["model=direct,sym=d,implied=true"], "unknown variant key 'implied'"),
+        (["model=direct,sym=d", "model=direct,sym=d,heuristic=static"],
+         "write the same CSV rows"),
+        (["model=direct,model=positional,sym=p"],
+         "variant spec 'model=direct,model=positional,sym=p' gives model twice"),
+    ], ids=["unknown-key", "duplicate-csv-key", "repeated-key"])
+    def test_bad_variant_specs_exit_1(self, tmp_path, capsys, monkeypatch, specs, message):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *task: calls.append(task))
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
                 "--out", str(out)]
@@ -305,27 +292,9 @@ class TestSweep:
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1
-        assert not out.exists()
-
-    def test_implied_false_variant_exit_1(self, tmp_path, capsys, monkeypatch):
-        # the CSV has no implied column, so --skip-existing would take the
-        # implied=true row for this variant's result
-        out = tmp_path / "sweep.csv"
-        argv = ["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
-                "--out", str(out), "--skip-existing"]
-        assert main(argv + ["--variant", "model=direct,sym=d"]) == 0
-        before = out.read_bytes()
-        capsys.readouterr()
-        calls = []
-        monkeypatch.setattr(cli, "run", lambda *task: calls.append(task))
-        with pytest.raises(SystemExit) as info:
-            main(argv + ["--variant", "model=direct,sym=d,implied=false"])
-        assert info.value.code == 1
         assert calls == []
-        assert capsys.readouterr().err.endswith(
-            "error: variant 'model=direct,sym=d,implied=false': implied=false cannot be "
-            "recorded, the CSV has no implied column\n")
-        assert out.read_bytes() == before
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_out_runs_no_cell(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -473,6 +442,12 @@ class TestReport:
         assert main(["report", str(bad)]) == 1
         assert f"{bad}:2: malformed row" in capsys.readouterr().err
 
+    def test_header_only_csv_renders_an_empty_table(self, tmp_path, capsys):
+        csv_path = tmp_path / "sweep.csv"
+        csv_path.write_text(",".join(CSV_FIELDS) + "\n")
+        assert main(["report", str(csv_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == ["| Instance |", "|---|"]
+
     def test_wrong_header_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n")
@@ -502,7 +477,9 @@ class TestOracleCmd:
     (["solve", "--k", "2", "--n", "3", "--model", "direct", "--config", "run.conf"],
      "unrecognized arguments: --config run.conf"),
     (["sweep", "--full"], "unrecognized arguments: --full"),
-], ids=["export-dimacs", "solve-config", "sweep-full"])
+    (["solve", "--k", "2", "--n", "3", "--model", "direct", "--no-implied"],
+     "unrecognized arguments: --no-implied"),
+], ids=["export-dimacs", "solve-config", "sweep-full", "solve-no-implied"])
 def test_removed_surface_is_usage_error(capsys, monkeypatch, argv, message):
     calls = []
     monkeypatch.setattr(cli, "run", lambda *task: calls.append(task))
@@ -518,7 +495,8 @@ def test_removed_surface_is_usage_error(capsys, monkeypatch, argv, message):
 
 def test_solve_choices_are_the_variant_values():
     # one list of each variant axis's values, in models, serves both the
-    # VariantConfig check and solve's flags
+    # VariantConfig check and solve's flags; the oracle's one list of
+    # symmetry filters serves its check and oracle --sym
     commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     choices = {action.dest: action.choices for action in commands.choices["solve"]._actions}
     assert tuple(choices["model"]) == MODEL_KINDS
@@ -526,6 +504,12 @@ def test_solve_choices_are_the_variant_values():
     assert tuple(choices["sym"]) == SYM_CHOICES
     assert tuple(choices["cons"]) == CONS_CHOICES
     assert list(choices["heuristic"]) == [h.value for h in HeuristicKind]
+    oracle = {action.dest: action.choices for action in commands.choices["oracle"]._actions}
+    assert tuple(oracle["sym"]) == SYMMETRY_CHOICES
+
+
+def test_every_variant_field_is_a_csv_column():
+    assert [f.name for f in dataclasses.fields(VariantConfig)] == CSV_FIELDS[2:7]
 
 
 def test_instance_label():

@@ -349,8 +349,7 @@ class TestWatchers:
         if instance is None:
             models = [SCATTERED_CELLS]
         else:
-            models = [build_model(Instance(*instance), config)
-                      for implied in (True, False) for config in every_variant(implied)
+            models = [build_model(Instance(*instance), config) for config in every_variant()
                       if config.heuristic is HeuristicKind.STATIC]
         for model in models:
             cells = tuple(model.seq_vars or ())

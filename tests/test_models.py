@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -86,11 +87,10 @@ class TestBuildDirect:
         assert model.branch_order == model.seq_vars + model.first_occ
 
     def test_element_anchors_step_through_the_chain(self):
-        model = build_model(Instance(3, 4), VariantConfig("direct", implied=False))
-        for p in model.propagators:
-            assert isinstance(p, ElementOffsetConst)
+        model = build_model(Instance(3, 4), VariantConfig("direct"))
+        assert kinds(model) == {"element_offset_const": 12, "occurrence": 4}
         offsets = sorted(
-            (p.value, p.offset) for p in model.propagators
+            (p.value, p.offset) for p in model.propagators if isinstance(p, ElementOffsetConst)
         )
         assert offsets == sorted(
             (m, t * (m + 1)) for m in range(1, 5) for t in range(3)
@@ -99,10 +99,6 @@ class TestBuildDirect:
     def test_sym_off_drops_less_than(self):
         model = build_model(Instance(2, 3), VariantConfig("direct"))
         assert "less_than" not in kinds(model)
-
-    def test_implied_off_drops_occurrence(self):
-        model = build_model(Instance(2, 3), VariantConfig("direct", sym="d", implied=False))
-        assert "occurrence" not in kinds(model)
 
     def test_n1_with_sym_unsatisfiable(self):
         model = build_model(Instance(2, 1), DIRECT)
@@ -211,11 +207,10 @@ class TestBuildChannelled:
     def test_cell_propagators_share_the_channel_tuple(self):
         # the search store's view covers the InverseChannel's `seq`, the
         # model's cells in position order, and every element link, anchor
-        # and occurrence of a channelled model ranges over those same cells
-        for branch, sym, cons, implied in itertools.product(
-            "dp", ("d", "p", "none"), ("both", "d", "p"), (True, False)
-        ):
-            cfg = VariantConfig("channelled", branch=branch, sym=sym, cons=cons, implied=implied)
+        # and occurrence of a channelled model keeps that same tuple, not a
+        # copy of its own
+        for branch, sym, cons in itertools.product("dp", ("d", "p", "none"), ("both", "d", "p")):
+            cfg = VariantConfig("channelled", branch=branch, sym=sym, cons=cons)
             model = build_model(Instance(3, 4), cfg)
             validate_model(model)
             (channel,) = [p for p in model.propagators if isinstance(p, InverseChannel)]
@@ -223,17 +218,18 @@ class TestBuildChannelled:
             elements = [p for p in model.propagators if isinstance(p, ElementOffsetConst)]
             occurrences = [p for p in model.propagators if isinstance(p, Occurrence)]
             assert len(elements) == (12 if cons == "p" else 24)  # links, then anchors
-            assert len(occurrences) == (4 if cons != "p" and implied else 0)
-            assert all(p.array == channel.seq for p in elements)
-            assert all(p.scope == channel.seq for p in occurrences)
+            assert len(occurrences) == (4 if cons != "p" else 0)
+            assert all(p.array is channel.seq for p in elements)
+            assert all(p.scope is channel.seq for p in occurrences)
             store = Store(model.initial_domains, tuple(model.seq_vars))
             assert store.cells == channel.seq
 
     def test_cell_propagators_range_over_the_cells(self):
         # a base viewpoint's store keeps the view too: over the direct
-        # model's cells, whose anchors and occurrences range over exactly
-        # those cells in position order, and empty for a positional model
-        for cfg in (DIRECT, POSITIONAL, VariantConfig("direct", implied=False)):
+        # model's cells, whose anchors and occurrences all keep one tuple
+        # of exactly those cells in position order, and empty for a
+        # positional model
+        for cfg in (DIRECT, POSITIONAL):
             model = build_model(Instance(3, 4), cfg)
             validate_model(model)
             cell_props = [
@@ -245,13 +241,14 @@ class TestBuildChannelled:
                 store = Store(model.initial_domains)
                 assert store.cells == () and store.can == [] and store.fixed == 0
                 continue
-            cells = tuple(model.seq_vars)
             elements = [p for p in cell_props if isinstance(p, ElementOffsetConst)]
             occurrences = [p for p in cell_props if isinstance(p, Occurrence)]
-            assert len(elements) == 12 and len(occurrences) == (4 if cfg.implied else 0)
+            assert len(elements) == 12 and len(occurrences) == 4
             assert len(cell_props) == len(elements) + len(occurrences)  # no channel
-            assert all(p.array == cells for p in elements)
-            assert all(p.scope == cells for p in occurrences)
+            cells = elements[0].array
+            assert cells == tuple(model.seq_vars)
+            assert all(p.array is cells for p in elements)
+            assert all(p.scope is cells for p in occurrences)
 
     def test_solution_counts(self):
         cfg = VariantConfig("channelled", branch="d", sym="d", cons="both")
@@ -311,11 +308,14 @@ class TestCrossViewpointAgreement:
             assert not with_sym & mirrored
 
     def test_implied_constraints_are_redundant(self):
-        for n in range(2, 7):
-            with_implied = solution_sequences(build_model(Instance(2, n), DIRECT))
-            config = VariantConfig("direct", sym="d", implied=False)
-            without = solution_sequences(build_model(Instance(2, n), config))
-            assert with_implied == without
+        # the occurrence constraints only prune: the direct model without
+        # them has the same solutions (none at all for k = 3 up to n = 6)
+        for k, n in itertools.product((2, 3), range(2, 7)):
+            model = build_model(Instance(k, n), DIRECT)
+            bare = dataclasses.replace(model, propagators=[
+                p for p in model.propagators if not isinstance(p, Occurrence)])
+            assert len(bare.propagators) == len(model.propagators) - n
+            assert solution_sequences(model) == solution_sequences(bare)
 
 
 def test_build_model_dispatch():
@@ -348,4 +348,4 @@ def test_cells_share_one_wake_table():
             first = tables[model.seq_vars[0]]
             assert all(tables[c] is first for c in model.seq_vars), config
         assign_tables += watchers.assign_value_of[model.seq_vars[0]] is not None
-    assert assign_tables  # the Occurrence constraints of the implied direct model
+    assert assign_tables  # the Occurrence constraints posted with the direct constraints

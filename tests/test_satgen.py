@@ -29,7 +29,7 @@ class TestEncode:
 
     def test_singleton_domain_yields_unit_clause(self):
         # at 2x2 the chain of 2s only fits one start cell
-        model = build_model(Instance(2, 2), VariantConfig("direct", implied=False))
+        model = build_model(Instance(2, 2), VariantConfig("direct"))
         var = model.first_occ[1]
         assert values(model.initial_domains[var]) == [1]
         cnf = encode(model)

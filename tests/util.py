@@ -48,16 +48,15 @@ class TinyModel:
             self.branch_order = list(range(len(self.initial_domains)))
 
 
-def every_variant(implied: bool = True) -> list[VariantConfig]:
-    """Every valid variant, with `implied` as given: 88 of them, each
-    model kind x branch x sym x cons x heuristic that VariantConfig
-    accepts."""
+def every_variant() -> list[VariantConfig]:
+    """Every valid variant: 88 of them, each model kind x branch x sym x
+    cons x heuristic that VariantConfig accepts."""
     variants = []
     for model, branch, sym, cons, heuristic in itertools.product(
         MODEL_KINDS, (None, *BRANCH_CHOICES), SYM_CHOICES, (None, *CONS_CHOICES), HeuristicKind
     ):
         try:
-            variants.append(VariantConfig(model, branch, sym, cons, heuristic, implied))
+            variants.append(VariantConfig(model, branch, sym, cons, heuristic))
         except ValueError:
             continue
     return variants
