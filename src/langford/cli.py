@@ -123,16 +123,12 @@ def _variant_from_args(parser, args) -> VariantConfig:
         return VariantConfig(
             model=args.model,
             branch=args.branch if args.model == "channelled" else None,
-            sym=args.sym if args.sym is not None else _default_sym(args.model),
+            sym=args.sym or ("p" if args.model == "positional" else "d"),
             cons=(args.cons or "both") if args.model == "channelled" else None,
             heuristic=HeuristicKind(args.heuristic),
         )
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _default_sym(model: str) -> str:
-    return {"direct": "d", "positional": "p", "channelled": "d"}[model]
 
 
 def run(
@@ -195,12 +191,12 @@ def _read_csv(path: Path) -> list[RunRecord]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
+            header = next(reader, None)  # None only for a 0-byte file: no rows, as for solve and sweep
             if header == CSV_FIELDS:
                 records = [RunRecord.from_csv(row) for row in reader if row]
         except (csv.Error, ValueError) as exc:  # csv.Error: e.g. a field over the size limit
             raise ValueError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
-    if header != CSV_FIELDS:
+    if header not in (None, CSV_FIELDS):
         raise ValueError(f"{path}:1: bad header {header!r}")
     return records
 
@@ -309,7 +305,7 @@ def cmd_sweep(parser, args) -> int:
     except OSError as exc:
         return _cannot_write(out, exc)
     records: list[RunRecord] = []  # every row read is written back, repeats included
-    if args.skip_existing and out.exists() and out.stat().st_size > 0:
+    if args.skip_existing and out.exists():
         try:
             records = _read_csv(out)
         except ValueError as exc:
@@ -451,11 +447,15 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--n-min", type=int, default=2)
     p_sweep.add_argument("--n-max", type=int, default=10)
     p_sweep.add_argument("--variant", action="append",
-                         help="model=...,branch=...,sym=...,cons=...,heuristic=... (repeatable)")
+                         help="model=...,branch=...,sym=...,cons=...,heuristic=... (repeatable); an "
+                              "omitted key takes VariantConfig's default (sym none, heuristic static, "
+                              "no branch or cons: a channelled spec must give both), unlike solve, "
+                              "whose --sym defaults by model and --cons to both")
     p_sweep.add_argument("--timeout", type=float, default=60.0)
     p_sweep.add_argument("--node-limit", type=int)
-    p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--skip-existing", action="store_true")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes (1: run in this one)")
+    p_sweep.add_argument("--skip-existing", action="store_true", help="skip each cell that --out has "
+                         "a row for, finished or timed out, and keep every row read")
     p_sweep.add_argument("--out", default="sweep.csv")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -199,7 +199,7 @@ class Watchers:
                 if mask is None:
                     for var in vars_:
                         any_of[var].append(pid)
-                elif vars_ != cells:
+                elif vars_ is not cells and vars_ != cells:
                     raise ValueError(f"propagator {pid} has a value condition off the model's cells")
                 else:
                     removals.append((pid, mask))
@@ -211,7 +211,7 @@ class Watchers:
                             assign_any_of[var] = [pid]
                         else:
                             assign_any_of[var].append(pid)
-                elif vars_ != cells:
+                elif vars_ is not cells and vars_ != cells:
                     raise ValueError(f"propagator {pid} has a value condition off the model's cells")
                 else:
                     assigns.append((pid, mask))
@@ -375,10 +375,11 @@ def validate_model(model) -> None:
     one a cell's initial domain holds. The cells are range-checked once, so
     a cell filter whose array is the cells has only the rest of its scope
     checked (an element's index, the channel's slots): the k·n element
-    filters would otherwise walk the cells k·n times. Any other scope is
-    checked whole, so every error is raised as before."""
+    filters would otherwise walk the cells k·n times; any other scope is
+    checked whole. An array that is the model's own tuple, as in every
+    built model, is not compared with it value by value."""
     num_vars = len(model.initial_domains)
-    cells = tuple(model.seq_vars or ())
+    cells = model.cells
     if sorted(model.branch_order) != list(range(num_vars)):
         raise ValueError("the branching order is not a permutation of the model's variables")
     if not all(0 <= v < num_vars for v in cells):
@@ -398,12 +399,13 @@ def validate_model(model) -> None:
             array, value, rest = p.seq, p.n, scope[:-len(p.seq)]
         else:
             array, rest = None, scope
-        for v in rest if array == cells else scope:
+        on_cells = array is cells or array == cells
+        for v in rest if on_cells else scope:
             if not (0 <= v < num_vars):
                 raise ValueError(f"propagator {pid} references unknown var {v}")
         if array is None:
             continue
-        if array != cells:
+        if not on_cells:
             raise ValueError(f"propagator {pid} does not range over the model's cells in order")
         if value > top:
             raise ValueError(f"propagator {pid} asks for {value}, above every cell's initial domain")
@@ -463,9 +465,8 @@ def iter_solutions(
     validate_model(model)
     propagators = model.propagators
     num_vars = len(model.initial_domains)
-    cells = tuple(model.seq_vars or ())
-    store = Store(model.initial_domains, cells)
-    watchers = build_watchers(model.initial_domains, propagators, cells)
+    store = Store(model.initial_domains, model.cells)
+    watchers = build_watchers(model.initial_domains, propagators, model.cells)
     queue = _Queue(watchers.priority)
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit

@@ -119,9 +119,8 @@ class Model:
     initial_domains: list[int]
     propagators: list[Propagator]
     branch_order: list[int]
-    seq_vars: Optional[list[int]] = None
+    cells: tuple = ()  # the sequence cells in position order; chain starts end branch_order
     pos_vars: Optional[list[list[int]]] = None
-    first_occ: Optional[list[int]] = None
 
     @property
     def num_vars(self) -> int:
@@ -129,8 +128,8 @@ class Model:
 
     def sequence_of(self, solution: Sequence[int]) -> tuple[int, ...]:
         """Project a solution to the arrangement it denotes."""
-        if self.seq_vars is not None:
-            return tuple(solution[v] for v in self.seq_vars)
+        if self.cells:
+            return tuple(solution[v] for v in self.cells)
         out = [0] * self.instance.seq_length
         for m0, row in enumerate(self.pos_vars):
             for v in row:
@@ -183,9 +182,9 @@ def build_model(instance: Instance, config: VariantConfig) -> Model:
     with_positional = config.model == "positional" or config.cons in ("both", "p")
 
     b = _Builder()
-    seq = pos = first = None
-    if config.model != "positional":
-        seq = [b.var(1, n) for _ in range(kn)]
+    # every cell filter keeps this one tuple: tuple(cells) is cells
+    cells = tuple([b.var(1, n) for _ in range(kn)]) if config.model != "positional" else ()
+    pos = first = None
     if config.model != "direct":
         pos = [[b.var(1, kn) for _ in range(k)] for _ in range(n)]
     if with_direct:
@@ -196,7 +195,6 @@ def build_model(instance: Instance, config: VariantConfig) -> Model:
             b.var(1, max(kn - (k - 1) * (m + 1), 1)) for m in range(1, n + 1)
         ]
 
-    cells = tuple(seq or ())  # every cell filter keeps this one tuple: tuple(cells) is cells
     props: list[Propagator] = []
     if config.model == "channelled":
         # InverseChannel rules (b) and (c) already prune as much as these
@@ -216,20 +214,19 @@ def build_model(instance: Instance, config: VariantConfig) -> Model:
     if with_positional:
         props.extend(_positional_constraints(instance, pos))
     if config.sym == "d":
-        props.append(LessThan(seq[0], seq[-1]))
+        props.append(LessThan(cells[0], cells[-1]))
     elif config.sym == "p":
         props.append(SumLeq(pos[0][0], pos[0][-1], kn))
 
     slots = [v for row in pos for v in row] if pos else []
-    order = slots + (seq or []) if config.branch == "p" else (seq or []) + slots
+    order = [*slots, *cells] if config.branch == "p" else [*cells, *slots]
     return Model(
         instance=instance,
         config=config,
         initial_domains=b.domains,
         propagators=props,
         branch_order=order + (first or []),
-        seq_vars=seq,
+        cells=cells,
         pos_vars=pos,
-        first_occ=first,
     )
 

@@ -443,10 +443,12 @@ class TestReport:
         assert f"{bad}:2: malformed row" in capsys.readouterr().err
 
     def test_header_only_csv_renders_an_empty_table(self, tmp_path, capsys):
+        # a 0-byte file holds no rows either, as it does for solve and sweep
         csv_path = tmp_path / "sweep.csv"
-        csv_path.write_text(",".join(CSV_FIELDS) + "\n")
-        assert main(["report", str(csv_path)]) == 0
-        assert capsys.readouterr().out.splitlines()[-2:] == ["| Instance |", "|---|"]
+        for text in (",".join(CSV_FIELDS) + "\n", ""):
+            csv_path.write_text(text)
+            assert main(["report", str(csv_path)]) == 0
+            assert capsys.readouterr().out.splitlines()[-2:] == ["| Instance |", "|---|"]
 
     def test_wrong_header_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

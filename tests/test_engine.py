@@ -334,26 +334,37 @@ SCATTERED_CELLS = TinyModel(
         LessThan(4, 1),
         Occurrence((3, 0, 2), 1, 1),
     ],
-    seq_vars=[3, 0, 2],
+    cells=[3, 0, 2],
 )
 
 
 class TestWatchers:
-    @pytest.mark.parametrize("instance", [(2, 3), (3, 5), (4, 4), None],
-                             ids=["2-3", "3-5", "4-4", "scattered-cells"])
+    @pytest.mark.parametrize("instance", [(2, 3), (3, 5), (4, 4), "scattered", "copied"],
+                             ids=["2-3", "3-5", "4-4", "scattered-cells", "copied-cells"])
     def test_tables_equal_the_per_pair_build(self, instance):
         # every model kind, branch, sym and cons of an instance (the heuristic
         # does not change the model), or a hand-made model whose cells are
         # not in var order: the cells, not the var ids, decide which
-        # variables hold the value tables
-        if instance is None:
+        # variables hold the value tables; or a channelled model rebuilt by
+        # hand with an equal copy of its cells, not the tuple its filters
+        # hold: it is accepted and gets the tables of the shared tuple
+        if instance == "scattered":
             models = [SCATTERED_CELLS]
+        elif instance == "copied":
+            built = build_model(Instance(3, 4), VariantConfig("channelled", branch="d", sym="d", cons="both"))
+            copy = TinyModel(built.initial_domains, built.propagators, built.branch_order, cells=list(built.cells))
+            assert copy.cells == built.cells and copy.cells is not built.cells
+            validate_model(copy)
+            shared = build_watchers(built.initial_domains, built.propagators, built.cells)
+            copied = build_watchers(copy.initial_domains, copy.propagators, copy.cells)
+            for name in WATCHER_TABLES:
+                assert getattr(copied, name) == getattr(shared, name), name
+            models = [copy]
         else:
             models = [build_model(Instance(*instance), config) for config in every_variant()
                       if config.heuristic is HeuristicKind.STATIC]
         for model in models:
-            cells = tuple(model.seq_vars or ())
-            watchers = build_watchers(model.initial_domains, model.propagators, cells)
+            watchers = build_watchers(model.initial_domains, model.propagators, model.cells)
             reference = reference_watchers(model.initial_domains, model.propagators)
             for name in WATCHER_TABLES:
                 assert getattr(watchers, name) == getattr(reference, name), (model.config, name)
@@ -370,8 +381,8 @@ class TestWatchers:
     def test_tables_cover_every_value_of_the_covered_domains(self):
         # the Occurrence's masks go up to value 1, but its cells hold 3: the
         # tables must cover the values the cells lose or are assigned, 2 and 3
-        model = TinyModel(doms({1, 2, 3}, {1, 2, 3}), [Occurrence([0, 1], 1, 1)], seq_vars=[0, 1])
-        watchers = build_watchers(model.initial_domains, model.propagators, tuple(model.seq_vars or ()))
+        model = TinyModel(doms({1, 2, 3}, {1, 2, 3}), [Occurrence([0, 1], 1, 1)], cells=[0, 1])
+        watchers = build_watchers(model.initial_domains, model.propagators, model.cells)
         reference = reference_watchers(model.initial_domains, model.propagators)
         for name in WATCHER_TABLES:
             assert getattr(watchers, name) == getattr(reference, name), name
@@ -399,8 +410,7 @@ class TestQueue:
 
     def test_push_follows_the_models_priority(self):
         model = build_model(Instance(2, 4), VariantConfig("channelled", branch="d", sym="d", cons="both"))
-        cells = tuple(model.seq_vars or ())
-        priority = build_watchers(model.initial_domains, model.propagators, cells).priority
+        priority = build_watchers(model.initial_domains, model.propagators, model.cells).priority
         assert 0 in priority and 1 in priority
         queue = _Queue(priority)
         for pid, tier in enumerate(priority):
@@ -481,14 +491,14 @@ class TestSolveAll:
         # or a channel's slots is refused before the search starts
         cells = [0, 1, 2]
         domains = doms({1, 2}, {1, 2}, {1, 2}, {1, 2, 3}, {1, 2})
-        for prop, seq_vars in (
+        for prop, model_cells in (
             (ElementOffsetConst([0, 1, 9], 3, 0, 2), cells),
             (ElementOffsetConst(cells, 9, 0, 2), cells),
             (Occurrence([0, 9, 2], 2, 1), cells),
             (InverseChannel([[4], [9]], [0, 1]), [0, 1]),
         ):
             with pytest.raises(ValueError, match="propagator 0 references unknown var 9"):
-                solve_all(TinyModel(domains, [prop], seq_vars=seq_vars))
+                solve_all(TinyModel(domains, [prop], cells=model_cells))
 
     def test_cell_filters_must_read_the_models_cells(self):
         # the cell filters read the store's view over the model's cells, so
@@ -502,14 +512,14 @@ class TestSolveAll:
             InverseChannel([[4], [5]], [0, 1]),
         ]
         for prop in good[:2]:
-            validate_model(TinyModel(domains, [prop], seq_vars=cells))
-        validate_model(TinyModel(domains, [good[2]], seq_vars=[0, 1]))
+            validate_model(TinyModel(domains, [prop], cells=cells))
+        validate_model(TinyModel(domains, [good[2]], cells=[0, 1]))
         bad = [
             (ElementOffsetConst([0, 1, 4], 3, 0, 2), cells),  # another array
             (ElementOffsetConst([2, 1, 0], 3, 0, 2), cells),  # another order
             (Occurrence([0, 1], 2, 1), cells),  # a part of the cells
             (InverseChannel([[4], [5]], [0, 1]), cells),
-            (ElementOffsetConst(cells, 3, 0, 2), None),  # a model without cells
+            (ElementOffsetConst(cells, 3, 0, 2), ()),  # a model without cells
             (ElementOffsetConst(cells, 3, 0, 3), cells),  # a value no cell holds
             (Occurrence(cells, 3, 1), cells),
             (InverseChannel([[3], [4], [5]], cells), cells),  # n = 3
@@ -518,14 +528,14 @@ class TestSolveAll:
             (Occurrence([0, 1, 9], 2, 1), cells),  # an unknown var
             (InverseChannel([[4], [9]], [0, 1]), [0, 1]),  # an unknown slot
         ]
-        for prop, seq_vars in bad:
+        for prop, model_cells in bad:
             with pytest.raises(ValueError):
-                validate_model(TinyModel(domains, [prop], seq_vars=seq_vars))
+                validate_model(TinyModel(domains, [prop], cells=model_cells))
         # a repeated cell holds one position of the view only; a search of
         # this model recommitted an unchanged domain that woke its
         # Occurrence again, forever
         with pytest.raises(ValueError):
-            validate_model(TinyModel(doms({1, 2}), [Occurrence([0, 0], 1, 2)], seq_vars=[0, 0]))
+            validate_model(TinyModel(doms({1, 2}), [Occurrence([0, 0], 1, 2)], cells=[0, 0]))
 
     def test_min_value_two_way_branching(self):
         # one variable {2,5,7}: assign 2 | remove 2, assign 5 | remove 5 -> {7}
@@ -551,7 +561,7 @@ class TestSolveAll:
     def test_trail_soundness_through_search(self):
         model = build_model(Instance(2, 4), VariantConfig("direct"))
         store = store_of(model)
-        watchers = build_watchers(model.initial_domains, model.propagators, tuple(model.seq_vars or ()))
+        watchers = build_watchers(model.initial_domains, model.propagators, model.cells)
         snapshot = list(store.doms)
         rng = random.Random(5)
         for _ in range(50):
@@ -569,7 +579,7 @@ class TestSolveAll:
         model = build_model(Instance(2, 3), VariantConfig("direct", sym="d"))
         arrangements = enumerate_bruteforce(2, 3, "first-less-last")
         store = store_of(model)
-        watchers = build_watchers(model.initial_domains, model.propagators, tuple(model.seq_vars or ()))
+        watchers = build_watchers(model.initial_domains, model.propagators, model.cells)
         assert propagate_to_fixpoint(store, model.propagators, watchers, range(len(model.propagators))) == FIXPOINT
         while True:
             var = next((v for v in model.branch_order if not is_assigned(store, v)), None)
@@ -579,7 +589,7 @@ class TestSolveAll:
             failed = propagate_to_fixpoint(store, model.propagators, watchers) != FIXPOINT
             fixed = {
                 i: store.value(v)
-                for i, v in enumerate(model.seq_vars)
+                for i, v in enumerate(model.cells)
                 if is_assigned(store, v)
             }
             extensible = any(
@@ -590,7 +600,7 @@ class TestSolveAll:
                 break
             # propagation succeeding makes no promise, but a fully assigned
             # sequence must be a real arrangement
-            if len(fixed) == len(model.seq_vars):
+            if len(fixed) == len(model.cells):
                 assert extensible
 
     def test_concurrent_searches_share_one_model(self, monkeypatch):

@@ -77,7 +77,7 @@ def test_static_on_channelled_branch_d_first_picks_sequence_cells():
     model = build_model(Instance(2, 4), cfg)
     store = store_of(model)
     picked = select_variable(store, model, HeuristicKind.STATIC)
-    assert picked in model.seq_vars
+    assert picked in model.cells
     cfg_p = VariantConfig("channelled", branch="p", sym="p", cons="both")
     model_p = build_model(Instance(2, 4), cfg_p)
     store_p = store_of(model_p)

@@ -78,13 +78,12 @@ class TestVariantConfig:
 class TestBuildDirect:
     def test_2_3_structure(self):
         model = build_model(Instance(2, 3), DIRECT)
-        assert len(model.seq_vars) == 6
-        assert len(model.first_occ) == 3
-        assert all(values(model.initial_domains[v]) == [1, 2, 3] for v in model.seq_vars)
-        first_domains = [values(model.initial_domains[v]) for v in model.first_occ]
+        assert len(model.cells) == 6 and model.num_vars == 9
+        assert all(values(model.initial_domains[v]) == [1, 2, 3] for v in model.cells)
+        assert model.branch_order[:6] == list(model.cells)
+        first_domains = [values(model.initial_domains[v]) for v in model.branch_order[6:]]
         assert first_domains == [[1, 2, 3, 4], [1, 2, 3], [1, 2]]
         assert kinds(model) == {"element_offset_const": 6, "less_than": 1, "occurrence": 3}
-        assert model.branch_order == model.seq_vars + model.first_occ
 
     def test_element_anchors_step_through_the_chain(self):
         model = build_model(Instance(3, 4), VariantConfig("direct"))
@@ -118,15 +117,16 @@ class TestBuildDirect:
         # enumerator finds extends to a full assignment accepted by every
         # propagator, and reflected arrangements fail the sym constraint
         model = build_model(Instance(3, 9), DIRECT)
-        assert len(model.seq_vars) == 27
+        assert len(model.cells) == 27
+        first = model.branch_order[27:]  # the chain starts
         kept = enumerate_bruteforce(3, 9, "first-less-last")
         assert len(kept) == 3
         for arr in enumerate_bruteforce(3, 9, "none"):
             values = [0] * model.num_vars
-            for var, value in zip(model.seq_vars, arr):
+            for var, value in zip(model.cells, arr):
                 values[var] = value
             for m in range(1, 10):
-                values[model.first_occ[m - 1]] = arr.index(m) + 1
+                values[first[m - 1]] = arr.index(m) + 1
             accepted = all(p.check(values) for p in model.propagators)
             assert accepted == (arr in kept)
 
@@ -147,7 +147,7 @@ class TestBuildPositional:
     def test_root_propagation_prunes_late_slots(self):
         model = build_model(Instance(2, 4), POSITIONAL)
         store = Store(model.initial_domains)
-        watchers = build_watchers(model.initial_domains, model.propagators, tuple(model.seq_vars or ()))
+        watchers = build_watchers(model.initial_domains, model.propagators, model.cells)
         assert propagate_to_fixpoint(
             store, model.propagators, watchers, range(len(model.propagators))
         ) == FIXPOINT
@@ -164,9 +164,10 @@ class TestBuildChannelled:
     def test_2_3_structure_cons_both(self):
         cfg = VariantConfig("channelled", branch="d", sym="d", cons="both")
         model = build_model(Instance(2, 3), cfg)
-        assert len(model.seq_vars) == 6
+        assert len(model.cells) == 6
         assert len([v for row in model.pos_vars for v in row]) == 6
-        assert len(model.first_occ) == 3
+        first_domains = [values(model.initial_domains[v]) for v in model.branch_order[12:]]
+        assert first_domains == [[1, 2, 3, 4], [1, 2, 3], [1, 2]]
         got = kinds(model)
         # 6 channel cells + 6 chain anchors, orderings + the sym constraint
         assert got["element_offset_const"] == 12
@@ -176,10 +177,10 @@ class TestBuildChannelled:
         assert got["all_different"] == 1
         assert got["eq_offset"] == 3
 
-    def test_cons_p_drops_first_occ(self):
+    def test_cons_p_drops_chain_starts(self):
         cfg = VariantConfig("channelled", branch="d", sym="p", cons="p")
         model = build_model(Instance(2, 3), cfg)
-        assert model.first_occ is None
+        assert model.num_vars == 12  # cells and slots only
         got = kinds(model)
         assert got["element_offset_const"] == 6  # channel only
         assert "occurrence" not in got
@@ -188,7 +189,7 @@ class TestBuildChannelled:
     def test_cons_d_drops_positional_side(self):
         cfg = VariantConfig("channelled", branch="d", sym="d", cons="d")
         model = build_model(Instance(2, 3), cfg)
-        assert model.first_occ is not None
+        assert model.num_vars == 15  # cells, slots and chain starts
         got = kinds(model)
         assert "all_different" not in got
         assert "eq_offset" not in got
@@ -198,31 +199,34 @@ class TestBuildChannelled:
         flat = lambda m: [v for row in m.pos_vars for v in row]
         cfg_d = VariantConfig("channelled", branch="d", sym="d", cons="both")
         m = build_model(Instance(2, 3), cfg_d)
-        assert m.branch_order[: len(m.seq_vars)] == m.seq_vars
-        assert m.branch_order[-len(m.first_occ) :] == m.first_occ
+        assert m.branch_order[:6] == list(m.cells)
+        assert m.branch_order[-3:] == [12, 13, 14]  # the chain starts, built last
         cfg_p = VariantConfig("channelled", branch="p", sym="p", cons="both")
         m = build_model(Instance(2, 3), cfg_p)
         assert m.branch_order[: 6] == flat(m)
 
     def test_cell_propagators_share_the_channel_tuple(self):
-        # the search store's view covers the InverseChannel's `seq`, the
-        # model's cells in position order, and every element link, anchor
-        # and occurrence of a channelled model keeps that same tuple, not a
-        # copy of its own
-        for branch, sym, cons in itertools.product("dp", ("d", "p", "none"), ("both", "d", "p")):
-            cfg = VariantConfig("channelled", branch=branch, sym=sym, cons=cons)
+        # the search store's view covers `model.cells`, and every element
+        # link, anchor, occurrence and channel of every variant keeps that
+        # same tuple, not a copy of its own; a positional model has no cells
+        for cfg in every_variant():
             model = build_model(Instance(3, 4), cfg)
             validate_model(model)
-            (channel,) = [p for p in model.propagators if isinstance(p, InverseChannel)]
-            assert list(channel.seq) == model.seq_vars
+            if cfg.model == "positional":
+                assert model.cells == ()
+                continue
+            assert len(model.cells) == 12
             elements = [p for p in model.propagators if isinstance(p, ElementOffsetConst)]
             occurrences = [p for p in model.propagators if isinstance(p, Occurrence)]
-            assert len(elements) == (12 if cons == "p" else 24)  # links, then anchors
-            assert len(occurrences) == (4 if cons != "p" else 0)
-            assert all(p.array is channel.seq for p in elements)
-            assert all(p.scope is channel.seq for p in occurrences)
-            store = Store(model.initial_domains, tuple(model.seq_vars))
-            assert store.cells == channel.seq
+            channels = [p for p in model.propagators if isinstance(p, InverseChannel)]
+            assert len(channels) == (cfg.model == "channelled")
+            assert all(p.array is model.cells for p in elements), cfg
+            assert all(p.scope is model.cells for p in occurrences), cfg
+            assert all(p.seq is model.cells for p in channels), cfg
+            if cfg.model == "channelled":
+                assert len(elements) == (12 if cfg.cons == "p" else 24)  # links, then anchors
+                assert len(occurrences) == (4 if cfg.cons != "p" else 0)
+            assert Store(model.initial_domains, model.cells).cells is model.cells
 
     def test_cell_propagators_range_over_the_cells(self):
         # a base viewpoint's store keeps the view too: over the direct
@@ -237,7 +241,7 @@ class TestBuildChannelled:
                 if isinstance(p, (ElementOffsetConst, Occurrence, InverseChannel))
             ]
             if cfg.model == "positional":
-                assert model.seq_vars is None and not cell_props
+                assert model.cells == () and not cell_props
                 store = Store(model.initial_domains)
                 assert store.cells == () and store.can == [] and store.fixed == 0
                 continue
@@ -245,10 +249,8 @@ class TestBuildChannelled:
             occurrences = [p for p in cell_props if isinstance(p, Occurrence)]
             assert len(elements) == 12 and len(occurrences) == 4
             assert len(cell_props) == len(elements) + len(occurrences)  # no channel
-            cells = elements[0].array
-            assert cells == tuple(model.seq_vars)
-            assert all(p.array is cells for p in elements)
-            assert all(p.scope is cells for p in occurrences)
+            assert all(p.array is model.cells for p in elements)
+            assert all(p.scope is model.cells for p in occurrences)
 
     def test_solution_counts(self):
         cfg = VariantConfig("channelled", branch="d", sym="d", cons="both")
@@ -285,7 +287,7 @@ class TestCrossViewpointAgreement:
         model = build_model(Instance(2, 6), cfg)
         solutions, _ = solve_all(model)
         flat = [v for row in model.pos_vars for v in row]
-        seq_part = [tuple(s[v] for v in model.seq_vars) for s in solutions]
+        seq_part = [tuple(s[v] for v in model.cells) for s in solutions]
         pos_part = [tuple(s[v] for v in flat) for s in solutions]
         assert len(set(seq_part)) == len(solutions)
         assert len(set(pos_part)) == len(solutions)
@@ -320,11 +322,11 @@ class TestCrossViewpointAgreement:
 
 def test_build_model_dispatch():
     inst = Instance(2, 3)
-    assert build_model(inst, VariantConfig("direct", sym="d")).seq_vars is not None
+    assert build_model(inst, VariantConfig("direct", sym="d")).cells
     assert build_model(inst, VariantConfig("positional", sym="p")).pos_vars is not None
     cfg = VariantConfig("channelled", branch="d", sym="none", cons="both")
     model = build_model(inst, cfg)
-    assert model.seq_vars is not None and model.pos_vars is not None
+    assert model.cells and model.pos_vars is not None
 
 
 def test_sequence_of_derives_from_slots():
@@ -342,10 +344,10 @@ def test_cells_share_one_wake_table():
         if config.model == "positional" or config.heuristic is not HeuristicKind.STATIC:
             continue
         model = build_model(Instance(3, 4), config)
-        watchers = build_watchers(model.initial_domains, model.propagators, tuple(model.seq_vars or ()))
-        assert watchers.value_of[model.seq_vars[0]] is not None
+        watchers = build_watchers(model.initial_domains, model.propagators, model.cells)
+        assert watchers.value_of[model.cells[0]] is not None
         for tables in (watchers.value_of, watchers.assign_value_of):
-            first = tables[model.seq_vars[0]]
-            assert all(tables[c] is first for c in model.seq_vars), config
-        assign_tables += watchers.assign_value_of[model.seq_vars[0]] is not None
+            first = tables[model.cells[0]]
+            assert all(tables[c] is first for c in model.cells), config
+        assign_tables += watchers.assign_value_of[model.cells[0]] is not None
     assert assign_tables  # the Occurrence constraints posted with the direct constraints

@@ -265,13 +265,14 @@ class TestElementOffsetConst:
         assert ElementOffsetConst([0, 1], 2, 1, 1).filter(store)
         assert values(store.doms[2]) == [1]  # 2 and 3 would run off the end
 
-    def test_first_occurrence_chain_forced(self):
+    def test_chain_anchors_force_the_start(self):
         # with cell 2 already known, the two chain anchors for number 3 leave
         # a single start cell
         model = build_model(Instance(2, 3), VariantConfig("direct", sym="d"))
+        start = model.branch_order[-1]  # the chain starts of 1, 2, 3 end the order
         store = store_of(model)
-        assert values(store.doms[model.first_occ[2]]) == [1, 2]
-        assign(store, model.seq_vars[1], 2)
+        assert values(store.doms[start]) == [1, 2]
+        assign(store, model.cells[1], 2)
         store.seen = len(store.trail)
         chain_props = [
             p
@@ -285,7 +286,7 @@ class TestElementOffsetConst:
             for p in chain_props:
                 assert p.filter(store)
             changed = store.doms != before
-        assert values(store.doms[model.first_occ[2]]) == [1]
+        assert values(store.doms[start]) == [1]
 
     def test_view_matches_plain_store(self):
         # the plain store's filter was the scanning reference

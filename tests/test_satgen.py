@@ -30,7 +30,7 @@ class TestEncode:
     def test_singleton_domain_yields_unit_clause(self):
         # at 2x2 the chain of 2s only fits one start cell
         model = build_model(Instance(2, 2), VariantConfig("direct"))
-        var = model.first_occ[1]
+        var = model.branch_order[-1]  # the chain start of 2, ordered last
         assert values(model.initial_domains[var]) == [1]
         cnf = encode(model)
         unit = cnf.lit_of[(var, 1)]

@@ -39,11 +39,13 @@ class TinyModel:
     initial_domains: list
     propagators: list
     branch_order: list = field(default_factory=list)
-    seq_vars: list = None  # the cells, in position order, if any
+    cells: tuple = ()  # the cells, in position order, if any
     # solve_all reads the heuristic from here when none is passed
     config = SimpleNamespace(heuristic=HeuristicKind.STATIC)
 
     def __post_init__(self):
+        # a tuple as in a built model: a list never equals a filter's tuple
+        self.cells = tuple(self.cells)
         if not self.branch_order:
             self.branch_order = list(range(len(self.initial_domains)))
 
@@ -90,7 +92,7 @@ def store_of(model, domains=None) -> Store:
     """The store a search of `model` runs on, over the model's cells,
     starting from `domains` (by default the model's initial domains)."""
     domains = model.initial_domains if domains is None else domains
-    return Store(domains, tuple(model.seq_vars or ()))
+    return Store(domains, model.cells)
 
 
 def in_contract(domains, prop) -> bool:
@@ -99,7 +101,7 @@ def in_contract(domains, prop) -> bool:
     `store.can[value]`, so it may not ask for a value above every cell's
     initial domain; no built model does."""
     try:
-        validate_model(TinyModel(domains, [prop], seq_vars=list(cells_of(prop))))
+        validate_model(TinyModel(domains, [prop], cells=cells_of(prop)))
     except ValueError:
         return False
     return True
