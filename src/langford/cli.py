@@ -47,19 +47,9 @@ CSV_FIELDS = [
     "time_ms",
     "timed_out",
 ]
-VARIANT_KEYS = CSV_FIELDS[2:7]  # the VariantConfig fields, which a sweep spec sets
+VARIANT_KEYS = CSV_FIELDS[2:7]  # the VariantConfig fields, set by solve flags or a sweep spec
 
 TRIVIAL_NODE_BOUND = 5
-
-DEFAULT_SWEEP_VARIANTS = [
-    "model=positional,sym=p,heuristic=domoverwdeg",
-    "model=channelled,branch=d,sym=d,cons=both,heuristic=static",
-    "model=channelled,branch=d,sym=d,cons=p,heuristic=static",
-    "model=channelled,branch=d,sym=p,cons=both,heuristic=static",
-    "model=channelled,branch=d,sym=p,cons=p,heuristic=static",
-    "model=channelled,branch=d,sym=d,cons=both,heuristic=sdf",
-]
-
 
 def _variant_key(config: VariantConfig) -> tuple[str, str, str, str, str]:
     """The CSV fields naming a variant: model, branch, sym, cons, heuristic."""
@@ -116,19 +106,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _variant_from_args(parser, args) -> VariantConfig:
-    if args.model != "channelled" and (args.branch or args.cons):
-        parser.error("--branch/--cons only apply to --model channelled")
+def _variant(parser, fields: dict) -> VariantConfig:
+    """The variant of `fields`, the VARIANT_KEYS given by solve's flags or
+    one sweep spec. An omitted key takes solve's default: sym p on a
+    positional model, else d; cons both on a channelled model; heuristic
+    static. A variant that VariantConfig rejects is a usage error."""
+    model = fields["model"]
+    defaults = {"sym": "p" if model == "positional" else "d",
+                "cons": "both" if model == "channelled" else None}
     try:
-        return VariantConfig(
-            model=args.model,
-            branch=args.branch if args.model == "channelled" else None,
-            sym=args.sym or ("p" if args.model == "positional" else "d"),
-            cons=(args.cons or "both") if args.model == "channelled" else None,
-            heuristic=HeuristicKind(args.heuristic),
-        )
+        return VariantConfig(**{**defaults, **fields})
     except ValueError as exc:
-        parser.error(str(exc))
+        spec = ",".join(f"{key}={value}" for key, value in fields.items())
+        parser.error(f"variant spec {spec!r}: {exc}")
 
 
 def run(
@@ -202,7 +192,8 @@ def _read_csv(path: Path) -> list[RunRecord]:
 
 
 def cmd_solve(parser, args) -> int:
-    config = _variant_from_args(parser, args)
+    config = _variant(parser, {key: value for key in VARIANT_KEYS
+                               if (value := getattr(args, key)) is not None})
     bad = _bad_limit(args)
     if bad:
         return _error(bad)
@@ -266,16 +257,12 @@ def _parse_variant_spec(parser, text: str) -> dict:
 
 
 def _sweep_configs(parser, args) -> dict[tuple, tuple[str, VariantConfig]]:
-    """The sweep's variants by CSV key (less k and n), each built once. A
-    spec that VariantConfig rejects is skipped with a message; two specs
-    with the same key are a usage error."""
+    """The sweep's variants by CSV key (less k and n), each built once by
+    `_variant`, as solve builds its one. A spec that VariantConfig rejects
+    and two specs with the same key are usage errors."""
     configs: dict[tuple, tuple[str, VariantConfig]] = {}
-    for text in args.variant or DEFAULT_SWEEP_VARIANTS:
-        try:
-            config = VariantConfig(**_parse_variant_spec(parser, text))
-        except ValueError as exc:
-            print(f"skipping variant {text!r}: {exc}", file=sys.stderr)
-            continue
+    for text in args.variant:
+        config = _variant(parser, _parse_variant_spec(parser, text))
         key = _variant_key(config)
         if key in configs:
             parser.error(f"variants {configs[key][0]!r} and {text!r} write the same CSV rows")
@@ -296,8 +283,6 @@ def cmd_sweep(parser, args) -> int:
     if not instances:
         return _error(f"no instance in k {args.k_min}..{args.k_max}, n {args.n_min}..{args.n_max}")
     configs = _sweep_configs(parser, args)
-    if not configs:
-        return _error("every variant was skipped")
 
     out = Path(args.out)
     try:
@@ -308,7 +293,7 @@ def cmd_sweep(parser, args) -> int:
     if args.skip_existing and out.exists():
         try:
             records = _read_csv(out)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             return _error(exc)
     existing = {rec.sort_key() for rec in records}
 
@@ -428,11 +413,7 @@ def build_parser() -> _Parser:
     p_solve.add_argument("--branch", choices=BRANCH_CHOICES)
     p_solve.add_argument("--sym", choices=SYM_CHOICES)
     p_solve.add_argument("--cons", choices=CONS_CHOICES)
-    p_solve.add_argument(
-        "--heuristic",
-        choices=[h.value for h in HeuristicKind],
-        default="static",
-    )
+    p_solve.add_argument("--heuristic", choices=[h.value for h in HeuristicKind])
     p_solve.add_argument("--timeout", type=float, help="wall-clock limit in seconds")
     p_solve.add_argument("--node-limit", type=int)
     p_solve.add_argument("--print-solutions", action="store_true",
@@ -446,11 +427,11 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--k-max", type=int, default=4)
     p_sweep.add_argument("--n-min", type=int, default=2)
     p_sweep.add_argument("--n-max", type=int, default=10)
-    p_sweep.add_argument("--variant", action="append",
-                         help="model=...,branch=...,sym=...,cons=...,heuristic=... (repeatable); an "
-                              "omitted key takes VariantConfig's default (sym none, heuristic static, "
-                              "no branch or cons: a channelled spec must give both), unlike solve, "
-                              "whose --sym defaults by model and --cons to both")
+    p_sweep.add_argument("--variant", action="append", required=True,
+                         help="model=...,branch=...,sym=...,cons=...,heuristic=... (required, "
+                              "repeatable); an omitted key takes solve's default: sym p on a "
+                              "positional model, else d; cons both on a channelled model; "
+                              "heuristic static")
     p_sweep.add_argument("--timeout", type=float, default=60.0)
     p_sweep.add_argument("--node-limit", type=int)
     p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes (1: run in this one)")

@@ -197,15 +197,26 @@ class TestSweep:
         assert out.read_bytes() == first
 
     def test_skip_existing_refuses_malformed_row(self, tmp_path, capsys, monkeypatch):
+        # two malformed rows, then an --out that can be appended to but not
+        # read (mode 0200 for a user other than root), faked by its reader
         out = tmp_path / "sweep.csv"
         monkeypatch.setattr(cli, "run", lambda *a: pytest.fail("a cell ran"))
-        for row in ("2,3,bogus,,d,,static,1,0,0,1,false", HUGE_FIELD_ROW):
+
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        for row, read_csv, message in (
+            ("2,3,bogus,,d,,static,1,0,0,1,false", cli._read_csv, f"{out}:2: malformed row"),
+            (HUGE_FIELD_ROW, cli._read_csv, f"{out}:2: malformed row"),
+            ("2,3,direct,,d,,static,1,6,3,1,false", unreadable, f"Permission denied: '{out}'"),
+        ):
+            monkeypatch.setattr(cli, "_read_csv", read_csv)
             text = ",".join(CSV_FIELDS) + "\n" + row + "\n"
             out.write_text(text)
             code = main(["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
                          "--variant", "model=direct,sym=d", "--skip-existing", "--out", str(out)])
             assert code == 1
-            assert f"{out}:2: malformed row" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
             assert out.read_text() == text
 
     def test_skip_existing_empty_out_is_fresh(self, tmp_path, capsys):
@@ -233,34 +244,10 @@ class TestSweep:
             ("3", "0", "false"), ("4", "1", "true"), ("4", "34", "false"),
         ]
 
-    def test_invalid_variant_combo_skipped(self, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        code = main(
-            ["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
-             "--variant", "model=direct,sym=p", "--variant", "model=direct,sym=d",
-             "--out", str(out)]
-        )
-        assert code == 0
-        assert len(read_rows(out)) == 2  # header and the one valid variant's row
-        assert "skipping variant 'model=direct,sym=p'" in capsys.readouterr().err
-
-    def test_unknown_heuristic_named(self, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        code = main(
-            ["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
-             "--variant", "model=positional,sym=p,heuristic=domwdeg",
-             "--variant", "model=positional,sym=p", "--out", str(out)]
-        )
-        assert code == 0
-        assert "'domwdeg'" in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv, message", [
         (["--k-min", "3", "--k-max", "2", "--n-min", "3", "--n-max", "3",
           "--variant", "model=direct,sym=d"], "error: no instance in k 3..2, n 3..3\n"),
-        (["--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
-          "--variant", "model=direct,sym=p", "--variant", "model=positional,sym=d"],
-         "error: every variant was skipped\n"),
-    ], ids=["empty-grid", "every-variant-skipped"])
+    ], ids=["empty-grid"])
     def test_nothing_to_run_keeps_existing_csv(self, tmp_path, capsys, monkeypatch, argv, message):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "4",
@@ -274,17 +261,25 @@ class TestSweep:
         assert capsys.readouterr().err.endswith(message)
         assert out.read_bytes() == before
 
-    @pytest.mark.parametrize("specs, message", [
-        (["model=direct,sym=d,implied=true"], "unknown variant key 'implied'"),
+    @pytest.mark.parametrize("specs, message, existing", [
+        (["model=direct,sym=d,implied=true"], "unknown variant key 'implied'", None),
         (["model=direct,sym=d", "model=direct,sym=d,heuristic=static"],
-         "write the same CSV rows"),
+         "write the same CSV rows", None),
         (["model=direct,model=positional,sym=p"],
-         "variant spec 'model=direct,model=positional,sym=p' gives model twice"),
-    ], ids=["unknown-key", "duplicate-csv-key", "repeated-key"])
-    def test_bad_variant_specs_exit_1(self, tmp_path, capsys, monkeypatch, specs, message):
+         "variant spec 'model=direct,model=positional,sym=p' gives model twice", None),
+        (["model=direct,sym=p"],
+         "variant spec 'model=direct,sym=p': sym 'p' needs position variables", None),
+        (["model=positional,sym=p,heuristic=domwdeg"], "'domwdeg'", None),
+        (["model=direct,sym=p", "model=positional,sym=d"], "variant spec 'model=direct,sym=p': ",
+         (",".join(CSV_FIELDS) + "\n2,3,direct,,d,,static,1,6,3,1,false\n").encode()),
+    ], ids=["unknown-key", "duplicate-csv-key", "repeated-key", "invalid-combo",
+            "unknown-heuristic", "every-spec-invalid-keeps-out"])
+    def test_bad_variant_specs_exit_1(self, tmp_path, capsys, monkeypatch, specs, message, existing):
         calls = []
         monkeypatch.setattr(cli, "run", lambda *task: calls.append(task))
         out = tmp_path / "sweep.csv"
+        if existing is not None:
+            out.write_bytes(existing)
         argv = ["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
                 "--out", str(out)]
         for spec in specs:
@@ -294,7 +289,26 @@ class TestSweep:
         assert info.value.code == 1
         assert calls == []
         assert message in capsys.readouterr().err
-        assert not out.exists()
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
+
+    @pytest.mark.parametrize("spec", [
+        "model=direct",
+        "model=positional,heuristic=sdf",
+        "model=channelled,branch=d",
+        "model=channelled,branch=p,cons=p",
+    ])
+    def test_spec_and_solve_flags_write_the_same_row(self, tmp_path, capsys, spec):
+        # an omitted key takes one default, whether a sweep spec or solve's flags omit it
+        swept, solved = tmp_path / "sweep.csv", tmp_path / "solve.csv"
+        assert main(["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
+                     "--variant", spec, "--out", str(swept)]) == 0
+        flags = [arg for token in spec.split(",") for arg in f"--{token}".split("=")]
+        assert main(["solve", "--k", "2", "--n", "3", *flags, "--out", str(solved)]) == 0
+        fields = slice(0, CSV_FIELDS.index("time_ms"))  # the instance, variant and counts
+        assert [row[fields] for row in read_rows(swept)] == [row[fields] for row in read_rows(solved)]
 
     def test_unwritable_out_runs_no_cell(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -478,10 +492,12 @@ class TestOracleCmd:
      "invalid choice: 'export-dimacs'"),
     (["solve", "--k", "2", "--n", "3", "--model", "direct", "--config", "run.conf"],
      "unrecognized arguments: --config run.conf"),
-    (["sweep", "--full"], "unrecognized arguments: --full"),
+    (["sweep", "--variant", "model=direct,sym=d", "--full"], "unrecognized arguments: --full"),
     (["solve", "--k", "2", "--n", "3", "--model", "direct", "--no-implied"],
      "unrecognized arguments: --no-implied"),
-], ids=["export-dimacs", "solve-config", "sweep-full", "solve-no-implied"])
+    (["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3"],
+     "the following arguments are required: --variant"),
+], ids=["export-dimacs", "solve-config", "sweep-full", "solve-no-implied", "sweep-no-variant"])
 def test_removed_surface_is_usage_error(capsys, monkeypatch, argv, message):
     calls = []
     monkeypatch.setattr(cli, "run", lambda *task: calls.append(task))
