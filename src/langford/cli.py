@@ -2,9 +2,11 @@
 
 Subcommands: solve one instance/variant, sweep a grid into a CSV, render a
 markdown report from a sweep CSV, and run the brute-force enumerator.
-Batch outputs only; exit codes: 0 done, 1 usage or input error, 2 timeout.
-`solve` streams: it holds one solution at a time, prints each as it is
-found under --print-solutions, and prints its summary line last.
+Batch outputs only; exit codes: 0 done, 1 usage or input error, or a
+reader that closed stdout early (e.g. `| head`; no traceback, and `solve`
+appends no row), 2 timeout. `solve` streams: it holds one solution at a
+time, prints each as it is found under --print-solutions, and prints its
+summary line last.
 
 A CSV row is a `RunRecord`: the instance (k, n), the variant key (model,
 branch, sym, cons, heuristic) and the search's `SearchStats` (solutions,
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -224,6 +227,7 @@ def cmd_solve(parser, args) -> int:
         f"time_ms={stats.elapsed_ms} timed_out={str(stats.timed_out).lower()}"
     )
     if out:
+        sys.stdout.flush()  # a row only for a solve whose output all went out
         try:
             with open(out, "a", newline="") as fh:
                 writer = csv.writer(fh)
@@ -458,7 +462,14 @@ def build_parser() -> _Parser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(parser, args)
+    try:
+        code = args.func(parser, args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

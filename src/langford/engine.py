@@ -4,9 +4,11 @@ A domain is a plain int bitmask: bit v is set iff value v is in it. A
 trailed store with bit-exact restore, propagation to fixpoint over a
 propagator queue, and all-solution depth-first search with 2-way
 (assign / remove-min) branching. A search never writes to the model it
-runs on: its domains, trail and failure weights are its own. Every search
-runs on one kind of `Store`, which also keeps the sequence value view
-over the model's cells that the cell filters read.
+runs on: its domains, trail, wake queue and failure weights are its own.
+Every search runs on one kind of `Store`, which also keeps the sequence
+value view over the model's cells that the cell filters read, and one
+`Watchers`, which holds the wake tables that each propagator's `wakes`
+states and the queue they fill.
 """
 
 from __future__ import annotations
@@ -155,34 +157,44 @@ class SearchStats:
 
 
 class Watchers:
-    """Wake tables: which propagators to queue when a domain changes.
+    """Wake tables and the two-tier propagator queue of one search.
 
-    The changes are the store's trail entries past `seen`, each a var and
-    the bits it lost; the fixpoint loop looks them up here in trail order.
-    A propagator may watch a variable unconditionally, for the removal of
-    specific values (an element constraint only cares about its target value
-    disappearing from an array cell), or for the variable becoming assigned.
+    The tables say which propagators to queue when a domain changes. The
+    changes are the store's trail entries past `seen`, each a var and the
+    bits it lost; the fixpoint loop looks them up here in trail order. Each
+    propagator states its conditions once, in `Propagator.wakes`: it may
+    watch a variable for any removal or for its assignment, or the cells
+    for the removal or assignment of specific values (an element constraint
+    only cares about its target value disappearing from an array cell).
     Wake conditions are conservative: a propagator is requeued whenever its
     filter could still act, so the fixpoint reached is independent of the
     wake bookkeeping. Heavy propagators are queued behind cheap ones; that
     ordering does not change the fixpoint either.
 
-    Value conditions range over `cells`, the model's cells in position
-    order (`validate_model` holds every propagator with a value mask to
-    them); a condition over other variables raises ValueError. So there is
-    one removal table and one assignment table, each built if some
-    condition fills it and held by every cell: `value_of[cell]` and
+    A value mask is over `cells`, the model's cells in position order, so
+    there is one removal table and one assignment table, each built if some
+    mask fills it and held by every cell: `value_of[cell]` and
     `assign_value_of[cell]`, None for every other variable. A table is
     indexed by value, each entry None or the pids to wake, in ascending pid
-    order (a pid twice if it watches the cells twice), with an entry for
-    each value of every mask and of every cell's initial domain.
-    `on_assign[var]` is true iff `assign_any_of[var]` or
+    order, with an entry for each value of every mask and of every cell's
+    initial domain. `on_assign[var]` is true iff `assign_any_of[var]` or
     `assign_value_of[var]` is set, so an event on a variable that no
     propagator watches for assignment costs one lookup. A search only
     reads the tables; none may write to them.
+
+    The queue is `cheap` and `heavy`, one deque per tier, with `in_queue`
+    flagging the queued pids. `push[pid]` is the bound `append` of the
+    deque that pid goes to, `heavy` if `priority[pid]`, else `cheap`; each
+    tier's append is bound once and shared by its pids. Every
+    `propagate_to_fixpoint` call leaves the queue empty, failing ones
+    included, and `clear` keeps both deque objects, so the bound appends
+    stay valid and one `Watchers` serves a whole search.
     """
 
-    __slots__ = ("any_of", "value_of", "assign_any_of", "assign_value_of", "on_assign", "priority")
+    __slots__ = (
+        "any_of", "value_of", "assign_any_of", "assign_value_of", "on_assign", "priority",
+        "cheap", "heavy", "in_queue", "push",
+    )
 
     def __init__(self, domains: Sequence[int], propagators: Sequence, cells: tuple):
         num_vars = len(domains)
@@ -190,32 +202,29 @@ class Watchers:
         self.value_of: list = [None] * num_vars
         self.assign_any_of = assign_any_of = [None] * num_vars
         self.assign_value_of: list = [None] * num_vars
-        self.priority = [p.cost_tier for p in propagators]
+        self.priority = priority = [p.cost_tier for p in propagators]
+        self.cheap: deque[int] = deque()
+        self.heavy: deque[int] = deque()
+        self.in_queue = [0] * len(priority)
+        heavy, cheap = self.heavy.append, self.cheap.append
+        self.push = [heavy if tier else cheap for tier in priority]
         removals: list[tuple[int, int]] = []  # (pid, mask), in pid order
         assigns: list[tuple[int, int]] = []
         top = 0  # the union of every mask
         for pid, p in enumerate(propagators):
-            for vars_, mask in p.wake_spec():
-                if mask is None:
-                    for var in vars_:
-                        any_of[var].append(pid)
-                elif vars_ is not cells and vars_ != cells:
-                    raise ValueError(f"propagator {pid} has a value condition off the model's cells")
+            removed, assigned, removal_mask, assign_mask = p.wakes()
+            for var in removed:
+                any_of[var].append(pid)
+            for var in assigned:
+                if assign_any_of[var] is None:
+                    assign_any_of[var] = [pid]
                 else:
-                    removals.append((pid, mask))
-                    top |= mask
-            for vars_, mask in p.wake_on_assign():
-                if mask is None:
-                    for var in vars_:
-                        if assign_any_of[var] is None:
-                            assign_any_of[var] = [pid]
-                        else:
-                            assign_any_of[var].append(pid)
-                elif vars_ is not cells and vars_ != cells:
-                    raise ValueError(f"propagator {pid} has a value condition off the model's cells")
-                else:
-                    assigns.append((pid, mask))
-                    top |= mask
+                    assign_any_of[var].append(pid)
+            if removal_mask:
+                removals.append((pid, removal_mask))
+            if assign_mask:
+                assigns.append((pid, assign_mask))
+            top |= removal_mask | assign_mask
         size = max(top.bit_length() + 1, max((domains[cell].bit_length() for cell in cells), default=0))
         for tables, conditions in ((self.value_of, removals), (self.assign_value_of, assigns)):
             if conditions:
@@ -236,34 +245,8 @@ class Watchers:
             for pids, table in zip(assign_any_of, self.assign_value_of)
         ]
 
-
-def build_watchers(domains: Sequence[int], propagators: Sequence, cells: tuple) -> Watchers:
-    """The wake tables of `propagators` over variables whose initial
-    domains are `domains`, with every value condition over `cells`."""
-    return Watchers(domains, propagators, cells)
-
-
-class _Queue:
-    """Reusable two-tier propagator queue; left empty after every
-    propagate_to_fixpoint call, including failing ones.
-
-    Built once per search from the watchers' `priority`: `push[pid]` is
-    the bound `append` of the tier deque that pid goes to, `heavy` if
-    `priority[pid]`, else `cheap`; each tier's append is bound once and
-    shared by its pids. `clear` keeps both deque objects, so the bound
-    appends stay valid for the whole search.
-    """
-
-    __slots__ = ("cheap", "heavy", "in_queue", "push")
-
-    def __init__(self, priority: Sequence[int]):
-        self.cheap: deque[int] = deque()
-        self.heavy: deque[int] = deque()
-        self.in_queue = [0] * len(priority)
-        heavy, cheap = self.heavy.append, self.cheap.append
-        self.push = [heavy if tier else cheap for tier in priority]
-
     def clear(self) -> None:
+        """Empty the queue, keeping both deques."""
         in_queue = self.in_queue
         for pid in self.cheap:
             in_queue[pid] = 0
@@ -273,13 +256,14 @@ class _Queue:
         self.heavy.clear()
 
 
-def propagate_to_fixpoint(
-    store: Store,
-    propagators: Sequence,
-    watchers: Watchers,
-    queue_pids=None,
-    queue: Optional[_Queue] = None,
-) -> int:
+def build_watchers(domains: Sequence[int], propagators: Sequence, cells: tuple) -> Watchers:
+    """The wake tables and an empty queue for one search of `propagators`
+    over variables whose initial domains are `domains`, with every value
+    mask over `cells`."""
+    return Watchers(domains, propagators, cells)
+
+
+def propagate_to_fixpoint(store: Store, propagators: Sequence, watchers: Watchers, queue_pids=None) -> int:
     """Run queued propagators until no domain changes or one fails.
 
     Wake events are the trail entries past `store.seen`, dispatched in trail
@@ -287,15 +271,13 @@ def propagate_to_fixpoint(
     seeds its own wake set, then after each filter the ones it committed.
     Dispatch runs only when the trail grew, so a filter that committed
     nothing costs just its call and the next pop. Every return, failing
-    ones included, leaves them all seen. Returns FIXPOINT, or the failing
-    propagator's id.
+    ones included, leaves them all seen and the watchers' queue empty.
+    Returns FIXPOINT, or the failing propagator's id.
     """
-    if queue is None:
-        queue = _Queue(watchers.priority)
-    cheap = queue.cheap
-    heavy = queue.heavy
-    in_queue = queue.in_queue
-    push = queue.push
+    cheap = watchers.cheap
+    heavy = watchers.heavy
+    in_queue = watchers.in_queue
+    push = watchers.push
     any_of = watchers.any_of
     value_of = watchers.value_of
     on_assign = watchers.on_assign
@@ -359,7 +341,7 @@ def propagate_to_fixpoint(
         in_queue[pid] = 0
         if not propagators[pid].filter(store):
             store.seen = len(trail)
-            queue.clear()
+            watchers.clear()
             return pid
 
 
@@ -467,7 +449,6 @@ def iter_solutions(
     num_vars = len(model.initial_domains)
     store = Store(model.initial_domains, model.cells)
     watchers = build_watchers(model.initial_domains, propagators, model.cells)
-    queue = _Queue(watchers.priority)
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
 
@@ -482,7 +463,7 @@ def iter_solutions(
         if budget_hit():
             stats.timed_out = True
             return
-        if propagate_to_fixpoint(store, propagators, watchers, range(len(propagators)), queue) != FIXPOINT:
+        if propagate_to_fixpoint(store, propagators, watchers, range(len(propagators))) != FIXPOINT:
             stats.failures += 1
             return
         scorer = None
@@ -526,7 +507,7 @@ def iter_solutions(
             stats.nodes += 1
             frames.append((var, d, phase))
             store.commit(var, mask)
-            failed = propagate_to_fixpoint(store, propagators, watchers, None, queue)
+            failed = propagate_to_fixpoint(store, propagators, watchers)
             descend = failed == FIXPOINT
             if not descend:
                 stats.failures += 1

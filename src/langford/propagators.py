@@ -54,19 +54,16 @@ class Propagator:
         constraint's relation."""
         raise NotImplementedError
 
-    def wake_spec(self) -> list:
-        """(vars, mask) wake conditions, `vars` a tuple of var ids: requeue
-        when a removal from any of `vars` intersects `mask` (None = any
-        removal). A condition with a mask must range over the model's
-        cells, `vars` their tuple in position order: the engine builds one
-        value table that every cell shares, and refuses any other."""
-        return [(self.scope, None)]
-
-    def wake_on_assign(self) -> tuple:
-        """(vars, mask) pairs, `vars` a tuple of var ids: requeue when any
-        of `vars` becomes assigned to a value in `mask` (None = any value),
-        on top of the wake_spec conditions."""
-        return ()
+    def wakes(self) -> tuple:
+        """`(removed, assigned, removal_mask, assign_mask)`: the domain
+        changes that requeue this propagator. It wakes on any removal from
+        a variable of `removed`, on the assignment of a variable of
+        `assigned`, and on the removal from, or assignment to, one of the
+        model's cells of a value in `removal_mask` or `assign_mask` (0 for
+        none). The masks are over the cells by definition, so a filter
+        with a mask must range over them (`engine.validate_model` checks
+        it): the engine builds one value table that every cell shares."""
+        return self.scope, (), 0, 0
 
 
 class EqOffset(Propagator):
@@ -309,14 +306,11 @@ class ElementOffsetConst(Propagator):
         pos = values[self.index] + self.offset
         return 1 <= pos <= len(self.array) and values[self.array[pos - 1]] == self.value
 
-    def wake_spec(self) -> list:
+    def wakes(self) -> tuple:
         # Array cells matter only when they lose this constraint's value.
         # Index positions never lose support by leaving the index domain, so
         # plain index shrinkage needs no rescan, only full assignment does.
-        return [(self.array, 1 << self.value)]
-
-    def wake_on_assign(self) -> tuple:
-        return (((self.index,), None),)
+        return (), (self.index,), 1 << self.value, 0
 
 
 class Occurrence(Propagator):
@@ -362,13 +356,11 @@ class Occurrence(Propagator):
     def check(self, values) -> bool:
         return sum(1 for v in self.scope if values[v] == self.value) == self.count
 
-    def wake_spec(self) -> list:
+    def wakes(self) -> tuple:
         # The possible-count only moves when this value is removed somewhere;
         # the assigned-count only moves when a variable lands on this value.
-        return [(self.scope, 1 << self.value)]
-
-    def wake_on_assign(self) -> tuple:
-        return ((self.scope, 1 << self.value),)
+        bit = 1 << self.value
+        return (), (), bit, bit
 
 
 class InverseChannel(Propagator):

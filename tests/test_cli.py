@@ -77,6 +77,25 @@ class TestSolve:
         )
         assert "2 3 1 2 1 3" in capsys.readouterr().out
 
+    def test_a_reader_that_stops_early_gets_no_traceback_and_no_row(self, tmp_path):
+        # `solve --print-solutions | head -1`: L(2,11)'s 17,792 lines overflow
+        # the pipe, so the solve is still printing when the reader goes
+        out = tmp_path / "runs.csv"
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+        argv = [sys.executable, "-m", "langford.cli", "solve", "--k", "2", "--n", "11",
+                "--model", "positional", "--sym", "p", "--print-solutions", "--out", str(out)]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert len(first.split()) == 22
+        assert proc.returncode == 1
+        assert err == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("limit", [[], ["--node-limit", "400"]], ids=["full", "node-limit"])
     def test_streamed_solutions_match_solve_all(self, capsys, limit):
         # the solutions print as the search finds them, in solve_all's

@@ -11,12 +11,12 @@ import tracemalloc
 
 import pytest
 
+from langford import engine
 from langford import propagators as propagators_module
 from langford.engine import (
     FIXPOINT,
     SearchStats,
     Store,
-    _Queue,
     build_watchers,
     iter_solutions,
     propagate_to_fixpoint,
@@ -281,8 +281,7 @@ class TestPropagateToFixpoint:
         props = chain(log)
         store = Store(doms({1, 2, 3}, {1, 2, 3}, {1, 2, 3}))
         watchers = build_watchers(store.doms, props, store.cells)
-        queue = _Queue(watchers.priority)
-        assert propagate_to_fixpoint(store, props, watchers, [0], queue) == FIXPOINT
+        assert propagate_to_fixpoint(store, props, watchers, [0]) == FIXPOINT
         assert log == ["A", "B", "C", "D", "A"]
         assert store.seen == len(store.trail) == 3
         slow = Store(doms({1, 2, 3}, {1, 2, 3}, {1, 2, 3}))
@@ -293,10 +292,10 @@ class TestPropagateToFixpoint:
         store.push_mark()
         props[2].mask = 0
         remove_value(store, 0, 2)
-        assert propagate_to_fixpoint(store, props, watchers, None, queue) == 2
+        assert propagate_to_fixpoint(store, props, watchers) == 2
         assert log == ["B", "C"]
         assert store.seen == len(store.trail) == 5
-        assert not queue.cheap and not queue.heavy and queue.in_queue == [0] * 4
+        assert not watchers.cheap and not watchers.heavy and watchers.in_queue == [0] * 4
         store.undo_to_mark()
         assert store.seen == len(store.trail) == 3
 
@@ -365,25 +364,16 @@ class TestWatchers:
                       if config.heuristic is HeuristicKind.STATIC]
         for model in models:
             watchers = build_watchers(model.initial_domains, model.propagators, model.cells)
-            reference = reference_watchers(model.initial_domains, model.propagators)
+            reference = reference_watchers(model.initial_domains, model.propagators, model.cells)
             for name in WATCHER_TABLES:
                 assert getattr(watchers, name) == getattr(reference, name), (model.config, name)
-
-    def test_value_condition_off_the_cells_is_refused(self):
-        # a value condition must range over exactly the cells, in position
-        # order: not a subset, a superset or another order of them
-        domains = doms(*[{1, 2, 3}] * 4)
-        for cells, scope in (((0, 1, 2), (0, 1)), ((0, 1, 2), (0, 1, 2, 3)),
-                             ((0, 1, 2), (1, 0, 2)), ((), (0, 1, 2))):
-            with pytest.raises(ValueError, match="propagator 1 has a value condition"):
-                build_watchers(domains, [LessThan(0, 3), Occurrence(scope, 2, 1)], cells)
 
     def test_tables_cover_every_value_of_the_covered_domains(self):
         # the Occurrence's masks go up to value 1, but its cells hold 3: the
         # tables must cover the values the cells lose or are assigned, 2 and 3
         model = TinyModel(doms({1, 2, 3}, {1, 2, 3}), [Occurrence([0, 1], 1, 1)], cells=[0, 1])
         watchers = build_watchers(model.initial_domains, model.propagators, model.cells)
-        reference = reference_watchers(model.initial_domains, model.propagators)
+        reference = reference_watchers(model.initial_domains, model.propagators, model.cells)
         for name in WATCHER_TABLES:
             assert getattr(watchers, name) == getattr(reference, name), name
         assert len(watchers.value_of[0]) == len(watchers.assign_value_of[1]) == 4
@@ -392,29 +382,57 @@ class TestWatchers:
         assert not stats.timed_out
 
 
+class HeavyProbe(Probe):
+    """A Probe in the heavy tier."""
+
+    cost_tier = 1
+    __slots__ = ()
+
+
 class TestQueue:
     def test_push_appends_to_the_pids_tier_and_survives_clear(self):
-        queue = _Queue([0, 1, 0, 1])
-        cheap, heavy = queue.cheap, queue.heavy
+        props = [Probe([0]), HeavyProbe([0]), Probe([0]), HeavyProbe([0])]
+        watchers = build_watchers(doms({1, 2}), props, ())
+        cheap, heavy = watchers.cheap, watchers.heavy
         for pid in (3, 0, 1, 2):
-            queue.in_queue[pid] = 1
-            queue.push[pid](pid)
+            watchers.in_queue[pid] = 1
+            watchers.push[pid](pid)
         assert list(cheap) == [0, 2] and list(heavy) == [3, 1]
-        queue.clear()
-        assert queue.in_queue == [0] * 4 and not cheap and not heavy
+        watchers.clear()
+        assert watchers.in_queue == [0] * 4 and not cheap and not heavy
         # clear keeps the deques, so the bound appends still feed them
-        assert queue.cheap is cheap and queue.heavy is heavy
-        queue.push[1](1)
-        queue.push[2](2)
+        assert watchers.cheap is cheap and watchers.heavy is heavy
+        watchers.push[1](1)
+        watchers.push[2](2)
         assert list(cheap) == [2] and list(heavy) == [1]
 
     def test_push_follows_the_models_priority(self):
         model = build_model(Instance(2, 4), VariantConfig("channelled", branch="d", sym="d", cons="both"))
-        priority = build_watchers(model.initial_domains, model.propagators, model.cells).priority
-        assert 0 in priority and 1 in priority
-        queue = _Queue(priority)
-        for pid, tier in enumerate(priority):
-            assert queue.push[pid].__self__ is (queue.heavy if tier else queue.cheap)
+        watchers = build_watchers(model.initial_domains, model.propagators, model.cells)
+        assert 0 in watchers.priority and 1 in watchers.priority
+        for pid, tier in enumerate(watchers.priority):
+            assert watchers.push[pid].__self__ is (watchers.heavy if tier else watchers.cheap)
+
+    @pytest.mark.parametrize("instance, config, calls, fails", [
+        ((3, 9), VariantConfig("channelled", branch="d", sym="d", cons="both"), 475, 235),
+        ((2, 7), VariantConfig("positional", sym="p", heuristic=HeuristicKind.DOM_OVER_WDEG), 479, 214),
+    ], ids=["channelled-3-9", "positional-domwdeg-2-7"])
+    def test_every_fixpoint_call_of_a_search_leaves_the_queue_empty(self, monkeypatch, instance, config,
+                                                                   calls, fails):
+        # one Watchers serves a whole search, so each call, failing ones
+        # included, must hand the next an empty queue
+        outcomes = []
+        fixpoint = engine.propagate_to_fixpoint
+
+        def checked(store, propagators, watchers, queue_pids=None):
+            outcome = fixpoint(store, propagators, watchers, queue_pids)
+            assert not watchers.cheap and not watchers.heavy and not any(watchers.in_queue)
+            outcomes.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(engine, "propagate_to_fixpoint", checked)
+        solve_all(build_model(Instance(*instance), config))
+        assert (len(outcomes), sum(o != FIXPOINT for o in outcomes)) == (calls, fails)
 
 
 class TestSolveAll:
@@ -518,6 +536,9 @@ class TestSolveAll:
             (ElementOffsetConst([0, 1, 4], 3, 0, 2), cells),  # another array
             (ElementOffsetConst([2, 1, 0], 3, 0, 2), cells),  # another order
             (Occurrence([0, 1], 2, 1), cells),  # a part of the cells
+            (Occurrence([0, 1, 2, 3], 2, 1), cells),  # a superset of them
+            (Occurrence([1, 0, 2], 2, 1), cells),  # another order
+            (Occurrence(cells, 2, 1), ()),  # a model without cells
             (InverseChannel([[4], [5]], [0, 1]), cells),
             (ElementOffsetConst(cells, 3, 0, 2), ()),  # a model without cells
             (ElementOffsetConst(cells, 3, 0, 3), cells),  # a value no cell holds

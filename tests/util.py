@@ -171,21 +171,26 @@ def describe(prop) -> str:
     return f"{prop.kind}({', '.join(map(str, prop.scope))})"
 
 
-def reference_watchers(domains: list[int], propagators) -> SimpleNamespace:
+def reference_watchers(domains: list[int], propagators, cells) -> SimpleNamespace:
     """The wake tables built one (var, mask) pair at a time, each variable
-    with a table of its own: every `(vars, mask)` condition is expanded
-    into one pair per var, and each pair adds its pid to the var's table.
-    Every table covers each value of every mask and of the initial domain
-    of every variable with a table. `engine.Watchers` must build equal
-    tables."""
+    with a table of its own: every `wakes()` condition is expanded into
+    one pair per var, a mask into one pair per cell, and each pair adds
+    its pid to the var's table. Every table covers each value of every
+    mask and of the initial domain of every variable with a table.
+    `engine.Watchers` must build equal tables."""
     num_vars = len(domains)
     any_of = [[] for _ in range(num_vars)]
     value_of = [None] * num_vars
     assign_any_of = [None] * num_vars
     assign_value_of = [None] * num_vars
     priority = [p.cost_tier for p in propagators]
-    removal_specs = [[(v, mask) for vs, mask in p.wake_spec() for v in vs] for p in propagators]
-    assign_specs = [[(v, mask) for vs, mask in p.wake_on_assign() for v in vs] for p in propagators]
+    removal_specs, assign_specs = [], []
+    for p in propagators:
+        removed, assigned, removal_mask, assign_mask = p.wakes()
+        on_cells = [(v, removal_mask) for v in cells] if removal_mask else []
+        removal_specs.append([(v, None) for v in removed] + on_cells)
+        on_cells = [(v, assign_mask) for v in cells] if assign_mask else []
+        assign_specs.append([(v, None) for v in assigned] + on_cells)
     max_value = max(
         (mask.bit_length() for spec in removal_specs + assign_specs for _, mask in spec if mask is not None),
         default=0,
