@@ -1,10 +1,11 @@
 """Finite-domain backtracking core.
 
 A domain is a plain int bitmask: bit v is set iff value v is in it. A
-trailed store with bit-exact restore, propagation to fixpoint over a
-propagator queue, and all-solution depth-first search with 2-way
-(assign / remove-min) branching. A search never writes to the model it
-runs on: its domains, trail, wake queue and failure weights are its own.
+store that backtracks by restoring the snapshot of each mark,
+propagation to fixpoint over a propagator queue, and all-solution
+depth-first search with 2-way (assign / remove-min) branching. A search
+never writes to the model it runs on: its domains, trail, wake queue and
+failure weights are its own.
 Every search runs on one kind of `Store`, which also keeps the sequence
 value view over the model's cells that the cell filters read, and one
 `Watchers`, which holds the wake tables that each propagator's `wakes`
@@ -37,12 +38,16 @@ def values(mask: int) -> list[int]:
 
 
 class Store:
-    """Trailed domain store with the sequence value view.
+    """Domain store with snapshot backtracking and the sequence value view.
 
-    `doms` holds one bitmask per variable. Every reduction is trailed as a
-    (var, removed-bits) record; undoing to a mark restores each domain
-    bit-exactly. The trail doubles as the wake-event queue: the entries
-    past `seen` are the reductions that have not yet woken their watchers.
+    `doms` holds one bitmask per variable. Every reduction is logged on the
+    trail as a (var, removed-bits) record: the trail is the wake-event log,
+    whose entries past `seen` are the reductions that have not yet woken
+    their watchers. Backtracking does not replay it. `push_mark` saves a
+    snapshot of the domains, the view and `memo` with the trail length;
+    `undo_to_mark` puts the snapshot back, restoring `doms` in place (the
+    search and its scorer hold that list) and cutting the trail to its
+    length at the mark. The marks hold O(depth × variables) ints.
 
     The store also keeps the sequence value view (Hnich, Smith & Walsh,
     JAIR 2004) over `cells`, the sequence cells at positions 1, 2, ... in
@@ -57,19 +62,20 @@ class Store:
 
     The constructor fills `can` once per distinct initial cell domain, not
     once per cell and value: every cell of a built model has one domain.
-    `commit` updates the view when it reduces a cell; `push_mark` saves
-    the view with the trail length and `undo_to_mark` puts both back. Undo
-    stays in that one method, which the benchmark's tracer wraps to count
+    `commit` updates the view when it reduces a cell. Undo stays in the one
+    method `undo_to_mark`, which the benchmark's tracer wraps to count
     undos.
 
     A filter may keep state of its own for this search in `memo`, keyed by
-    the propagator, valid until the next undo. The premise that makes such
-    state sound: domains change only through `commit`, which only narrows,
-    and `undo_to_mark`, which empties `memo`. So while a state is in
-    `memo` a domain can only shrink, and a variable once assigned keeps its
-    value, because any further removal would wipe it out, and a wipeout is
-    always undone before the next filter call. `commit` and `push_mark`
-    never touch `memo`.
+    the propagator. The premise that makes such state sound: domains
+    change only through `commit`, which only narrows, and `undo_to_mark`,
+    which puts back the domains and the memo of its mark together. So a
+    state in `memo` was saved by a call whose domains held every value the
+    domains hold now, and a variable assigned then keeps its value, because
+    any further removal would wipe it out, and a wipeout is always undone
+    before the next filter call. A state therefore lasts until an undo past
+    the mark it was saved under. `commit` never touches `memo`, and
+    `push_mark` only saves a copy of it.
     """
 
     __slots__ = (
@@ -81,7 +87,8 @@ class Store:
         # parallel lists, one removal event each: the var and the bits removed
         self.trail: list[int] = []
         self.trail_bits: list[int] = []
-        self.marks: list[tuple[int, list[int], int]] = []
+        # (trail length, doms, can, fixed, memo) at each open mark
+        self.marks: list[tuple[int, list[int], list[int], int, dict]] = []
         self.seen = 0
         self.cells = cells
         self.cell_bit = cell_bit = [0] * len(doms)  # 1 << position of a cell, else 0
@@ -125,17 +132,14 @@ class Store:
         return new_mask != 0
 
     def push_mark(self) -> None:
-        self.marks.append((len(self.trail), self.can.copy(), self.fixed))
+        self.marks.append((len(self.trail), self.doms.copy(), self.can.copy(), self.fixed, self.memo.copy()))
 
     def undo_to_mark(self) -> None:
-        depth, self.can, self.fixed = self.marks.pop()
-        trail = self.trail
-        bits = self.trail_bits
-        doms = self.doms
-        while len(trail) > depth:
-            doms[trail.pop()] |= bits.pop()
+        depth, doms, self.can, self.fixed, self.memo = self.marks.pop()
+        self.doms[:] = doms
+        del self.trail[depth:]
+        del self.trail_bits[depth:]
         self.seen = depth
-        self.memo.clear()
 
     def value(self, var: int) -> int:
         d = self.doms[var]

@@ -24,10 +24,12 @@ how a filter finds the cells, never what it commits: the tests hold each
 of the three to a reference filter that scans the cell domains.
 
 A filter may keep state of its own for one search in `store.memo`, keyed
-by the propagator. The state lasts until the next undo, which empties
-`store.memo`: until then domains only shrink (see `engine.Store`). The
-state may only save work: the filter must make the same commits, in the
-same order, as it would with `store.memo` empty.
+by the propagator. Each mark saves the memo with the domains, and an undo
+puts both back, so a state is always one saved by a call whose domains
+held every value they hold now (see `engine.Store`). It lasts until an
+undo past the mark it was saved under. The state may only save work: the
+filter must make the same commits, in the same order, as it would with
+`store.memo` empty.
 `AllDifferent` keeps the open variables its last call left.
 """
 
@@ -173,11 +175,13 @@ class AllDifferent(Propagator):
     the values of the whole scope.
 
     Each exit that does not fail saves `(open variables, assigned values)`
-    in `store.memo`, which the next undo empties. A later call before it
-    scans only that open list, starting from that mask: every scope
-    variable outside it is still assigned to a value already in the mask
-    (see `engine.Store`), so the scan finds the same open list, the same
-    mask and the same repeated value as a scan of the whole scope would.
+    in `store.memo`. The state lasts until an undo past the mark it was
+    saved under, so the first call after an undo finds the state of the
+    mark it returned to. A later call scans only that open list, starting
+    from that mask: every scope variable outside it is still assigned to a
+    value already in the mask (see `engine.Store`), so the scan finds the
+    same open list, the same mask and the same repeated value as a scan of
+    the whole scope would.
     """
 
     kind = "all_different"

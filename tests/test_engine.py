@@ -90,6 +90,12 @@ class Narrow(Propagator):
         return intersect(store, self.var, self.mask)
 
 
+def state_of(store):
+    """What an undo must put back: the domains, the view, `seen` and the
+    trail's length."""
+    return list(store.doms), list(store.can), store.fixed, store.seen, len(store.trail), len(store.trail_bits)
+
+
 def run_fixpoint(store, props):
     watchers = build_watchers(store.doms, props, store.cells)
     return propagate_to_fixpoint(store, props, watchers, range(len(props)))
@@ -107,20 +113,44 @@ class TestStore:
         assert not intersect(store, 0, 0b1000)
 
     def test_undo_restores_bit_exactly(self):
+        # Random commits, wipeouts included, under nested marks. Each undo
+        # puts back the domains, the view, `seen` and the trail's length at
+        # its mark, into the same `doms` list: the search and its scorer
+        # hold that list, so a store that swapped in its saved copy would
+        # leave them reading stale domains. A mark is pushed at a fixpoint,
+        # as in a search, so every event before it has been seen.
         rng = random.Random(13)
-        for _ in range(100):
+        wipeouts = nested = 0
+        for _ in range(200):
             masks = [mask_of(rng.sample(range(1, 12), rng.randint(2, 8))) for _ in range(5)]
             store = Store(masks)
-            snapshot = list(store.doms)
+            live = store.doms
+            at_marks = [state_of(store)]  # the root mark, undone last
             store.push_mark()
-            for _ in range(rng.randint(1, 12)):
-                var = rng.randrange(5)
-                d = store.doms[var]
-                if d and not (d & (d - 1)):
-                    continue
-                remove_value(store, var, rng.choice(values(d)))
-            store.undo_to_mark()
-            assert store.doms == snapshot
+            for _ in range(rng.randint(1, 20)):
+                step = rng.random()
+                if len(at_marks) > 1 and (step < 0.25 or 0 in live):
+                    store.undo_to_mark()
+                    assert store.doms is live
+                    assert state_of(store) == at_marks.pop()
+                elif step < 0.5:
+                    store.seen = len(store.trail)
+                    at_marks.append(state_of(store))
+                    store.push_mark()
+                    nested += len(at_marks) >= 2
+                elif 0 not in live:
+                    var = rng.randrange(5)
+                    d = live[var]
+                    if step < 0.6:
+                        wipeouts += not store.commit(var, 0)
+                    elif d & (d - 1):
+                        remove_value(store, var, rng.choice(values(d)))
+            while at_marks:
+                store.undo_to_mark()
+                assert store.doms is live
+                assert state_of(store) == at_marks.pop()
+            assert live == masks
+        assert wipeouts >= 50 and nested >= 50, (wipeouts, nested)
 
     def test_nested_marks(self):
         store = Store(doms({1, 2, 3, 4}))
@@ -135,25 +165,31 @@ class TestStore:
         store.undo_to_mark()
         assert store.doms == doms({1, 2, 3, 4})
 
-    def test_only_undo_empties_the_memo(self):
-        # A filter's state in `memo` lasts until the next undo; domains only
-        # shrink until then. Each store starts with a memo of its own.
+    def test_undo_restores_the_memo_of_its_mark(self):
+        # A filter's state in `memo` was valid for the domains it was saved
+        # under; an undo puts back the domains of its mark, so it puts back
+        # the memo of that mark too. At each of two nested marks, writes
+        # made after the mark are gone after its undo, and writes made
+        # before it come back. Each store starts with a memo of its own.
         store = Store(doms({1, 2, 3}, {1, 2}))
         assert store.memo == {}
         assert Store(doms({1})).memo is not store.memo
-        memo = store.memo
-        memo["filter"] = ([0, 1], 0)
+        store.memo["root"] = ([0, 1], 0)
         store.push_mark()
+        store.memo["root"] = ([0], 0b10)
+        store.memo["outer"] = ([1], 0)
         store.commit(0, mask_of({1, 2}))
-        intersect(store, 1, mask_of({2}))
         store.push_mark()
+        store.memo["outer"] = ([], 0b110)
+        store.memo["inner"] = ([0, 1], 0)
+        del store.memo["root"]
         remove_value(store, 0, 1)
-        assert store.memo is memo and memo == {"filter": ([0, 1], 0)}
         store.undo_to_mark()
-        assert store.memo is memo and memo == {}
-        memo["filter"] = ([0], 0)
+        assert store.memo == {"root": ([0], 0b10), "outer": ([1], 0)}
+        store.memo["after"] = ([1], 0)
         store.undo_to_mark()
-        assert store.memo is memo and memo == {}
+        assert store.memo == {"root": ([0, 1], 0)}
+        assert Store(doms({1})).memo == {}
 
     def test_view_follows_commits_and_undo(self):
         # cells 2, 0, 4 at positions 1..3 and a non-cell var 1 and 3; the
@@ -161,30 +197,39 @@ class TestStore:
         # wipeouts included, and after every undo. The masks come from a
         # pool of one to three, so cells often share an initial domain, as
         # every cell of a built model does, and some start assigned.
+        # Each undo also puts back `seen` and the trail's length at its mark,
+        # into the same `doms` list.
         rng = random.Random(17)
         cells = (2, 0, 4)
+        wipeouts = nested = 0
         for _ in range(200):
             pool = [mask_of(rng.sample(range(0, 6), rng.randint(1, 5))) for _ in range(rng.randint(1, 3))]
             masks = [rng.choice(pool) for _ in range(5)]
             store = Store(masks, cells)
+            live = store.doms
             assert (store.can, store.fixed) == view_of(store)
-            snapshots = []
+            at_marks = []
             for _ in range(rng.randint(1, 15)):
-                if snapshots and rng.random() < 0.3:
+                if at_marks and rng.random() < 0.3:
                     store.undo_to_mark()
-                    assert store.doms == snapshots.pop()
+                    assert store.doms is live
+                    assert state_of(store) == at_marks.pop()
                 elif rng.random() < 0.3:
+                    store.seen = len(store.trail)  # marks are pushed at a fixpoint
+                    at_marks.append(state_of(store))
                     store.push_mark()
-                    snapshots.append(list(store.doms))
+                    nested += len(at_marks) >= 2
                 else:
                     var = rng.randrange(5)
                     d = store.doms[var]
-                    store.commit(var, d & mask_of(rng.sample(range(0, 6), rng.randint(0, 4))))
+                    wipeouts += not store.commit(var, d & mask_of(rng.sample(range(0, 6), rng.randint(0, 4))))
                 assert (store.can, store.fixed) == view_of(store)
-            while snapshots:
+            while at_marks:
                 store.undo_to_mark()
-                assert store.doms == snapshots.pop()
+                assert store.doms is live
+                assert state_of(store) == at_marks.pop()
                 assert (store.can, store.fixed) == view_of(store)
+        assert wipeouts >= 50 and nested >= 50, (wipeouts, nested)
 
 
 class TestPropagateToFixpoint:

@@ -196,12 +196,21 @@ class TestAllDifferent:
     def test_reuse_path_matches_reference_filter(self):
         # Steps as a search takes them: narrowing commits, marks, undos and
         # filter calls, an undo after each failure. The filter's store keeps
-        # the open list of its last call; the twin store runs the rescanning
-        # filter. Every call must give the same result and commits.
+        # the open list of its last call, and an undo puts back the one saved
+        # under its mark; the twin store runs the rescanning filter. Every
+        # call must give the same result and commits.
         rng = random.Random(1812)
-        seen = dict.fromkeys(("calls", "reused", "reused_commits", "reused_failed"), 0)
+        seen = dict.fromkeys(("calls", "reused", "reused_commits", "reused_failed", "reused_after_undo"), 0)
+        undone = False  # no filter call since the last undo
+
+        def undo_both(fast, ref) -> None:
+            nonlocal undone
+            for store in (fast, ref):
+                store.undo_to_mark()
+            undone = True
 
         def filter_both(prop, fast, ref) -> bool:
+            nonlocal undone
             saved = fast.memo.get(prop)
             reuse = saved is not None
             fast.log.clear()
@@ -214,6 +223,8 @@ class TestAllDifferent:
             seen["reused"] += reuse
             seen["reused_commits"] += reuse and bool(fast.log)
             seen["reused_failed"] += reuse and not ok
+            seen["reused_after_undo"] += reuse and undone
+            undone = False
             return ok
 
         for _ in range(1000):
@@ -225,8 +236,7 @@ class TestAllDifferent:
                 open_vars = [v for v in prop.scope if fast.doms[v] & (fast.doms[v] - 1)]
                 step = rng.random()
                 if step < 0.2 and fast.marks:
-                    for store in (fast, ref):
-                        store.undo_to_mark()
+                    undo_both(fast, ref)
                 elif step < 0.3 or not open_vars:
                     for store in (fast, ref):
                         store.push_mark()
@@ -241,12 +251,13 @@ class TestAllDifferent:
                 elif not filter_both(prop, fast, ref):
                     if not fast.marks:
                         break
-                    for store in (fast, ref):
-                        store.undo_to_mark()
+                    undo_both(fast, ref)
         # the saved open list served a good share of the calls, some of
-        # which pruned and some of which failed
+        # which pruned and some of which failed, and the restored one served
+        # many first calls after an undo
         assert seen["reused"] * 4 >= seen["calls"], seen
         assert seen["reused_commits"] >= 100 and seen["reused_failed"] >= 20, seen
+        assert seen["reused_after_undo"] >= 200, seen
 
 
 class TestElementOffsetConst:
