@@ -84,13 +84,14 @@ class RunRecord:
     @classmethod
     def from_csv(cls, row: Sequence[str]) -> "RunRecord":
         """The record of one CSV row; ValueError unless the row names a
-        valid instance and variant, every count is a non-negative int and
-        timed_out is `true` or `false`."""
+        valid instance and variant, every number is a non-negative int as
+        `to_csv` writes it (canonical decimal) and timed_out is `true` or `false`."""
         if len(row) != len(CSV_FIELDS):
             raise ValueError(f"{len(row)} fields, not {len(CSV_FIELDS)}")
-        k, n, solutions, nodes, failures, time_ms = map(int, (*row[:2], *row[7:11]))
-        if min(solutions, nodes, failures, time_ms) < 0:
-            raise ValueError("negative count")
+        numbers = (*row[:2], *row[7:11])
+        k, n, solutions, nodes, failures, time_ms = ints = [int(f) for f in numbers]
+        if min(ints) < 0 or tuple(map(str, ints)) != numbers:
+            raise ValueError(f"{numbers} are not all non-negative ints in canonical decimal")
         if row[11] not in ("true", "false"):
             raise ValueError(f"timed_out is {row[11]!r}, not true or false")
         instance = Instance(k, n)

@@ -25,16 +25,17 @@ from .propagators import ElementOffsetConst, InverseChannel, Occurrence
 FIXPOINT = -1
 
 Solution = tuple  # dense assignment, indexed by VarId
+_BITS: dict[int, tuple[int, ...]] = {}  # value mask -> its values, filled by `bits`
 
 
 def values(mask: int) -> list[int]:
     """The values in a domain mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """The values of a value mask as a tuple, memoised: see `Store`."""
+    return _BITS.setdefault(mask, tuple(values(mask)))
 
 
 class Store:
@@ -62,9 +63,14 @@ class Store:
 
     The constructor fills `can` once per distinct initial cell domain, not
     once per cell and value: every cell of a built model has one domain.
-    `commit` updates the view when it reduces a cell. Undo stays in the one
-    method `undo_to_mark`, which the benchmark's tracer wraps to count
-    undos.
+    `commit` updates the view when it reduces a cell, walking the values it
+    lost from `_BITS`, the process-wide memo of each value mask's values
+    that `bits` fills on first use. Only masks of cell values enter it: its
+    keys are subsets of 1..n, at most 2^n for the largest n searched. A
+    position mask (Occurrence's holders, InverseChannel's positions, a
+    positional domain) spans k·n+1 bits and would grow it with the search.
+    Undo stays in the one method `undo_to_mark`, which the benchmark's
+    tracer wraps to count undos.
 
     A filter may keep state of its own for this search in `memo`, keyed by
     the propagator. The premise that makes such state sound: domains
@@ -99,11 +105,11 @@ class Store:
         self.can = can = [0] * max((d.bit_length() for d in positions), default=0)
         self.fixed = 0
         self.memo: dict = {}
-        for d, bits in positions.items():
+        for d, held in positions.items():
             for v in values(d):
-                can[v] |= bits
+                can[v] |= held
             if d and d & (d - 1) == 0:
-                self.fixed |= bits
+                self.fixed |= held
 
     def commit(self, var: int, new_mask: int) -> bool:
         """Install a reduced domain, trailing the removed bits.
@@ -120,10 +126,8 @@ class Store:
         if bit:
             can = self.can
             keep = ~bit
-            while removed:
-                low = removed & -removed
-                removed ^= low
-                can[low.bit_length() - 1] &= keep
+            for v in _BITS.get(removed) or bits(removed):
+                can[v] &= keep
             if new_mask & (new_mask - 1) == 0:
                 if new_mask:
                     self.fixed |= bit
@@ -165,12 +169,13 @@ class Watchers:
 
     The tables say which propagators to queue when a domain changes. The
     changes are the store's trail entries past `seen`, each a var and the
-    bits it lost; the fixpoint loop looks them up here in trail order. Each
-    propagator states its conditions once, in `Propagator.wakes`: it may
-    watch a variable for any removal or for its assignment, or the cells
-    for the removal or assignment of specific values (an element constraint
-    only cares about its target value disappearing from an array cell).
-    Wake conditions are conservative: a propagator is requeued whenever its
+    bits it lost; the fixpoint loop looks them up here in trail order, a
+    cell's lost values from the `_BITS` memo (see `Store`). Each propagator
+    states its conditions once, in `Propagator.wakes`: it may watch a
+    variable for any removal or for its assignment, or the cells for the
+    removal or assignment of specific values (an element constraint only
+    cares about its target value disappearing from an array cell). Wake
+    conditions are conservative: a propagator is requeued whenever its
     filter could still act, so the fixpoint reached is independent of the
     wake bookkeeping. Heavy propagators are queued behind cheap ones; that
     ordering does not change the fixpoint either.
@@ -232,16 +237,11 @@ class Watchers:
         size = max(top.bit_length() + 1, max((domains[cell].bit_length() for cell in cells), default=0))
         for tables, conditions in ((self.value_of, removals), (self.assign_value_of, assigns)):
             if conditions:
-                table = [None] * size
+                table = [[] for _ in range(size)]
                 for pid, mask in conditions:
-                    while mask:
-                        low = mask & -mask
-                        mask ^= low
-                        v = low.bit_length() - 1
-                        if table[v] is None:
-                            table[v] = [pid]
-                        else:
-                            table[v].append(pid)
+                    for v in _BITS.get(mask) or bits(mask):
+                        table[v].append(pid)
+                table = [pids or None for pids in table]
                 for cell in cells:
                     tables[cell] = table
         self.on_assign = [
@@ -261,9 +261,8 @@ class Watchers:
 
 
 def build_watchers(domains: Sequence[int], propagators: Sequence, cells: tuple) -> Watchers:
-    """The wake tables and an empty queue for one search of `propagators`
-    over variables whose initial domains are `domains`, with every value
-    mask over `cells`."""
+    """The wake tables of `propagators` over variables whose initial
+    domains are `domains`, every value mask over `cells`, and an empty queue."""
     return Watchers(domains, propagators, cells)
 
 
@@ -274,9 +273,10 @@ def propagate_to_fixpoint(store: Store, propagators: Sequence, watchers: Watcher
     order: first the pending ones, so a freshly committed branching step
     seeds its own wake set, then after each filter the ones it committed.
     Dispatch runs only when the trail grew, so a filter that committed
-    nothing costs just its call and the next pop. Every return, failing
-    ones included, leaves them all seen and the watchers' queue empty.
-    Returns FIXPOINT, or the failing propagator's id.
+    nothing costs just its call and the next pop; a cell's lost values come
+    from the `_BITS` memo (see `Store`). Every return, failing ones
+    included, leaves them all seen and the watchers' queue empty. Returns
+    FIXPOINT, or the failing propagator's id.
     """
     cheap = watchers.cheap
     heavy = watchers.heavy
@@ -291,6 +291,7 @@ def propagate_to_fixpoint(store: Store, propagators: Sequence, watchers: Watcher
     trail = store.trail
     trail_bits = store.trail_bits
     seen = store.seen
+    bits_of = _BITS.get
     if queue_pids is not None:
         for pid in queue_pids:
             if not in_queue[pid]:
@@ -307,11 +308,8 @@ def propagate_to_fixpoint(store: Store, propagators: Sequence, watchers: Watcher
                         push[pid](pid)
                 table = value_of[var]
                 if table is not None:
-                    rest = trail_bits[event]
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        pids = table[low.bit_length() - 1]
+                    for v in bits_of(trail_bits[event]) or bits(trail_bits[event]):
+                        pids = table[v]
                         if pids:
                             for pid in pids:
                                 if not in_queue[pid]:

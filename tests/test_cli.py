@@ -464,11 +464,15 @@ class TestReport:
         "2,3,direct,,d,,fastest,1,0,0,1,false",  # unknown heuristic
         "2,3,direct,,d,,static,1,0,0,1,maybe",  # timed_out neither true nor false
         "2,3,direct,,d,,static,1,-4,0,1,false",  # negative count
+        "2,3,direct,,d,,static,1_0,0,0,1,false",  # int() reads 1_0 as 10
+        "2,3,direct,,d,,static,1,+2,0,1,false",  # a sign
+        "2,3,direct,,d,,static,1,0, 3,1,false",  # a space
+        "2,3,direct,,d,,static,1,0,0,007,false",  # leading zeros
         "1,3,direct,,d,,static,1,0,0,1,false",  # k below 2
         "2,3,direct,,d,,static,1,0,0,1,false,extra",  # too many fields
         HUGE_FIELD_ROW,  # csv.Error, not ValueError
-    ], ids=["no-branch", "model", "sym", "heuristic", "timed-out", "negative", "k", "fields",
-            "huge-field"])
+    ], ids=["no-branch", "model", "sym", "heuristic", "timed-out", "negative", "underscore", "sign",
+            "space", "leading-zeros", "k", "fields", "huge-field"])
     def test_malformed_row_rejected(self, tmp_path, capsys, row):
         bad = tmp_path / "bad.csv"
         bad.write_text(",".join(CSV_FIELDS) + "\n" + row + "\n")

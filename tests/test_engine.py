@@ -760,6 +760,38 @@ def test_every_undo_goes_through_store_undo_to_mark(monkeypatch, config):
     assert set(calls) == {Store}
 
 
+def test_bits_memoises_the_values_of_each_mask(monkeypatch):
+    monkeypatch.setattr(engine, "_BITS", {})
+    for mask in range(1 << 12):
+        assert engine.bits(mask) == engine._BITS[mask] == tuple(values(mask))
+    assert len(engine._BITS) == 1 << 12
+
+
+@pytest.mark.parametrize("instance, config", [
+    (Instance(3, 5), VariantConfig("direct", sym="d")),
+    (Instance(3, 5), VariantConfig("positional", sym="p")),
+    (Instance(3, 5), VariantConfig("channelled", branch="d", sym="d", cons="both")),
+    (Instance(4, 6), VariantConfig("channelled", branch="p", sym="p", cons="p",
+                                   heuristic=HeuristicKind.DOM_OVER_WDEG)),
+], ids=["direct", "positional", "channelled-DDBoth", "channelled-PPP-domwdeg"])
+def test_only_value_masks_enter_the_bits_memo(monkeypatch, instance, config):
+    # Store.commit, the value-table dispatch and the table fill read a
+    # cell's values from the process-wide memo. Its keys must be value
+    # masks over the cells' values 1..n, below 2^(n+1), so it never holds
+    # more than 2^n of them; a position mask, over k·n+1 bits, would make
+    # it grow with the search. A positional store has no cells, so its
+    # search adds no key.
+    memo = {}
+    monkeypatch.setattr(engine, "_BITS", memo)
+    _, stats = solve_all(build_model(instance, config))
+    assert stats.nodes > 0 and not stats.timed_out
+    if config.model == "positional":
+        assert memo == {}
+    else:
+        assert memo and max(memo) < 1 << (instance.n + 1)
+        assert all(memo[mask] == tuple(values(mask)) for mask in memo)
+
+
 @pytest.fixture(scope="module")
 def pinned_sequences():
     # One pass over every variant at k 2-4, n 2-6 that records, per search,
