@@ -91,7 +91,7 @@ class RunRecord:
         numbers = (*row[:2], *row[7:11])
         k, n, solutions, nodes, failures, time_ms = ints = [int(f) for f in numbers]
         if min(ints) < 0 or tuple(map(str, ints)) != numbers:
-            raise ValueError(f"{numbers} are not all non-negative ints in canonical decimal")
+            raise ValueError(f"{numbers}: not all canonical non-negative ints")
         if row[11] not in ("true", "false"):
             raise ValueError(f"timed_out is {row[11]!r}, not true or false")
         instance = Instance(k, n)

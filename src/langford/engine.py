@@ -63,14 +63,12 @@ class Store:
 
     The constructor fills `can` once per distinct initial cell domain, not
     once per cell and value: every cell of a built model has one domain.
-    `commit` updates the view when it reduces a cell, walking the values it
-    lost from `_BITS`, the process-wide memo of each value mask's values
-    that `bits` fills on first use. Only masks of cell values enter it: its
-    keys are subsets of 1..n, at most 2^n for the largest n searched. A
-    position mask (Occurrence's holders, InverseChannel's positions, a
-    positional domain) spans k·n+1 bits and would grow it with the search.
-    Undo stays in the one method `undo_to_mark`, which the benchmark's
-    tracer wraps to count undos.
+    `commit` updates the view when it reduces a cell, reading the values it
+    lost from `_BITS`, a process-wide memo of each value mask's values. Its
+    keys are masks of cell values (subsets of 1..n in a built model), so at
+    most 2^n; a position mask (k·n+1 bits) must stay out, or it would grow
+    with the search. Undo stays in the one method `undo_to_mark`, which the
+    benchmark's tracer wraps to count undos.
 
     A filter may keep state of its own for this search in `memo`, keyed by
     the propagator. The premise that makes such state sound: domains
@@ -170,7 +168,7 @@ class Watchers:
     The tables say which propagators to queue when a domain changes. The
     changes are the store's trail entries past `seen`, each a var and the
     bits it lost; the fixpoint loop looks them up here in trail order, a
-    cell's lost values from the `_BITS` memo (see `Store`). Each propagator
+    cell's lost values via the `_BITS` memo (see `Store`). Each propagator
     states its conditions once, in `Propagator.wakes`: it may watch a
     variable for any removal or for its assignment, or the cells for the
     removal or assignment of specific values (an element constraint only
@@ -274,7 +272,7 @@ def propagate_to_fixpoint(store: Store, propagators: Sequence, watchers: Watcher
     seeds its own wake set, then after each filter the ones it committed.
     Dispatch runs only when the trail grew, so a filter that committed
     nothing costs just its call and the next pop; a cell's lost values come
-    from the `_BITS` memo (see `Store`). Every return, failing ones
+    via the `_BITS` memo (see `Store`). Every return, failing ones
     included, leaves them all seen and the watchers' queue empty. Returns
     FIXPOINT, or the failing propagator's id.
     """
