@@ -42,13 +42,14 @@ class Store:
     """Domain store with snapshot backtracking and the sequence value view.
 
     `doms` holds one bitmask per variable. Every reduction is logged on the
-    trail as a (var, removed-bits) record: the trail is the wake-event log,
-    whose entries past `seen` are the reductions that have not yet woken
-    their watchers. Backtracking does not replay it. `push_mark` saves a
-    snapshot of the domains, the view and `memo` with the trail length;
-    `undo_to_mark` puts the snapshot back, restoring `doms` in place (the
-    search and its scorer hold that list) and cutting the trail to its
-    length at the mark. The marks hold O(depth × variables) ints.
+    trail as a (var, removed-bits) record: the wake events that no fixpoint
+    has dispatched, as `propagate_to_fixpoint` empties the trail on every
+    return. `push_mark` saves a snapshot of the domains, the view and
+    `memo`; `undo_to_mark` puts it back, restoring `doms` in place (the
+    search and its scorer hold that list), and leaves the trail alone: a
+    search marks and undoes only between fixpoints, where it is empty, and
+    a stale event would only wake its watchers needlessly, which never
+    changes a fixpoint. The marks hold O(depth × variables) ints.
 
     The store also keeps the sequence value view (Hnich, Smith & Walsh,
     JAIR 2004) over `cells`, the sequence cells at positions 1, 2, ... in
@@ -71,7 +72,8 @@ class Store:
     benchmark's tracer wraps to count undos.
 
     A filter may keep state of its own for this search in `memo`, keyed by
-    the propagator. The premise that makes such state sound: domains
+    the propagator, and so does a search's `WdegScorer`, keyed by itself.
+    The premise that makes such state sound: domains
     change only through `commit`, which only narrows, and `undo_to_mark`,
     which puts back the domains and the memo of its mark together. So a
     state in `memo` was saved by a call whose domains held every value the
@@ -83,7 +85,7 @@ class Store:
     """
 
     __slots__ = (
-        "doms", "trail", "trail_bits", "marks", "seen", "cells", "cell_bit", "can", "fixed", "memo",
+        "doms", "trail", "trail_bits", "marks", "cells", "cell_bit", "can", "fixed", "memo",
     )
 
     def __init__(self, domains: Sequence[int], cells: tuple = ()):
@@ -91,9 +93,8 @@ class Store:
         # parallel lists, one removal event each: the var and the bits removed
         self.trail: list[int] = []
         self.trail_bits: list[int] = []
-        # (trail length, doms, can, fixed, memo) at each open mark
-        self.marks: list[tuple[int, list[int], list[int], int, dict]] = []
-        self.seen = 0
+        # (doms, can, fixed, memo) at each open mark
+        self.marks: list[tuple[list[int], list[int], int, dict]] = []
         self.cells = cells
         self.cell_bit = cell_bit = [0] * len(doms)  # 1 << position of a cell, else 0
         positions: dict[int, int] = {}  # initial cell domain -> its cells' position bits
@@ -134,14 +135,11 @@ class Store:
         return new_mask != 0
 
     def push_mark(self) -> None:
-        self.marks.append((len(self.trail), self.doms.copy(), self.can.copy(), self.fixed, self.memo.copy()))
+        self.marks.append((self.doms.copy(), self.can.copy(), self.fixed, self.memo.copy()))
 
     def undo_to_mark(self) -> None:
-        depth, doms, self.can, self.fixed, self.memo = self.marks.pop()
+        doms, self.can, self.fixed, self.memo = self.marks.pop()
         self.doms[:] = doms
-        del self.trail[depth:]
-        del self.trail_bits[depth:]
-        self.seen = depth
 
     def value(self, var: int) -> int:
         d = self.doms[var]
@@ -166,8 +164,8 @@ class Watchers:
     """Wake tables and the two-tier propagator queue of one search.
 
     The tables say which propagators to queue when a domain changes. The
-    changes are the store's trail entries past `seen`, each a var and the
-    bits it lost; the fixpoint loop looks them up here in trail order, a
+    changes are the store's trail entries, each a var and the bits it
+    lost; the fixpoint loop looks them up here in trail order, a
     cell's lost values via the `_BITS` memo (see `Store`). Each propagator
     states its conditions once, in `Propagator.wakes`: it may watch a
     variable for any removal or for its assignment, or the cells for the
@@ -267,14 +265,14 @@ def build_watchers(domains: Sequence[int], propagators: Sequence, cells: tuple) 
 def propagate_to_fixpoint(store: Store, propagators: Sequence, watchers: Watchers, queue_pids=None) -> int:
     """Run queued propagators until no domain changes or one fails.
 
-    Wake events are the trail entries past `store.seen`, dispatched in trail
-    order: first the pending ones, so a freshly committed branching step
-    seeds its own wake set, then after each filter the ones it committed.
-    Dispatch runs only when the trail grew, so a filter that committed
-    nothing costs just its call and the next pop; a cell's lost values come
-    via the `_BITS` memo (see `Store`). Every return, failing ones
-    included, leaves them all seen and the watchers' queue empty. Returns
-    FIXPOINT, or the failing propagator's id.
+    Wake events are the store's trail entries, dispatched in trail order:
+    first the pending ones, so a freshly committed branching step seeds its
+    own wake set, then after each filter the ones it committed. Dispatch
+    runs only when the trail grew, so a filter that committed nothing costs
+    just its call and the next pop; a cell's lost values come via the
+    `_BITS` memo (see `Store`). Every return, failing ones included, leaves
+    the trail and the watchers' queue empty. Returns FIXPOINT, or the
+    failing propagator's id.
     """
     cheap = watchers.cheap
     heavy = watchers.heavy
@@ -288,7 +286,7 @@ def propagate_to_fixpoint(store: Store, propagators: Sequence, watchers: Watcher
     doms = store.doms
     trail = store.trail
     trail_bits = store.trail_bits
-    seen = store.seen
+    seen = 0
     bits_of = _BITS.get
     if queue_pids is not None:
         for pid in queue_pids:
@@ -336,11 +334,13 @@ def propagate_to_fixpoint(store: Store, propagators: Sequence, watchers: Watcher
         elif heavy:
             pid = heavy.popleft()
         else:
-            store.seen = seen
+            trail.clear()
+            trail_bits.clear()
             return FIXPOINT
         in_queue[pid] = 0
         if not propagators[pid].filter(store):
-            store.seen = len(trail)
+            trail.clear()
+            trail_bits.clear()
             watchers.clear()
             return pid
 
@@ -434,7 +434,8 @@ def iter_solutions(
     that ends at its root needs none. The weights belong to this search:
     each starts at 1, so repeated or concurrent searches of one model
     agree. A failure bumps the failing propagator's weight. The scorer
-    syncs at every selection and follows every `undo_to_mark`, so at each
+    keeps its state in the store's memo, so each `undo_to_mark` rolls it
+    back with the domains, and it syncs at every selection, so at each
     selection its open variables are the unassigned ones of the branching
     order, in order, and its score of each equals `wdeg_scores` of the
     store and weights. A selection ranks only those: the same selections
@@ -494,8 +495,6 @@ def iter_solutions(
                     break
                 var, d, phase = frames.pop()
                 store.undo_to_mark()
-                if scorer is not None:
-                    scorer.undo()
                 if phase == 2:
                     continue  # both children done: keep unwinding
                 mask = d & (d - 1)

@@ -69,20 +69,21 @@ class WdegScorer:
     that no selection reads.
 
     `sync` scans `open` for the variables assigned since the last sync and
-    marks them. When it finds some, it saves the trail length, the list
-    it scanned and the variables it marked, then keeps the rest. `undo`
-    pops every saved sync that the store's undo cut into: it puts back the
-    list that sync scanned and unmarks the variables it marked. The search
-    syncs at every selection and pushes each store mark right after a sync
-    or at the depth of an earlier mark, so its undos pop whole syncs, and
-    the saved lists take O(depth x open variables). A caller that pushes a
-    mark between two syncs cuts a sync in two; `undo` pops it whole, so
-    some variables it unmarks are still assigned, and the next sync,
-    scanning the restored list, marks them again.
+    marks them. When it finds some, it pushes a state (the list it scanned,
+    the variables it marked, the previous head) on a chain, keeps the rest
+    and stores the new head in `store.memo`, so an undo of the store puts
+    back the head of its mark. A sync first walks its own head back to the
+    store's, unmarking each state's variables and putting back the list
+    it scanned. A store mark pushed between two syncs cuts a state in two;
+    it is unmarked whole, so some variables it unmarks are still assigned,
+    and the same sync, scanning the restored list, marks them again. A
+    `bump` needs no rollback: an unmark that lets a propagator count again
+    adds its weight as it is then. The states take O(depth x open
+    variables).
     """
 
     __slots__ = ("store", "weights", "scopes", "occurs", "unassigned", "scores",
-                 "open", "saved")
+                 "open", "head")
 
     def __init__(self, store, model, weights=None):
         doms = store.doms
@@ -104,13 +105,29 @@ class WdegScorer:
                 for v in scope:
                     scores[v] += w
         self.open = [v for v in model.branch_order if is_open[v]]
-        # one (trail length, open, marked) per sync that marked any
-        self.saved: list[tuple[int, list[int], list[int]]] = []
+        self.head = None  # (open, marked, previous head) of the last sync that marked any
 
     def sync(self) -> list[int]:
-        """Mark the variables assigned since the last sync; the scores."""
-        store = self.store
-        doms = store.doms
+        """Unmark the syncs that an undo of the store took back, then mark
+        the variables assigned since; the scores."""
+        memo = self.store.memo
+        doms = self.store.doms
+        occurs = self.occurs
+        unassigned = self.unassigned
+        scopes = self.scopes
+        weights = self.weights
+        scores = self.scores
+        head = memo.get(self)
+        while self.head is not head:
+            self.open, marked, self.head = self.head
+            for v in marked:
+                for pid in occurs[v]:
+                    count = unassigned[pid]
+                    if count == 1:  # pid counts again
+                        w = weights[pid]
+                        for u in scopes[pid]:
+                            scores[u] += w
+                    unassigned[pid] = count + 1
         still = []
         marked = []
         for v in self.open:
@@ -120,13 +137,8 @@ class WdegScorer:
             else:
                 marked.append(v)
         if marked:
-            self.saved.append((len(store.trail), self.open, marked))
+            memo[self] = self.head = (self.open, marked, head)
             self.open = still
-            occurs = self.occurs
-            unassigned = self.unassigned
-            scopes = self.scopes
-            weights = self.weights
-            scores = self.scores
             for v in marked:
                 for pid in occurs[v]:
                     count = unassigned[pid] - 1
@@ -135,29 +147,7 @@ class WdegScorer:
                         w = weights[pid]
                         for u in scopes[pid]:
                             scores[u] -= w
-        return self.scores
-
-    def undo(self) -> None:
-        """Follow an undo of the store: pop the syncs it cut into."""
-        depth = len(self.store.trail)
-        saved = self.saved
-        if not saved or saved[-1][0] <= depth:
-            return
-        occurs = self.occurs
-        unassigned = self.unassigned
-        scopes = self.scopes
-        weights = self.weights
-        scores = self.scores
-        while saved and saved[-1][0] > depth:
-            _, self.open, marked = saved.pop()
-            for v in marked:
-                for pid in occurs[v]:
-                    count = unassigned[pid]
-                    if count == 1:  # pid counts again
-                        w = weights[pid]
-                        for u in scopes[pid]:
-                            scores[u] += w
-                    unassigned[pid] = count + 1
+        return scores
 
     def bump(self, pid: int) -> None:
         """Add one to the weight of propagator pid, which failed."""

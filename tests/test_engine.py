@@ -38,6 +38,7 @@ from langford.propagators import (
 )
 
 from util import (
+    RecordingStore,
     TinyModel,
     assign,
     doms,
@@ -91,9 +92,26 @@ class Narrow(Propagator):
 
 
 def state_of(store):
-    """What an undo must put back: the domains, the view, `seen` and the
-    trail's length."""
-    return list(store.doms), list(store.can), store.fixed, store.seen, len(store.trail), len(store.trail_bits)
+    """What an undo must put back: the domains and the view."""
+    return list(store.doms), list(store.can), store.fixed
+
+
+def settle(store):
+    """Dispatch the pending wake events to no propagator, as a search
+    reaches a fixpoint before each mark and each undo; the trail must be
+    empty after it."""
+    assert propagate_to_fixpoint(store, (), build_watchers(store.doms, (), store.cells)) == FIXPOINT
+    assert store.trail == store.trail_bits == []
+
+
+def undo(store):
+    """Undo to the last mark, at a fixpoint: the undo restores `doms` in
+    place and puts no event back on the emptied trail."""
+    live = store.doms
+    settle(store)
+    store.undo_to_mark()
+    assert store.doms is live
+    assert store.trail == store.trail_bits == []
 
 
 def run_fixpoint(store, props):
@@ -114,11 +132,11 @@ class TestStore:
 
     def test_undo_restores_bit_exactly(self):
         # Random commits, wipeouts included, under nested marks. Each undo
-        # puts back the domains, the view, `seen` and the trail's length at
-        # its mark, into the same `doms` list: the search and its scorer
-        # hold that list, so a store that swapped in its saved copy would
-        # leave them reading stale domains. A mark is pushed at a fixpoint,
-        # as in a search, so every event before it has been seen.
+        # puts back the domains and the view at its mark, into the same
+        # `doms` list: the search and its scorer hold that list, so a store
+        # that swapped in its saved copy would leave them reading stale
+        # domains. Marks and undos come at a fixpoint, as in a search, so
+        # the trail is empty at each of them.
         rng = random.Random(13)
         wipeouts = nested = 0
         for _ in range(200):
@@ -130,11 +148,10 @@ class TestStore:
             for _ in range(rng.randint(1, 20)):
                 step = rng.random()
                 if len(at_marks) > 1 and (step < 0.25 or 0 in live):
-                    store.undo_to_mark()
-                    assert store.doms is live
+                    undo(store)
                     assert state_of(store) == at_marks.pop()
                 elif step < 0.5:
-                    store.seen = len(store.trail)
+                    settle(store)
                     at_marks.append(state_of(store))
                     store.push_mark()
                     nested += len(at_marks) >= 2
@@ -146,8 +163,7 @@ class TestStore:
                     elif d & (d - 1):
                         remove_value(store, var, rng.choice(values(d)))
             while at_marks:
-                store.undo_to_mark()
-                assert store.doms is live
+                undo(store)
                 assert state_of(store) == at_marks.pop()
             assert live == masks
         assert wipeouts >= 50 and nested >= 50, (wipeouts, nested)
@@ -197,8 +213,8 @@ class TestStore:
         # wipeouts included, and after every undo. The masks come from a
         # pool of one to three, so cells often share an initial domain, as
         # every cell of a built model does, and some start assigned.
-        # Each undo also puts back `seen` and the trail's length at its mark,
-        # into the same `doms` list.
+        # Each undo puts them back into the same `doms` list, and marks and
+        # undos come at a fixpoint, with the trail empty.
         rng = random.Random(17)
         cells = (2, 0, 4)
         wipeouts = nested = 0
@@ -206,16 +222,14 @@ class TestStore:
             pool = [mask_of(rng.sample(range(0, 6), rng.randint(1, 5))) for _ in range(rng.randint(1, 3))]
             masks = [rng.choice(pool) for _ in range(5)]
             store = Store(masks, cells)
-            live = store.doms
             assert (store.can, store.fixed) == view_of(store)
             at_marks = []
             for _ in range(rng.randint(1, 15)):
                 if at_marks and rng.random() < 0.3:
-                    store.undo_to_mark()
-                    assert store.doms is live
+                    undo(store)
                     assert state_of(store) == at_marks.pop()
                 elif rng.random() < 0.3:
-                    store.seen = len(store.trail)  # marks are pushed at a fixpoint
+                    settle(store)
                     at_marks.append(state_of(store))
                     store.push_mark()
                     nested += len(at_marks) >= 2
@@ -225,8 +239,7 @@ class TestStore:
                     wipeouts += not store.commit(var, d & mask_of(rng.sample(range(0, 6), rng.randint(0, 4))))
                 assert (store.can, store.fixed) == view_of(store)
             while at_marks:
-                store.undo_to_mark()
-                assert store.doms is live
+                undo(store)
                 assert state_of(store) == at_marks.pop()
                 assert (store.can, store.fixed) == view_of(store)
         assert wipeouts >= 50 and nested >= 50, (wipeouts, nested)
@@ -261,13 +274,14 @@ class TestPropagateToFixpoint:
     def test_idempotent_at_fixpoint(self):
         cfg = VariantConfig("channelled", branch="d", sym="d", cons="both")
         model = build_model(Instance(2, 4), cfg)
-        store = store_of(model)
+        store = RecordingStore(model.initial_domains, model.cells)
         assert run_fixpoint(store, model.propagators) == FIXPOINT
+        assert store.log  # the first call prunes
         settled = list(store.doms)
-        trail_depth = len(store.trail)
+        store.log.clear()
         assert run_fixpoint(store, model.propagators) == FIXPOINT
         assert store.doms == settled
-        assert len(store.trail) == trail_depth  # zero removals the second time
+        assert store.log == []  # every filter runs again and commits nothing
 
     def test_commits_between_calls_wake_watchers_once(self):
         # commits made outside a propagation, without a mark, are pending
@@ -328,21 +342,21 @@ class TestPropagateToFixpoint:
         watchers = build_watchers(store.doms, props, store.cells)
         assert propagate_to_fixpoint(store, props, watchers, [0]) == FIXPOINT
         assert log == ["A", "B", "C", "D", "A"]
-        assert store.seen == len(store.trail) == 3
+        assert store.trail == store.trail_bits == []
         slow = Store(doms({1, 2, 3}, {1, 2, 3}, {1, 2, 3}))
         assert naive_fixpoint(slow, chain([])) == -1
         assert store.doms == slow.doms
-        # a failure after a no-op call leaves the trail seen and the queue empty
+        # a failure after a no-op call leaves the trail and the queue empty
         log.clear()
         store.push_mark()
         props[2].mask = 0
         remove_value(store, 0, 2)
         assert propagate_to_fixpoint(store, props, watchers) == 2
         assert log == ["B", "C"]
-        assert store.seen == len(store.trail) == 5
+        assert store.trail == store.trail_bits == []
         assert not watchers.cheap and not watchers.heavy and watchers.in_queue == [0] * 4
         store.undo_to_mark()
-        assert store.seen == len(store.trail) == 3
+        assert store.trail == store.trail_bits == []
 
     def test_naive_agreement_on_random_restrictions(self):
         rng = random.Random(99)
@@ -758,6 +772,42 @@ def test_every_undo_goes_through_store_undo_to_mark(monkeypatch, config):
     assert stats.nodes > 0
     assert len(calls) == stats.nodes
     assert set(calls) == {Store}
+
+
+@pytest.mark.parametrize("heuristic", list(HeuristicKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("config", [
+    VariantConfig("direct", sym="d"),
+    VariantConfig("positional", sym="p"),
+    VariantConfig("channelled", branch="d", sym="d", cons="both"),
+], ids=["direct", "positional", "channelled"])
+def test_the_trail_is_empty_at_every_mark_and_undo(monkeypatch, config, heuristic):
+    # The trail holds only the events no fixpoint has dispatched, and an
+    # undo leaves it alone, so a search must mark and undo between
+    # fixpoints: an event pending at a mark, or left after an undo, would
+    # outlive the reduction it records.
+    counts = collections.Counter()
+    push, undo = Store.push_mark, Store.undo_to_mark
+
+    def checked_push(store):
+        assert store.trail == store.trail_bits == []
+        counts["push"] += 1
+        push(store)
+
+    def checked_undo(store):
+        undo(store)
+        assert store.trail == store.trail_bits == []
+        counts["undo"] += 1
+
+    monkeypatch.setattr(Store, "push_mark", checked_push)
+    monkeypatch.setattr(Store, "undo_to_mark", checked_undo)
+    nodes = failures = 0
+    for instance in (Instance(2, 4), Instance(3, 6)):
+        model = build_model(instance, dataclasses.replace(config, heuristic=heuristic))
+        _, stats = solve_all(model)
+        assert not stats.timed_out
+        nodes += stats.nodes
+        failures += stats.failures
+    assert failures > 0 and counts["push"] == counts["undo"] == nodes
 
 
 def test_bits_memoises_the_values_of_each_mask(monkeypatch):

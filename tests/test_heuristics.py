@@ -235,31 +235,63 @@ def test_scorer_bump_below_two_unassigned_then_undo():
     assert scorer.weights == [3, 1]
     assert_scores_match(scorer, store, model)
     store.undo_to_mark()
-    scorer.undo()
     assert scorer.sync()[1] == 1  # LessThan(1, 2) counts again, LessThan(0, 1) not yet
     assert_scores_match(scorer, store, model)
     store.undo_to_mark()
-    scorer.undo()
     assert scorer.sync() == [3, 4, 1]
     assert scorer.scores == wdeg_scores(store, model, [3, 1])
 
 
 def test_scorer_undo_of_several_levels_at_once():
+    # The sync after the undos unmarks only the three syncs above the mark
+    # it returned to, and keeps the state of the first level's sync.
     model = build_model(Instance(2, 4), VariantConfig("positional", sym="p"))
     store = store_of(model)
     scorer = WdegScorer(store, model)
     scorer.sync()
+    heads = []
     for var in model.branch_order[:4]:
         store.push_mark()
         assign(store, var, min_value(store, var))
         scorer.bump(len(model.propagators) - 1)
         scorer.sync()
+        heads.append(store.memo[scorer])
         assert_scores_match(scorer, store, model)
+    assert len({id(head) for head in heads}) == 4
     for _ in range(3):
         store.undo_to_mark()
-    scorer.undo()
     scorer.sync()
+    assert store.memo[scorer] is heads[0]
     assert_scores_match(scorer, store, model)
+
+
+def test_scorer_bump_between_an_undo_and_the_next_sync():
+    # A search bumps after a failure, and the undo before it reaches the
+    # scorer only at its next sync, so a bump meets the counts of the last
+    # sync: here LessThan(0, 1) and LessThan(2, 3) count below two there,
+    # and only LessThan(3, 4)'s bump adds to a score at once. After the
+    # sync the scores equal the full walk with the bumped weights.
+    model = TinyModel(doms(*[{1, 2}] * 5),
+                      [LessThan(0, 1), LessThan(1, 2), LessThan(2, 3), LessThan(3, 4)])
+    store = store_of(model)
+    scorer = WdegScorer(store, model)
+    scorer.sync()
+    store.push_mark()
+    assign(store, 0, 1)
+    scorer.sync()
+    store.push_mark()
+    assign(store, 1, 1)
+    assign(store, 2, 2)
+    scorer.sync()
+    assert scorer.unassigned == [0, 0, 1, 2]
+    store.undo_to_mark()
+    scorer.bump(2)
+    scorer.bump(3)
+    store.undo_to_mark()
+    scorer.bump(0)
+    assert scorer.weights == [2, 1, 2, 2]
+    assert scorer.sync() == wdeg_scores(store, model, [2, 1, 2, 2]) == [2, 3, 3, 4, 2]
+    assert scorer.open == [0, 1, 2, 3, 4]
 
 
 # (k, n, model, branch, sym, cons, heuristic) -> (nodes, failures, solutions),

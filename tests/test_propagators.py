@@ -284,7 +284,7 @@ class TestElementOffsetConst:
         store = store_of(model)
         assert values(store.doms[start]) == [1, 2]
         assign(store, model.cells[1], 2)
-        store.seen = len(store.trail)
+        del store.trail[:], store.trail_bits[:]  # drop the wake events
         chain_props = [
             p
             for p in model.propagators

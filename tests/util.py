@@ -243,7 +243,7 @@ def naive_fixpoint(store: Store, propagators) -> int:
         for pid, p in enumerate(propagators):
             if not p.filter(store):
                 return pid
-        store.seen = len(store.trail)  # drop the wake events: every filter reruns
+        del store.trail[:], store.trail_bits[:]  # drop the wake events: every filter reruns
         if store.doms == before:
             return -1
 
