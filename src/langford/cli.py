@@ -234,6 +234,8 @@ def cmd_solve(parser, args) -> int:
                 writer = csv.writer(fh)
                 if fresh:
                     writer.writerow(CSV_FIELDS)
+                elif out.read_bytes()[-1:] not in b"\r\n":
+                    fh.write("\r\n")  # end an unended last row
                 writer.writerow(RunRecord(instance, config, stats).to_csv())
         except OSError as exc:
             return _cannot_write(out, exc)

@@ -354,12 +354,13 @@ def validate_model(model) -> None:
     cell one position. An `ElementOffsetConst`, `Occurrence` or
     `InverseChannel` must range over the model's cells in position order,
     and must not ask for a value (for the channel, n) above the largest
-    one a cell's initial domain holds. The cells are range-checked once, so
-    a cell filter whose array is the cells has only the rest of its scope
-    checked (an element's index, the channel's slots): the k·n element
-    filters would otherwise walk the cells k·n times; any other scope is
-    checked whole. An array that is the model's own tuple, as in every
-    built model, is not compared with it value by value."""
+    one a cell's initial domain holds; a channel's cells must start within
+    1..n. The cells are range-checked once, so a cell filter whose array is
+    the cells has only the rest of its scope checked (an element's index,
+    the channel's slots): the k·n element filters would otherwise walk the
+    cells k·n times; any other scope is checked whole. An array that is the
+    model's own tuple, as in every built model, is not compared with it
+    value by value."""
     num_vars = len(model.initial_domains)
     cells = model.cells
     if sorted(model.branch_order) != list(range(num_vars)):
@@ -368,7 +369,9 @@ def validate_model(model) -> None:
         raise ValueError("the cells reference an unknown var")
     if len(set(cells)) != len(cells):
         raise ValueError("the model's cells repeat a variable")
-    top = max((model.initial_domains[cell].bit_length() for cell in cells), default=0) - 1
+    union = 0
+    for cell in cells:
+        union |= model.initial_domains[cell]
     for pid, p in enumerate(model.propagators):
         scope = p.scope
         if not scope:
@@ -389,8 +392,10 @@ def validate_model(model) -> None:
             continue
         if not on_cells:
             raise ValueError(f"propagator {pid} does not range over the model's cells in order")
-        if value > top:
+        if value >= union.bit_length():
             raise ValueError(f"propagator {pid} asks for {value}, above every cell's initial domain")
+        if isinstance(p, InverseChannel) and union & ~((2 << value) - 2):
+            raise ValueError(f"propagator {pid} needs cells within 1..{value}")
 
 
 def solve_all(
@@ -471,12 +476,12 @@ def iter_solutions(
         if heuristic is HeuristicKind.WDEG or heuristic is HeuristicKind.DOM_OVER_WDEG:
             scorer = WdegScorer(store, model)
 
-        # Frames track committed children: (var, its domain before the
-        # child, phase), phase 1 = the left child, which keeps the lowest
-        # value of that domain, phase 2 = the right child, which removes it.
-        # One mark per child.
+        # Frames track committed children: (var, phase), phase 1 = the left
+        # child, which keeps the lowest value of var's domain, phase 2 = the
+        # right child, which removes it from the domain that the undo of
+        # the left child put back. One mark per child.
         doms = store.doms
-        frames: list[tuple[int, int, int]] = []
+        frames: list[tuple[int, int]] = []
         descend = True
         while True:
             if descend:
@@ -487,24 +492,23 @@ def iter_solutions(
                     yield tuple([store.value(v) for v in range(num_vars)])
                     descend = False
                     continue
-                d = doms[var]
-                mask = d & -d
                 phase = 1
             else:
                 if not frames:
                     break
-                var, d, phase = frames.pop()
+                var, phase = frames.pop()
                 store.undo_to_mark()
                 if phase == 2:
                     continue  # both children done: keep unwinding
-                mask = d & (d - 1)
                 phase = 2
+            d = doms[var]
+            mask = d & -d if phase == 1 else d & (d - 1)
             if budget_hit():
                 stats.timed_out = True
                 break
             store.push_mark()
             stats.nodes += 1
-            frames.append((var, d, phase))
+            frames.append((var, phase))
             store.commit(var, mask)
             failed = propagate_to_fixpoint(store, propagators, watchers)
             descend = failed == FIXPOINT

@@ -5,7 +5,8 @@ engine's fixpoint loop) with a semantic ground checker over total
 assignments. Filtering levels are fixed: eq_offset and element are domain
 consistent on their pruned side, less_than and sum_leq are bounds
 consistent, all_different does forward checking plus a pigeonhole test.
-Positions and values are 1-based throughout.
+Positions and values are 1-based throughout; an eq_offset shift or an
+element offset is never negative.
 
 A filter's commit sequence (which `(var, mask)` pairs it hands to
 `store.commit`, in which order, and where it stops on a wipeout) is part
@@ -18,10 +19,11 @@ cell domains: they find the cells they act on through the store's
 sequence value view (see `engine.Store`), `store.can[m]`, the positions
 whose cell can still hold m, and `store.fixed`, the assigned positions.
 They take for granted that their array is the store's cells in position
-order and that `can` has an entry for every value they read;
-`engine.validate_model` checks both once per search. The view changes
-how a filter finds the cells, never what it commits: the tests hold each
-of the three to a reference filter that scans the cell domains.
+order, that `can` has an entry for every value they read and, for the
+channel, that the cells start within 1..n; `engine.validate_model`
+checks this once per search. The view changes how a filter finds the
+cells, never what it commits: the tests hold each of the three to a
+reference filter that scans the cell domains.
 
 A filter may keep state of its own for one search in `store.memo`, keyed
 by the propagator. Each mark saves the memo with the domains, and an undo
@@ -69,12 +71,14 @@ class Propagator:
 
 
 class EqOffset(Propagator):
-    """x = y + c, domain consistent."""
+    """x = y + c for a shift c >= 0, domain consistent."""
 
     kind = "eq_offset"
     __slots__ = ("x", "y", "c")
 
     def __init__(self, x: int, y: int, c: int):
+        if c < 0:
+            raise ValueError("eq_offset shift must be non-negative")
         super().__init__((x, y))
         self.x = x
         self.y = y
@@ -82,16 +86,13 @@ class EqOffset(Propagator):
 
     def filter(self, store) -> bool:
         doms = store.doms
-        c = self.c
         dy = doms[self.y]
-        shifted = dy << c if c >= 0 else dy >> -c
         dx = doms[self.x]
-        nd = dx & shifted
+        nd = dx & (dy << self.c)
         if nd != dx and not store.commit(self.x, nd):
             return False
         dx = doms[self.x]
-        shifted = dx >> c if c >= 0 else dx << -c
-        nd = dy & shifted
+        nd = dy & (dx >> self.c)
         if nd != dy and not store.commit(self.y, nd):
             return False
         return True
@@ -248,31 +249,28 @@ class AllDifferent(Propagator):
 
 
 class ElementOffsetConst(Propagator):
-    """array[index + offset] = c, with 1-based positions into `array`.
+    """array[index + offset] = c for an offset >= 0, 1-based into `array`.
 
     Prunes index positions whose target cell cannot hold c (or falls outside
     the array); once the index is assigned, fixes the target cell to c.
 
-    `targets[p]` is the cell at position p + offset, else -1, for every p
-    up to the last in range. One slice fills the in-range run lo..hi; it is
-    empty once offset >= len(array), where a negative end would cut the list.
+    `targets[p]` is the cell at position p + offset for every p from 1 up
+    to the last in range, and `targets[0]` is -1: index 0 has no target.
+    An index past the end of `targets` is off the array.
     """
 
     kind = "element_offset_const"
     __slots__ = ("array", "index", "offset", "value", "targets")
 
     def __init__(self, array: Sequence[int], index: int, offset: int, value: int):
+        if offset < 0:
+            raise ValueError("element offset must be non-negative")
         super().__init__((*array, index))
         self.array = array = tuple(array)
         self.index = index
         self.offset = offset
         self.value = value
-        targets = [-1] * (len(array) - min(offset, 0) + 1)
-        lo = max(1, 1 - offset)
-        hi = len(array) - offset
-        if lo <= hi:
-            targets[lo:hi + 1] = array[lo + offset - 1:]
-        self.targets = tuple(targets)
+        self.targets = (-1, *array[offset:])
 
     def filter(self, store) -> bool:
         # Most calls take neither path that reads `targets` or the value's
@@ -293,9 +291,7 @@ class ElementOffsetConst(Propagator):
         # indexes p whose position p + offset holds a cell that can take the
         # value; index 0 has no target, but a positive offset shifts
         # position `offset` onto it
-        support = store.can[self.value]
-        offset = self.offset
-        allowed = d & (support >> offset if offset >= 0 else support << -offset) & ~1
+        allowed = d & (store.can[self.value] >> self.offset) & ~1
         if allowed != d and not store.commit(self.index, allowed):
             return False
         if allowed & (allowed - 1) == 0:  # index newly assigned
@@ -377,11 +373,12 @@ class InverseChannel(Propagator):
       (b) a slot keeps position i only while seq[i] can hold its number,
       (c) an assigned slot fixes its sequence cell,
       (d) an assigned cell with a single supporting slot fixes that slot.
+    The cells start within 1..n, so (a) covers every value they hold.
     """
 
     kind = "inverse_channel"
     cost_tier = 1
-    __slots__ = ("slots", "seq", "n", "k")
+    __slots__ = ("slots", "seq", "n")
 
     def __init__(self, slots: Sequence[Sequence[int]], seq: Sequence[int]):
         n = len(slots)
@@ -399,23 +396,17 @@ class InverseChannel(Propagator):
         self.slots = tuple(tuple(row) for row in slots)
         self.seq = tuple(seq)
         self.n = n
-        self.k = k
 
     def filter(self, store) -> bool:
         doms = store.doms
-        n = self.n
         seq = self.seq
         slots = self.slots
         kn = len(seq)
-        numbers = (2 << n) - 2  # bits 1..n
 
         # can[m] holds bit i iff the cell at position i can still hold m.
-        # `dirty` marks the positions whose cell loses a value under (a); a
-        # value outside 1..n is always lost.
+        # `dirty` marks the positions whose cell loses a value under (a).
         can = store.can
-        dirty = can[0]
-        for stray in can[n + 1:]:
-            dirty |= stray
+        dirty = 0
 
         # (a) number m leaves the cells at can[m] minus every slot of m.
         lost = [0] * (kn + 1)
@@ -436,7 +427,7 @@ class InverseChannel(Propagator):
             dirty ^= low
             i = low.bit_length() - 1
             cell = seq[i - 1]
-            if not store.commit(cell, doms[cell] & numbers & ~lost[i]):
+            if not store.commit(cell, doms[cell] & ~lost[i]):
                 return False
 
         # (b) every slot of m lies within their union, so narrowing it to
@@ -486,7 +477,7 @@ class InverseChannel(Propagator):
         return True
 
     def check(self, values) -> bool:
-        kn = self.n * self.k
+        kn = len(self.seq)
         for m0, row in enumerate(self.slots):
             for sv in row:
                 i = values[sv]

@@ -154,6 +154,26 @@ class TestSolve:
         assert rows[1][:3] == ["2", "3", "direct"]
         assert rows[1][11] == "false"
 
+    @pytest.mark.parametrize("rows", [0, 1], ids=["header-only", "one-row"])
+    def test_csv_append_ends_a_last_line_without_its_ending(self, tmp_path, capsys, rows):
+        # report and sweep accept a CSV whose last line has no line ending,
+        # so solve must end that line before it appends its row
+        out = tmp_path / "runs.csv"
+        solve = ["solve", "--k", "2", "--n", "3", "--model", "direct", "--sym", "d",
+                 "--out", str(out)]
+        if rows:
+            assert main(solve) == 0
+            out.write_bytes(out.read_bytes().rstrip(b"\r\n"))
+        else:
+            out.write_text(",".join(CSV_FIELDS))
+        assert main(solve) == 0
+        lines = read_rows(out)
+        assert lines[0] == CSV_FIELDS
+        assert len(lines) == rows + 2
+        assert all(len(row) == len(CSV_FIELDS) and row[:3] == ["2", "3", "direct"]
+                   for row in lines[1:])
+        assert main(["report", str(out)]) == 0
+
     def test_csv_append_refuses_foreign_header(self, tmp_path, capsys):
         out = tmp_path / "runs.csv"
         out.write_text("a,b,c\n1,2,3\n")

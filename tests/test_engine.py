@@ -580,9 +580,10 @@ class TestSolveAll:
     def test_cell_filters_must_read_the_models_cells(self):
         # the cell filters read the store's view over the model's cells, so
         # a model must give each of them exactly those cells, in position
-        # order, and no value above every cell's initial domain
+        # order, and no value above every cell's initial domain; a channel's
+        # cells must start within 1..n
         cells = [0, 1, 2]
-        domains = doms({1, 2}, {1, 2}, {1, 2}, {1, 2, 3}, {1, 2}, {1, 2})
+        domains = doms({1, 2}, {1, 2}, {1, 2}, {1, 2, 3}, {1, 2}, {1, 2}, {0, 1, 2})
         good = [
             ElementOffsetConst(cells, 3, 0, 2),
             Occurrence(cells, 2, 1),
@@ -603,6 +604,8 @@ class TestSolveAll:
             (ElementOffsetConst(cells, 3, 0, 3), cells),  # a value no cell holds
             (Occurrence(cells, 3, 1), cells),
             (InverseChannel([[3], [4], [5]], cells), cells),  # n = 3
+            (InverseChannel([[4], [5]], [6, 1]), [6, 1]),  # a cell that may hold 0
+            (InverseChannel([[4]], [0]), [0]),  # n = 1: a cell that may hold 2
             (ElementOffsetConst([0, 1, 9], 3, 0, 2), cells),  # an unknown var in the array
             (ElementOffsetConst(cells, 9, 0, 2), cells),  # an unknown index
             (Occurrence([0, 1, 9], 2, 1), cells),  # an unknown var

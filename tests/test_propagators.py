@@ -48,7 +48,8 @@ def compare_with_reference(kind: str, seed: int, reference, cases: int = 600) ->
     commit log and the domains left must be equal, and the view must match
     those domains. A case outside the filter's contract, which
     `validate_model` rejects, is drawn but not filtered. Returns how often
-    each feature of interest came up."""
+    each feature of interest came up; a stray is a cell value outside 1..n,
+    or for a channel, whose cells never stray, a slot value outside 1..kn."""
     rng = random.Random(seed)
     seen = dict.fromkeys(("checked", "failed", "wipeout", "stray"), 0)
     for _ in range(cases):
@@ -64,7 +65,11 @@ def compare_with_reference(kind: str, seed: int, reference, cases: int = 600) ->
         seen["checked"] += 1
         seen["failed"] += not ok
         seen["wipeout"] += bool(ref.log) and ref.log[-1][1] == 0
-        seen["stray"] += any(domains[c] & ~((2 << n) - 2) for c in cells)
+        if isinstance(prop, InverseChannel):
+            spilled, top = prop.scope[:-len(cells)], len(cells)
+        else:
+            spilled, top = cells, n
+        seen["stray"] += any(domains[v] & ~((2 << top) - 2) for v in spilled)
     return seen
 
 
@@ -87,6 +92,11 @@ class TestEqOffset:
     def test_check(self):
         assert EqOffset(0, 1, 3).check([5, 2])
         assert not EqOffset(0, 1, 3).check([5, 3])
+
+    def test_negative_shift_refused(self):
+        # every built model shifts forward, so the filter has no other path
+        with pytest.raises(ValueError):
+            EqOffset(0, 1, -1)
 
 
 class TestLessThan:
@@ -312,21 +322,20 @@ class TestElementOffsetConst:
         # reach, offset >= len included, where no index has a target
         for length in range(1, 7):
             array = [10 + i for i in range(length)]
-            for offset in range(-(length + 2), length + 3):
+            for offset in range(length + 3):
                 prop = ElementOffsetConst(array, 99, offset, 1)
                 assert prop.targets == reference_targets(array, offset), (length, offset)
 
-    def test_view_covers_negative_offsets_and_index_zero(self):
-        # with offset -1 index p targets position p - 1: only position 2
-        # holds 2, so index 3 is the one support; 0 and 1 have no target
-        cells = (0, 1, 2)
-        domains = doms({1}, {2}, {1}, {0, 1, 2, 3, 4})
-        prop = ElementOffsetConst(cells, 3, -1, 2)
-        fast, ref = RecordingStore(domains, cells), RecordingStore(domains, cells)
-        assert prop.filter(fast) and reference_element_filter(prop, ref)
-        assert fast.log == ref.log == [(3, mask_of({3}))]
+    def test_negative_offset_refused(self):
+        # every built model looks forward from the index, so the filter has
+        # no other path
+        with pytest.raises(ValueError):
+            ElementOffsetConst((0, 1, 2), 3, -1, 2)
+
+    def test_view_covers_index_zero(self):
         # offset 1 shifts position 1, the only one holding 2, onto index 0,
         # which has no target
+        cells = (0, 1, 2)
         domains = doms({2}, {1}, {1}, {0, 1, 2})
         prop = ElementOffsetConst(cells, 3, 1, 2)
         fast, ref = RecordingStore(domains, cells), RecordingStore(domains, cells)
@@ -420,8 +429,8 @@ class TestInverseChannel:
 
     def test_commits_match_reference_filter(self):
         # Same result and the same (var, mask) commits in the same order as
-        # the full-rescan filter, out-of-range cell and slot values included.
-        # A case outside the filter's contract is drawn but not filtered.
+        # the full-rescan filter, out-of-range slot values included. A case
+        # outside the filter's contract is drawn but not filtered.
         rng = random.Random(1808)
         checked = failed = stripped = 0
         for _ in range(600):
@@ -435,9 +444,9 @@ class TestInverseChannel:
             assert fast.log == ref.log
             checked += 1
             failed += not ok
-            outside = ~((2 << n) - 2)
-            stripped += any(domains[c] & outside for c in prop.seq)
-        # the sample reaches both outcomes, with and without out-of-range cells
+            outside = ~((2 << k * n) - 2)
+            stripped += any(domains[sv] & outside for row in prop.slots for sv in row)
+        # the sample reaches both outcomes, with and without out-of-range slots
         assert checked >= 550
         assert 100 <= failed <= 500
         assert 200 <= stripped <= 400

@@ -99,7 +99,8 @@ def in_contract(domains, prop) -> bool:
     """Whether `validate_model` accepts `prop` alone over `domains`, with
     the propagator's own cells as the model's cells. A cell filter reads
     `store.can[value]`, so it may not ask for a value above every cell's
-    initial domain; no built model does."""
+    initial domain, and a channel's cells may not start outside 1..n; no
+    built model does either."""
     try:
         validate_model(TinyModel(domains, [prop], cells=cells_of(prop)))
     except ValueError:
@@ -288,10 +289,12 @@ def random_domain(rng: random.Random, lo: int, hi: int) -> int:
 
 
 def random_case(rng: random.Random, kind: str):
-    """(domains, propagator) with variables 0..len(domains)-1."""
+    """(domains, propagator) with variables 0..len(domains)-1. Shifts and
+    offsets are never negative, as in every built model: eq_offset shifts
+    by 0..5 and element offsets run from 0 to 3."""
     if kind == "eq_offset":
         domains = [random_domain(rng, 1, 8), random_domain(rng, 1, 8)]
-        return domains, EqOffset(0, 1, rng.randint(-3, 5))
+        return domains, EqOffset(0, 1, rng.randint(0, 5))
     if kind == "less_than":
         domains = [random_domain(rng, 1, 8), random_domain(rng, 1, 8)]
         return domains, LessThan(0, 1)
@@ -307,7 +310,7 @@ def random_case(rng: random.Random, kind: str):
         domains = [random_domain(rng, 1, 4) for _ in range(length)]
         domains.append(random_domain(rng, 1, 6))  # index may run off the end
         return domains, ElementOffsetConst(
-            list(range(length)), length, rng.randint(-2, 2), rng.randint(1, 4)
+            list(range(length)), length, rng.randint(0, 3), rng.randint(1, 4)
         )
     if kind == "occurrence":
         count = rng.randint(3, 6)
@@ -355,8 +358,10 @@ def random_view_case(rng: random.Random, kind: str):
     view, whose values of interest are 1..n. In about half the cases cells
     draw from 0..n+1, so they may hold stray values 0 and n+1; otherwise
     from 1..n. Element indexes draw from 0..len+3, bit 0 and positions
-    past the end included, with offsets from -3 to 3. Density varies from
-    near-assigned to near-full, so wipeouts and failures are common."""
+    past the end included, with offsets from 0 to 6, so that some offsets
+    are at least len. A channel case comes from `random_channel_case`.
+    Density varies from near-assigned to near-full, so wipeouts and
+    failures are common."""
     n = rng.randint(2, 4)
     if kind == "inverse_channel":
         domains, prop = random_channel_case(rng, rng.choice((2, 3)), n)
@@ -373,7 +378,7 @@ def random_view_case(rng: random.Random, kind: str):
     cells = tuple(range(length))
     if kind == "element_offset_const":
         domains.append(domain(0, length + 3))
-        prop = ElementOffsetConst(cells, length, rng.randint(-3, 3), rng.randint(1, n))
+        prop = ElementOffsetConst(cells, length, rng.randint(0, 6), rng.randint(1, n))
         return domains, prop, prop.array, n
     if kind == "occurrence":
         prop = Occurrence(cells, rng.randint(1, n), rng.randint(0, 3))
@@ -421,15 +426,12 @@ def reference_element_filter(prop: ElementOffsetConst, store: Store) -> bool:
 
 
 def reference_targets(array, offset: int) -> tuple:
-    """`ElementOffsetConst.targets` built one index at a time: entry p is
-    the cell at position p + offset, or -1 when that position is off the
-    array, for every p from 0 up to len(array) - min(offset, 0)."""
-    highest = len(array) - min(offset, 0)
-    targets = [-1] * (highest + 1)
-    for p in range(1, highest + 1):
-        pos = p + offset
-        if 1 <= pos <= len(array):
-            targets[p] = array[pos - 1]
+    """`ElementOffsetConst.targets` built one index at a time: entry 0 is
+    -1, and entry p is the cell at position p + offset, for every p from 1
+    up to the last whose position is on the array."""
+    targets = [-1]
+    for p in range(1, len(array) - offset + 1):
+        targets.append(array[p + offset - 1])
     return tuple(targets)
 
 
@@ -598,10 +600,11 @@ def reference_inverse_channel_filter(prop: InverseChannel, store: Store) -> bool
 
 
 def random_channel_case(rng: random.Random, k: int, n: int):
-    """(domains, InverseChannel) over shuffled variable ids. In about half
-    the cases cells draw from 0..n+1 and slots from 0..kn+1, values outside
-    the channel's range; otherwise from 1..n and 1..kn. Density varies from
-    near-assigned to near-full."""
+    """(domains, InverseChannel) over shuffled variable ids. Cells draw
+    from 1..n, the only values `validate_model` lets a channel's cells
+    start with. In about half the cases slots draw from 0..kn+1, positions
+    outside the channel's range that rule (b) strips; otherwise from
+    1..kn. Density varies from near-assigned to near-full."""
     kn = k * n
     ids = list(range(2 * kn))
     rng.shuffle(ids)
@@ -611,8 +614,7 @@ def random_channel_case(rng: random.Random, k: int, n: int):
     density = rng.choice((0.15, 0.35, 0.6, 0.85))
     spill = int(rng.random() < 0.5)
     domains = [0] * (2 * kn)
-    for var, top in [(v, n) for v in seq] + [(v, kn) for v in slots_flat]:
-        lo, hi = 1 - spill, top + spill
+    for var, lo, hi in [(v, 1, n) for v in seq] + [(v, 1 - spill, kn + spill) for v in slots_flat]:
         picked = [v for v in range(lo, hi + 1) if rng.random() < density]
         domains[var] = mask_of(picked or [rng.randint(lo, hi)])
     return domains, InverseChannel(slots, seq)
