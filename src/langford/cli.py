@@ -110,19 +110,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _variant(parser, fields: dict) -> VariantConfig:
+def _variant(parser, fields: dict, given: str) -> VariantConfig:
     """The variant of `fields`, the VARIANT_KEYS given by solve's flags or
-    one sweep spec. An omitted key takes solve's default: sym p on a
-    positional model, else d; cons both on a channelled model; heuristic
-    static. A variant that VariantConfig rejects is a usage error."""
+    one sweep spec, which `given` words as the user typed them. An omitted
+    key takes solve's default: sym p on a positional model, else d; cons
+    both on a channelled model; heuristic static. A variant that
+    VariantConfig rejects is a usage error that quotes `given`."""
     model = fields["model"]
     defaults = {"sym": "p" if model == "positional" else "d",
                 "cons": "both" if model == "channelled" else None}
     try:
         return VariantConfig(**{**defaults, **fields})
     except ValueError as exc:
-        spec = ",".join(f"{key}={value}" for key, value in fields.items())
-        parser.error(f"variant spec {spec!r}: {exc}")
+        parser.error(f"{given}: {exc}")
 
 
 def run(
@@ -196,8 +196,8 @@ def _read_csv(path: Path) -> list[RunRecord]:
 
 
 def cmd_solve(parser, args) -> int:
-    config = _variant(parser, {key: value for key in VARIANT_KEYS
-                               if (value := getattr(args, key)) is not None})
+    fields = {key: value for key in VARIANT_KEYS if (value := getattr(args, key)) is not None}
+    config = _variant(parser, fields, " ".join(f"--{key} {value}" for key, value in fields.items()))
     bad = _bad_limit(args)
     if bad:
         return _error(bad)
@@ -269,7 +269,9 @@ def _sweep_configs(parser, args) -> dict[tuple, tuple[str, VariantConfig]]:
     and two specs with the same key are usage errors."""
     configs: dict[tuple, tuple[str, VariantConfig]] = {}
     for text in args.variant:
-        config = _variant(parser, _parse_variant_spec(parser, text))
+        fields = _parse_variant_spec(parser, text)
+        spec = ",".join(f"{key}={value}" for key, value in fields.items())
+        config = _variant(parser, fields, f"variant spec {spec!r}")
         key = _variant_key(config)
         if key in configs:
             parser.error(f"variants {configs[key][0]!r} and {text!r} write the same CSV rows")

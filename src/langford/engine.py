@@ -469,7 +469,9 @@ def iter_solutions(
         if budget_hit():
             stats.timed_out = True
             return
-        if propagate_to_fixpoint(store, propagators, watchers, range(len(propagators))) != FIXPOINT:
+        # an empty initial domain fails as a root wipeout does
+        if 0 in model.initial_domains or propagate_to_fixpoint(
+                store, propagators, watchers, range(len(propagators))) != FIXPOINT:
             stats.failures += 1
             return
         scorer = None

@@ -12,7 +12,10 @@ Two viewpoints of L(k, n) and their channelled combination:
   and exactly one reflection-breaking constraint.
 
 The channelled model is both base viewpoints plus the links, so
-`build_model` posts each piece wherever the variant needs it.
+`build_model` posts each piece wherever the variant needs it. Variable ids
+are ranges, in this order: the cells 0..kn-1 (none in a positional model),
+the slot rows one after another (none in a direct model), and the chain
+starts, the last n ids (only where the direct constraints are posted).
 """
 
 from __future__ import annotations
@@ -107,11 +110,12 @@ class VariantConfig:
 class Model:
     """Variables, propagators and branching order for one variant.
 
-    Variable ids are dense and assigned in construction order, which defines
-    order of appearance. `initial_domains` holds one int bitmask per
-    variable (bit v set iff v is in the domain). A built model is data that
-    no search writes to: a search copies the domains into its own store and
-    keeps its own failure weights, so one model can serve many searches.
+    Variable ids are dense and laid out as the module docstring says: cells,
+    then slot rows, then chain starts. `initial_domains` holds one int
+    bitmask per variable (bit v set iff v is in the domain). A built model
+    is data that no search writes to: a search copies the domains into its
+    own store and keeps its own failure weights, so one model can serve
+    many searches.
     """
 
     instance: Instance
@@ -137,36 +141,6 @@ class Model:
         return tuple(out)
 
 
-class _Builder:
-    def __init__(self):
-        self.domains: list[int] = []
-
-    def var(self, lo: int, hi: int) -> int:
-        self.domains.append(((1 << (hi - lo + 1)) - 1) << lo)
-        return len(self.domains) - 1
-
-
-def _direct_constraints(instance, cells, first) -> list[Propagator]:
-    k, n = instance.k, instance.n
-    props: list[Propagator] = []
-    for m in range(1, n + 1):
-        for t in range(k):
-            props.append(ElementOffsetConst(cells, first[m - 1], t * (m + 1), m))
-    for m in range(1, n + 1):
-        props.append(Occurrence(cells, m, k))
-    return props
-
-
-def _positional_constraints(instance, pos) -> list[Propagator]:
-    k, n = instance.k, instance.n
-    flat = [v for row in pos for v in row]
-    props: list[Propagator] = [AllDifferent(flat)]
-    for m in range(1, n + 1):
-        for j in range(2, k + 1):
-            props.append(EqOffset(pos[m - 1][j - 1], pos[m - 1][j - 2], m + 1))
-    return props
-
-
 def build_model(instance: Instance, config: VariantConfig) -> Model:
     """Build the model `config` names; all three viewpoints come from here.
 
@@ -181,19 +155,19 @@ def build_model(instance: Instance, config: VariantConfig) -> Model:
     with_direct = config.model == "direct" or config.cons in ("both", "d")
     with_positional = config.model == "positional" or config.cons in ("both", "p")
 
-    b = _Builder()
     # every cell filter keeps this one tuple: tuple(cells) is cells
-    cells = tuple([b.var(1, n) for _ in range(kn)]) if config.model != "positional" else ()
-    pos = first = None
-    if config.model != "direct":
-        pos = [[b.var(1, kn) for _ in range(k)] for _ in range(n)]
+    cells = tuple(range(kn)) if config.model != "positional" else ()
+    slots = list(range(len(cells), len(cells) + kn)) if config.model != "direct" else []
+    pos = [slots[i:i + k] for i in range(0, kn, k)] if slots else None
+    # the values 1..hi are the mask (2 << hi) - 2
+    domains = [(2 << n) - 2] * len(cells) + [(2 << kn) - 2] * len(slots)
+    first: list[int] = []
     if with_direct:
         # Latest start still fitting the whole chain; when the chain cannot
         # fit at all (n < k) the placeholder {1} is wiped at root by the
         # element bounds rule.
-        first = [
-            b.var(1, max(kn - (k - 1) * (m + 1), 1)) for m in range(1, n + 1)
-        ]
+        first = list(range(len(domains), len(domains) + n))
+        domains += [(2 << max(kn - (k - 1) * (m + 1), 1)) - 2 for m in range(1, n + 1)]
 
     props: list[Propagator] = []
     if config.model == "channelled":
@@ -202,31 +176,31 @@ def build_model(instance: Instance, config: VariantConfig) -> Model:
         # own, with its own scope and failure weight, so removing them
         # changes wdeg scores and failure blame, and with them wdeg and
         # dom/wdeg node counts.
-        for m in range(1, n + 1):
-            for j in range(1, k + 1):
-                props.append(ElementOffsetConst(cells, pos[m - 1][j - 1], 0, m))
+        for m, row in enumerate(pos, 1):
+            props += [ElementOffsetConst(cells, v, 0, m) for v in row]
         props.append(InverseChannel(pos, cells))
-        for m in range(1, n + 1):
-            for j in range(2, k + 1):
-                props.append(LessThan(pos[m - 1][j - 2], pos[m - 1][j - 1]))
+        for row in pos:
+            props += [LessThan(a, b) for a, b in zip(row, row[1:])]
     if with_direct:
-        props.extend(_direct_constraints(instance, cells, first))
+        for m, start in enumerate(first, 1):
+            props += [ElementOffsetConst(cells, start, t * (m + 1), m) for t in range(k)]
+        props += [Occurrence(cells, m, k) for m in range(1, n + 1)]
     if with_positional:
-        props.extend(_positional_constraints(instance, pos))
+        props.append(AllDifferent(slots))
+        for m, row in enumerate(pos, 1):
+            props += [EqOffset(b, a, m + 1) for a, b in zip(row, row[1:])]
     if config.sym == "d":
         props.append(LessThan(cells[0], cells[-1]))
     elif config.sym == "p":
         props.append(SumLeq(pos[0][0], pos[0][-1], kn))
 
-    slots = [v for row in pos for v in row] if pos else []
     order = [*slots, *cells] if config.branch == "p" else [*cells, *slots]
     return Model(
         instance=instance,
         config=config,
-        initial_domains=b.domains,
+        initial_domains=domains,
         propagators=props,
-        branch_order=order + (first or []),
+        branch_order=order + first,
         cells=cells,
         pos_vars=pos,
     )
-

@@ -119,6 +119,9 @@ class TestSolve:
         with pytest.raises(SystemExit) as info:
             main(["solve", "--k", "2", "--n", "3", "--model", "direct", "--branch", "d"])
         assert info.value.code == 1
+        # the error names the flags given, not a sweep spec
+        assert capsys.readouterr().err.endswith(
+            "error: --model direct --branch d: branch/cons only apply to channelled models\n")
 
     def test_node_limit_timeout_exit_2(self, capsys):
         code = main(

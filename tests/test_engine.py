@@ -552,6 +552,18 @@ class TestSolveAll:
         assert stats.solutions == 1 and stats.nodes > 0 and not stats.timed_out
         assert stats.elapsed_ms >= 0  # set on close
 
+    @pytest.mark.parametrize("model", [
+        TinyModel([0], []),
+        TinyModel(doms({1, 2}, set()), [LessThan(0, 1)]),
+    ], ids=["no-propagator", "less-than"])
+    def test_empty_initial_domain_fails_at_root(self, model):
+        # a model that starts with an empty domain has no solution: it ends
+        # as a root wipeout does, one failure and no node, before any
+        # filter or leaf reads the empty domain
+        solutions, stats = solve_all(model)
+        assert solutions == []
+        assert (stats.nodes, stats.failures, stats.timed_out) == (0, 1, False)
+
     def test_time_limit(self):
         cfg = VariantConfig("channelled", branch="p", sym="p", cons="both")
         model = build_model(Instance(3, 11), cfg)

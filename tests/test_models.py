@@ -27,7 +27,7 @@ from langford.propagators import (
     SumLeq,
 )
 
-from util import every_variant, pos_sym_keeps, solution_sequences
+from util import cells_of, every_variant, pos_sym_keeps, solution_sequences
 
 # the variants of the base viewpoints with their own reflection rule
 DIRECT = VariantConfig("direct", sym="d")
@@ -318,6 +318,30 @@ class TestCrossViewpointAgreement:
                 p for p in model.propagators if not isinstance(p, Occurrence)])
             assert len(bare.propagators) == len(model.propagators) - n
             assert solution_sequences(model) == solution_sequences(bare)
+
+
+@pytest.mark.parametrize("k, n", [(2, 3), (3, 4), (4, 5), (3, 1)])
+def test_variable_ids_are_ranges(k, n):
+    # the cells are ids 0..kn-1, the slot rows follow in row order and the
+    # chain starts are the last n ids; at L(3, 1) the chain cannot fit and
+    # its start is the placeholder {1}
+    kn = k * n
+    for cfg in every_variant():
+        model = build_model(Instance(k, n), cfg)
+        cells = () if cfg.model == "positional" else tuple(range(kn))
+        assert model.cells == cells, cfg
+        base = len(cells)
+        rows = [list(range(base + m * k, base + (m + 1) * k)) for m in range(n)]
+        assert model.pos_vars == (None if cfg.model == "direct" else rows), cfg
+        starts = list(range(base + (0 if cfg.model == "direct" else kn), model.num_vars))
+        with_direct = cfg.model == "direct" or cfg.cons in ("both", "d")
+        assert len(starts) == (n if with_direct else 0), cfg
+        assert model.branch_order[len(model.branch_order) - len(starts):] == starts, cfg
+        if (k, n) == (3, 1) and with_direct:
+            assert [values(model.initial_domains[v]) for v in starts] == [[1]]
+        cell_filters = [p for p in model.propagators if cells_of(p)]
+        assert bool(cell_filters) == (cfg.model != "positional"), cfg
+        assert all(cells_of(p) is model.cells for p in cell_filters), cfg
 
 
 def test_build_model_dispatch():
