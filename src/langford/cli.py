@@ -298,12 +298,11 @@ def cmd_sweep(parser, args) -> int:
         _probe_writable(out)  # before the first cell, not after the whole grid
     except OSError as exc:
         return _cannot_write(out, exc)
-    records: list[RunRecord] = []  # every row read is written back, repeats included
-    if args.skip_existing and out.exists():
-        try:
-            records = _read_csv(out)
-        except (OSError, ValueError) as exc:
-            return _error(exc)
+    try:  # refuse a file that is not a langford CSV before any cell runs, as solve does
+        read = _read_csv(out) if out.exists() else []
+    except (OSError, ValueError) as exc:
+        return _error(exc)
+    records = read if args.skip_existing else []  # every row kept is written back, repeats included
     existing = {rec.sort_key() for rec in records}
 
     tasks = [
@@ -446,7 +445,8 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes (1: run in this one)")
     p_sweep.add_argument("--skip-existing", action="store_true", help="skip each cell that --out has "
                          "a row for, finished or timed out, and keep every row read")
-    p_sweep.add_argument("--out", default="sweep.csv")
+    p_sweep.add_argument("--out", default="sweep.csv", help="CSV file to write; an existing one "
+                         "must be empty or a langford CSV, and is rewritten (no cell runs otherwise)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_report = sub.add_parser("report", help="render a sweep CSV as markdown")

@@ -176,74 +176,69 @@ class Watchers:
     wake bookkeeping. Heavy propagators are queued behind cheap ones; that
     ordering does not change the fixpoint either.
 
+    There is one table per event kind: `any_of[var]` lists the pids that
+    watch var for any removal; `value_of[var]` and `assign_of[var]` are
+    None or a table by value, whose entry lists the pids to wake when var
+    loses, or is assigned, that value. Every entry is a list, maybe empty.
     A value mask is over `cells`, the model's cells in position order, so
-    there is one removal table and one assignment table, each built if some
-    mask fills it and held by every cell: `value_of[cell]` and
-    `assign_value_of[cell]`, None for every other variable. A table is
-    indexed by value, each entry None or the pids to wake, in ascending pid
-    order, with an entry for each value of every mask and of every cell's
-    initial domain. `on_assign[var]` is true iff `assign_any_of[var]` or
-    `assign_value_of[var]` is set, so an event on a variable that no
-    propagator watches for assignment costs one lookup. A search only
-    reads the tables; none may write to them.
+    the value conditions of a kind make one table, held by every cell,
+    with an entry for each value of every mask and of every cell's
+    initial domain. Pids are in ascending order, but an `assign_of` entry
+    lists first those that watch var for any assignment, then those of
+    the value conditions on its value: a variable watched only for any
+    assignment has that one list at every value of its initial domain,
+    and a cell also watched so gets its own table, merged from the shared
+    one. A search only reads the tables; none may write to them.
 
     The queue is `cheap` and `heavy`, one deque per tier, with `in_queue`
     flagging the queued pids. `push[pid]` is the bound `append` of the
-    deque that pid goes to, `heavy` if `priority[pid]`, else `cheap`; each
-    tier's append is bound once and shared by its pids. Every
+    deque that pid goes to, `heavy` if its `cost_tier` is set, else
+    `cheap`; each tier's append is bound once and shared by its pids. Every
     `propagate_to_fixpoint` call leaves the queue empty, failing ones
     included, and `clear` keeps both deque objects, so the bound appends
     stay valid and one `Watchers` serves a whole search.
     """
 
-    __slots__ = (
-        "any_of", "value_of", "assign_any_of", "assign_value_of", "on_assign", "priority",
-        "cheap", "heavy", "in_queue", "push",
-    )
+    __slots__ = ("any_of", "value_of", "assign_of", "cheap", "heavy", "in_queue", "push")
 
     def __init__(self, domains: Sequence[int], propagators: Sequence, cells: tuple):
         num_vars = len(domains)
         self.any_of = any_of = [[] for _ in range(num_vars)]
         self.value_of: list = [None] * num_vars
-        self.assign_any_of = assign_any_of = [None] * num_vars
-        self.assign_value_of: list = [None] * num_vars
-        self.priority = priority = [p.cost_tier for p in propagators]
+        self.assign_of = assign_of = [None] * num_vars
+        watched = [[] for _ in range(num_vars)]  # the pids that watch each var for any assignment
         self.cheap: deque[int] = deque()
         self.heavy: deque[int] = deque()
-        self.in_queue = [0] * len(priority)
+        self.in_queue = [0] * len(propagators)
         heavy, cheap = self.heavy.append, self.cheap.append
-        self.push = [heavy if tier else cheap for tier in priority]
-        removals: list[tuple[int, int]] = []  # (pid, mask), in pid order
-        assigns: list[tuple[int, int]] = []
+        self.push = [heavy if p.cost_tier else cheap for p in propagators]
+        removals, assigns = [], []  # (pid, mask) pairs, in pid order
         top = 0  # the union of every mask
         for pid, p in enumerate(propagators):
             removed, assigned, removal_mask, assign_mask = p.wakes()
             for var in removed:
                 any_of[var].append(pid)
             for var in assigned:
-                if assign_any_of[var] is None:
-                    assign_any_of[var] = [pid]
-                else:
-                    assign_any_of[var].append(pid)
+                watched[var].append(pid)
             if removal_mask:
                 removals.append((pid, removal_mask))
             if assign_mask:
                 assigns.append((pid, assign_mask))
             top |= removal_mask | assign_mask
         size = max(top.bit_length() + 1, max((domains[cell].bit_length() for cell in cells), default=0))
-        for tables, conditions in ((self.value_of, removals), (self.assign_value_of, assigns)):
+        for tables, conditions in ((self.value_of, removals), (assign_of, assigns)):
             if conditions:
                 table = [[] for _ in range(size)]
                 for pid, mask in conditions:
                     for v in _BITS.get(mask) or bits(mask):
                         table[v].append(pid)
-                table = [pids or None for pids in table]
                 for cell in cells:
                     tables[cell] = table
-        self.on_assign = [
-            pids is not None or table is not None
-            for pids, table in zip(assign_any_of, self.assign_value_of)
-        ]
+        for var, pids in enumerate(watched):
+            if pids:
+                shared = assign_of[var]
+                assign_of[var] = ([pids] * domains[var].bit_length() if shared is None
+                                  else [pids + entry for entry in shared])
 
     def clear(self) -> None:
         """Empty the queue, keeping both deques."""
@@ -267,12 +262,14 @@ def propagate_to_fixpoint(store: Store, propagators: Sequence, watchers: Watcher
 
     Wake events are the store's trail entries, dispatched in trail order:
     first the pending ones, so a freshly committed branching step seeds its
-    own wake set, then after each filter the ones it committed. Dispatch
-    runs only when the trail grew, so a filter that committed nothing costs
-    just its call and the next pop; a cell's lost values come via the
-    `_BITS` memo (see `Store`). Every return, failing ones included, leaves
-    the trail and the watchers' queue empty. Returns FIXPOINT, or the
-    failing propagator's id.
+    own wake set, then after each filter the ones it committed, only if the
+    trail grew. An event reads three tables (see `Watchers`), each entry a
+    list: `any_of[var]`, the `value_of` entry of each value it removed (via
+    the `_BITS` memo, see `Store`) and, if var is now assigned, the
+    `assign_of` entry of its value, whose pids that watch var for any
+    assignment come before those that watch that value. A queued pid is
+    skipped. Every return, failing ones included, leaves the trail and the
+    watchers' queue empty. Returns FIXPOINT, or the failing propagator's id.
     """
     cheap = watchers.cheap
     heavy = watchers.heavy
@@ -280,9 +277,7 @@ def propagate_to_fixpoint(store: Store, propagators: Sequence, watchers: Watcher
     push = watchers.push
     any_of = watchers.any_of
     value_of = watchers.value_of
-    on_assign = watchers.on_assign
-    assign_any_of = watchers.assign_any_of
-    assign_value_of = watchers.assign_value_of
+    assign_of = watchers.assign_of
     doms = store.doms
     trail = store.trail
     trail_bits = store.trail_bits
@@ -305,29 +300,18 @@ def propagate_to_fixpoint(store: Store, propagators: Sequence, watchers: Watcher
                 table = value_of[var]
                 if table is not None:
                     for v in bits_of(trail_bits[event]) or bits(trail_bits[event]):
-                        pids = table[v]
-                        if pids:
-                            for pid in pids:
-                                if not in_queue[pid]:
-                                    in_queue[pid] = 1
-                                    push[pid](pid)
-                if on_assign[var]:
+                        for pid in table[v]:
+                            if not in_queue[pid]:
+                                in_queue[pid] = 1
+                                push[pid](pid)
+                table = assign_of[var]
+                if table is not None:
                     d = doms[var]
                     if d & (d - 1) == 0:
-                        pids = assign_any_of[var]
-                        if pids:
-                            for pid in pids:
-                                if not in_queue[pid]:
-                                    in_queue[pid] = 1
-                                    push[pid](pid)
-                        table = assign_value_of[var]
-                        if table is not None:
-                            pids = table[d.bit_length() - 1]
-                            if pids:
-                                for pid in pids:
-                                    if not in_queue[pid]:
-                                        in_queue[pid] = 1
-                                        push[pid](pid)
+                        for pid in table[d.bit_length() - 1]:
+                            if not in_queue[pid]:
+                                in_queue[pid] = 1
+                                push[pid](pid)
             seen = end
         if cheap:
             pid = cheap.popleft()

@@ -261,6 +261,18 @@ class TestSweep:
             assert message in capsys.readouterr().err
             assert out.read_text() == text
 
+    def test_out_that_is_not_a_csv_is_refused(self, tmp_path, capsys, monkeypatch):
+        # without --skip-existing too: a sweep rewrites only an empty file
+        # or a langford CSV, as solve appends only to one
+        out = tmp_path / "notes.txt"
+        out.write_bytes(b"precious\n")
+        monkeypatch.setattr(cli, "run", lambda *a: pytest.fail("a cell ran"))
+        code = main(["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "3",
+                     "--variant", "model=direct", "--out", str(out)])
+        assert code == 1
+        assert f"{out}:1: bad header" in capsys.readouterr().err
+        assert out.read_bytes() == b"precious\n"
+
     def test_skip_existing_empty_out_is_fresh(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         out.touch()

@@ -379,7 +379,7 @@ class TestPropagateToFixpoint:
                 assert got != FIXPOINT
 
 
-WATCHER_TABLES = ("any_of", "value_of", "assign_any_of", "assign_value_of", "on_assign", "priority")
+WATCHER_TABLES = ("any_of", "value_of", "assign_of")
 
 
 # cells 3, 0, 2 at positions 1..3: out of var order and skipping var 1, an
@@ -395,19 +395,49 @@ SCATTERED_CELLS = TinyModel(
     cells=[3, 0, 2],
 )
 
+# cell 0 is also the element's index, so it is watched for any assignment
+# (by pid 1) and for its assignment to 1 (by pid 0, the Occurrence): it
+# gets an assignment table of its own, while cell 1 holds the shared one
+MERGED_ENTRY = TinyModel(
+    doms({1, 2}, {1, 2}),
+    [Occurrence((0, 1), 1, 1), ElementOffsetConst((0, 1), 0, 0, 1)],
+    cells=[0, 1],
+)
+
 
 class TestWatchers:
-    @pytest.mark.parametrize("instance", [(2, 3), (3, 5), (4, 4), "scattered", "copied"],
-                             ids=["2-3", "3-5", "4-4", "scattered-cells", "copied-cells"])
-    def test_tables_equal_the_per_pair_build(self, instance):
+    @pytest.mark.parametrize("instance", [(2, 3), (3, 5), (4, 4), "scattered", "copied", "merged"],
+                             ids=["2-3", "3-5", "4-4", "scattered-cells", "copied-cells", "merged-entry"])
+    def test_tables_equal_the_per_pair_build(self, monkeypatch, instance):
         # every model kind, branch, sym and cons of an instance (the heuristic
         # does not change the model), or a hand-made model whose cells are
         # not in var order: the cells, not the var ids, decide which
         # variables hold the value tables; or a channelled model rebuilt by
         # hand with an equal copy of its cells, not the tuple its filters
-        # hold: it is accepted and gets the tables of the shared tuple
+        # hold: it is accepted and gets the tables of the shared tuple; or a
+        # cell that is also an element's index, whose assignment entry lists
+        # the element, watching it for any assignment, before the Occurrence
+        # of a lower pid, watching it for that value
         if instance == "scattered":
             models = [SCATTERED_CELLS]
+        elif instance == "merged":
+            model = MERGED_ENTRY
+            validate_model(model)
+            watchers = build_watchers(model.initial_domains, model.propagators, model.cells)
+            calls = []
+            for cls in (ElementOffsetConst, Occurrence):
+                def recording(prop, store, _filter=cls.filter):
+                    calls.append(prop.kind)
+                    return _filter(prop, store)
+
+                monkeypatch.setattr(cls, "filter", recording)
+            store = Store(model.initial_domains, model.cells)
+            # 1 is the Occurrence's value and the element's: losing 2 wakes neither
+            store.commit(0, 1 << 1)
+            assert propagate_to_fixpoint(store, model.propagators, watchers) == FIXPOINT
+            assert calls[:2] == ["element_offset_const", "occurrence"]
+            assert store.doms == doms({1}, {2})
+            models = [model]
         elif instance == "copied":
             built = build_model(Instance(3, 4), VariantConfig("channelled", branch="d", sym="d", cons="both"))
             copy = TinyModel(built.initial_domains, built.propagators, built.branch_order, cells=list(built.cells))
@@ -435,7 +465,7 @@ class TestWatchers:
         reference = reference_watchers(model.initial_domains, model.propagators, model.cells)
         for name in WATCHER_TABLES:
             assert getattr(watchers, name) == getattr(reference, name), name
-        assert len(watchers.value_of[0]) == len(watchers.assign_value_of[1]) == 4
+        assert len(watchers.value_of[0]) == len(watchers.assign_of[1]) == 4
         solutions, stats = solve_all(model)
         assert sorted(solutions) == [(1, 2), (1, 3), (2, 1), (3, 1)]
         assert not stats.timed_out
@@ -468,8 +498,9 @@ class TestQueue:
     def test_push_follows_the_models_priority(self):
         model = build_model(Instance(2, 4), VariantConfig("channelled", branch="d", sym="d", cons="both"))
         watchers = build_watchers(model.initial_domains, model.propagators, model.cells)
-        assert 0 in watchers.priority and 1 in watchers.priority
-        for pid, tier in enumerate(watchers.priority):
+        tiers = [p.cost_tier for p in model.propagators]
+        assert 0 in tiers and 1 in tiers
+        for pid, tier in enumerate(tiers):
             assert watchers.push[pid].__self__ is (watchers.heavy if tier else watchers.cheap)
 
     @pytest.mark.parametrize("instance, config, calls, fails", [

@@ -370,8 +370,8 @@ def test_cells_share_one_wake_table():
         model = build_model(Instance(3, 4), config)
         watchers = build_watchers(model.initial_domains, model.propagators, model.cells)
         assert watchers.value_of[model.cells[0]] is not None
-        for tables in (watchers.value_of, watchers.assign_value_of):
+        for tables in (watchers.value_of, watchers.assign_of):
             first = tables[model.cells[0]]
             assert all(tables[c] is first for c in model.cells), config
-        assign_tables += watchers.assign_value_of[model.cells[0]] is not None
+        assign_tables += watchers.assign_of[model.cells[0]] is not None
     assert assign_tables  # the Occurrence constraints posted with the direct constraints

@@ -176,15 +176,13 @@ def reference_watchers(domains: list[int], propagators, cells) -> SimpleNamespac
     """The wake tables built one (var, mask) pair at a time, each variable
     with a table of its own: every `wakes()` condition is expanded into
     one pair per var, a mask into one pair per cell, and each pair adds
-    its pid to the var's table. Every table covers each value of every
-    mask and of the initial domain of every variable with a table.
-    `engine.Watchers` must build equal tables."""
+    its pid to the var's table. A table with a value condition covers each
+    value of every mask and of the initial domain of every variable with
+    a value condition; an assignment table with none covers its own
+    variable's initial domain. An assignment entry lists the pids that
+    watch its var for any assignment, then those whose mask holds its
+    value. `engine.Watchers` must build equal tables."""
     num_vars = len(domains)
-    any_of = [[] for _ in range(num_vars)]
-    value_of = [None] * num_vars
-    assign_any_of = [None] * num_vars
-    assign_value_of = [None] * num_vars
-    priority = [p.cost_tier for p in propagators]
     removal_specs, assign_specs = [], []
     for p in propagators:
         removed, assigned, removal_mask, assign_mask = p.wakes()
@@ -203,36 +201,33 @@ def reference_watchers(domains: list[int], propagators, cells) -> SimpleNamespac
     )
     size = max(max_value + 1, widest)
 
-    def add_to_table(tables, var, mask, pid):
-        if tables[var] is None:
-            tables[var] = [None] * size
-        for v in values(mask):
-            if tables[var][v] is None:
-                tables[var][v] = []
-            tables[var][v].append(pid)
-
+    any_of = [[] for _ in range(num_vars)]
+    value_of = [None] * num_vars
     for pid, spec in enumerate(removal_specs):
         for var, mask in spec:
             if mask is None:
                 any_of[var].append(pid)
-            else:
-                add_to_table(value_of, var, mask, pid)
+                continue
+            if value_of[var] is None:
+                value_of[var] = [[] for _ in range(size)]
+            for v in values(mask):
+                value_of[var][v].append(pid)
+    on_any = [[] for _ in range(num_vars)]  # pids watching var for any assignment
+    on_value = [[] for _ in range(num_vars)]  # (pid, mask) pairs on var
     for pid, spec in enumerate(assign_specs):
         for var, mask in spec:
             if mask is None:
-                if assign_any_of[var] is None:
-                    assign_any_of[var] = []
-                assign_any_of[var].append(pid)
+                on_any[var].append(pid)
             else:
-                add_to_table(assign_value_of, var, mask, pid)
-    return SimpleNamespace(
-        any_of=any_of,
-        value_of=value_of,
-        assign_any_of=assign_any_of,
-        assign_value_of=assign_value_of,
-        on_assign=[a is not None or t is not None for a, t in zip(assign_any_of, assign_value_of)],
-        priority=priority,
-    )
+                on_value[var].append((pid, mask))
+    assign_of = [None] * num_vars
+    for var in range(num_vars):
+        if on_any[var] or on_value[var]:
+            width = size if on_value[var] else domains[var].bit_length()
+            assign_of[var] = [
+                on_any[var] + [pid for pid, mask in on_value[var] if mask >> v & 1] for v in range(width)
+            ]
+    return SimpleNamespace(any_of=any_of, value_of=value_of, assign_of=assign_of)
 
 
 def naive_fixpoint(store: Store, propagators) -> int:
