@@ -4,9 +4,11 @@ Subcommands: solve one instance/variant, sweep a grid into a CSV, render a
 markdown report from a sweep CSV, and run the brute-force enumerator.
 Batch outputs only; exit codes: 0 done, 1 usage or input error, or a
 reader that closed stdout early (e.g. `| head`; no traceback, and `solve`
-appends no row), 2 timeout. `solve` streams: it holds one solution at a
-time, prints each as it is found under --print-solutions, and prints its
-summary line last.
+appends no row), 2 a `solve` stopped by --node-limit or --timeout. A
+`sweep` cell stopped by either is a row with timed_out `true`, and the
+sweep exits 0. `solve` streams: it holds one solution at a time, prints
+each as it is found under --print-solutions, and prints its summary
+line last.
 
 A CSV row is a `RunRecord`: the instance (k, n), the variant key (model,
 branch, sym, cons, heuristic) and the search's `SearchStats` (solutions,
@@ -19,7 +21,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -60,13 +62,10 @@ def _variant_key(config: VariantConfig) -> tuple[str, str, str, str, str]:
             config.heuristic.value)
 
 
-@dataclass
-class RunRecord:
+class RunRecord(namedtuple("RunRecord", "instance config stats")):
     """One CSV row: an instance, a variant and the counters of its search."""
 
-    instance: Instance
-    config: VariantConfig
-    stats: SearchStats
+    __slots__ = ()
 
     def sort_key(self) -> tuple:
         return (self.instance, *_variant_key(self.config))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .heuristics import HeuristicKind, WdegScorer, select_variable
@@ -148,16 +147,28 @@ class Store:
         return d.bit_length() - 1
 
 
-@dataclass
 class SearchStats:
     """Search counters; all monotone during a run, elapsed excluded from
     determinism guarantees."""
 
-    nodes: int = 0
-    failures: int = 0
-    solutions: int = 0
-    elapsed_ms: int = 0
-    timed_out: bool = False
+    __slots__ = ("nodes", "failures", "solutions", "elapsed_ms", "timed_out")
+
+    def __init__(self, nodes: int = 0, failures: int = 0, solutions: int = 0,
+                 elapsed_ms: int = 0, timed_out: bool = False):
+        self.nodes = nodes
+        self.failures = failures
+        self.solutions = solutions
+        self.elapsed_ms = elapsed_ms
+        self.timed_out = timed_out
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        return "SearchStats(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
 
 class Watchers:

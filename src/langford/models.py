@@ -16,11 +16,17 @@ The channelled model is both base viewpoints plus the links, so
 are ranges, in this order: the cells 0..kn-1 (none in a positional model),
 the slot rows one after another (none in a direct model), and the chain
 starts, the last n ids (only where the direct constraints are posted).
+
+`Instance`, `VariantConfig` and `Model` are named tuples, cheap to define
+at import: immutable, equal by value, ordered by their fields and
+hashable where their fields are. `__new__` checks an `Instance` or a
+`VariantConfig`, also when unpickled; `_replace` and `_make` skip it, so
+no code uses them on those two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional, Sequence
 
 from .heuristics import HeuristicKind
@@ -41,18 +47,17 @@ CONS_CHOICES = ("both", "d", "p")
 BRANCH_CHOICES = ("d", "p")
 
 
-@dataclass(frozen=True, order=True)
-class Instance:
+class Instance(namedtuple("Instance", "k n")):
     """An L(k, n) instance: k copies of each number 1..n in k*n cells."""
 
-    k: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 2:
+    def __new__(cls, k: int, n: int):
+        if k < 2:
             raise ValueError("k must be at least 2")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be at least 1")
+        return super().__new__(cls, k, n)
 
     @property
     def seq_length(self) -> int:
@@ -63,39 +68,42 @@ class Instance:
         return f"{self.k:02d}_{self.n:02d}"
 
 
-@dataclass(frozen=True)
-class VariantConfig:
+class VariantConfig(namedtuple("VariantConfig", "model branch sym cons heuristic")):
     """One point of the model/search variant space.
 
     `branch` and `cons` apply to channelled models only. Every field is
     a CSV column.
     """
 
-    model: str
-    branch: Optional[str] = None
-    sym: str = "none"
-    cons: Optional[str] = None
-    heuristic: HeuristicKind = HeuristicKind.STATIC
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.model not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.model!r}")
-        if self.sym not in SYM_CHOICES:
-            raise ValueError(f"unknown sym choice {self.sym!r}")
-        if not isinstance(self.heuristic, HeuristicKind):
-            object.__setattr__(self, "heuristic", HeuristicKind(self.heuristic))
-        if self.model == "channelled":
-            if self.branch not in BRANCH_CHOICES:
+    def __new__(
+        cls,
+        model: str,
+        branch: Optional[str] = None,
+        sym: str = "none",
+        cons: Optional[str] = None,
+        heuristic: HeuristicKind = HeuristicKind.STATIC,
+    ):
+        if model not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {model!r}")
+        if sym not in SYM_CHOICES:
+            raise ValueError(f"unknown sym choice {sym!r}")
+        if not isinstance(heuristic, HeuristicKind):
+            heuristic = HeuristicKind(heuristic)
+        if model == "channelled":
+            if branch not in BRANCH_CHOICES:
                 raise ValueError("channelled models need branch 'd' or 'p'")
-            if self.cons not in CONS_CHOICES:
+            if cons not in CONS_CHOICES:
                 raise ValueError("channelled models need cons 'both', 'd' or 'p'")
         else:
-            if self.branch is not None or self.cons is not None:
+            if branch is not None or cons is not None:
                 raise ValueError("branch/cons only apply to channelled models")
-            if self.model == "direct" and self.sym == "p":
+            if model == "direct" and sym == "p":
                 raise ValueError("sym 'p' needs position variables")
-            if self.model == "positional" and self.sym == "d":
+            if model == "positional" and sym == "d":
                 raise ValueError("sym 'd' needs sequence variables")
+        return super().__new__(cls, model, branch, sym, cons, heuristic)
 
     def label(self) -> str:
         if self.model == "channelled":
@@ -106,25 +114,21 @@ class VariantConfig:
         return f"{self.model} sym:{self.sym.upper()} {self.heuristic.value}"
 
 
-@dataclass
-class Model:
+class Model(namedtuple(
+        "Model", "instance config initial_domains propagators branch_order cells pos_vars",
+        defaults=((), None))):
     """Variables, propagators and branching order for one variant.
 
     Variable ids are dense and laid out as the module docstring says: cells,
     then slot rows, then chain starts. `initial_domains` holds one int
-    bitmask per variable (bit v set iff v is in the domain). A built model
-    is data that no search writes to: a search copies the domains into its
-    own store and keeps its own failure weights, so one model can serve
-    many searches.
+    bitmask per variable (bit v set iff v is in the domain). `cells` holds
+    the sequence cells in position order, `pos_vars` the slot rows or None;
+    chain starts end `branch_order`. A built model is data that no search
+    writes to: a search copies the domains into its own store and keeps its
+    own failure weights, so one model can serve many searches.
     """
 
-    instance: Instance
-    config: VariantConfig
-    initial_domains: list[int]
-    propagators: list[Propagator]
-    branch_order: list[int]
-    cells: tuple = ()  # the sequence cells in position order; chain starts end branch_order
-    pos_vars: Optional[list[list[int]]] = None
+    __slots__ = ()
 
     @property
     def num_vars(self) -> int:

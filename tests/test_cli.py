@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -30,9 +30,12 @@ def read_rows(path):
 
 
 # Runs every subcommand but a parallel sweep, checks that none of them
-# loaded the process pool, then that a --jobs 2 sweep does.
+# loaded the process pool, nor dataclasses or inspect (which an import of
+# langford need not pay for; the interpreter's start-up may have loaded
+# them already), then that a --jobs 2 sweep loads the pool.
 POOL_PROBE = """
 import sys
+before = set(sys.modules)
 from langford.cli import main
 out = sys.argv[1]
 sweep = ["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "4",
@@ -42,6 +45,7 @@ assert main(sweep + ["--jobs", "1"]) == 0
 assert main(["report", out]) == 0
 assert main(["oracle", "--k", "2", "--n", "4"]) == 0
 assert not {"concurrent.futures", "multiprocessing"} & set(sys.modules)
+assert not {"dataclasses", "inspect"} & (set(sys.modules) - before)
 assert main(sweep + ["--jobs", "2"]) == 0
 assert "concurrent.futures" in sys.modules
 print("pool loaded by --jobs 2 only")
@@ -228,6 +232,16 @@ class TestSweep:
         assert len(rows) == 1 + 3 * 2
         keys = [(int(r[0]), int(r[1]), r[2], r[3], r[4], r[5], r[6]) for r in rows[1:]]
         assert keys == sorted(keys)
+
+    def test_stopped_cell_is_a_timed_out_row_and_exit_0(self, tmp_path, capsys):
+        # only solve exits 2 on a stopped search; a sweep records the row
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "4", "--n-max", "4",
+                     "--variant", "model=direct", "--node-limit", "1", "--out", str(out)])
+        assert code == 0
+        rows = read_rows(out)
+        assert len(rows) == 2
+        assert rows[1][:10] + rows[1][11:] == "2,4,direct,,d,,static,0,1,0,true".split(",")
 
     def test_skip_existing_idempotent(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -585,7 +599,7 @@ def test_solve_choices_are_the_variant_values():
 
 
 def test_every_variant_field_is_a_csv_column():
-    assert [f.name for f in dataclasses.fields(VariantConfig)] == CSV_FIELDS[2:7]
+    assert list(VariantConfig._fields) == CSV_FIELDS[2:7]
 
 
 def test_instance_label():
@@ -593,17 +607,27 @@ def test_instance_label():
     assert Instance(3, 12).label == "03_12"
 
 
-@pytest.mark.parametrize("config", [
+EVERY_MODEL_KIND = pytest.mark.parametrize("config", [
     VariantConfig("direct", sym="d"),
     VariantConfig("positional", sym="none", heuristic=HeuristicKind.DOM_OVER_WDEG),
     VariantConfig("channelled", branch="p", sym="p", cons="d", heuristic=HeuristicKind.WDEG),
 ], ids=["direct", "positional", "channelled"])
+
+
+@EVERY_MODEL_KIND
 @pytest.mark.parametrize("node_limit", [None, 1], ids=["finished", "timed-out"])
 def test_record_csv_round_trip(config, node_limit):
     _, solutions, rec = cli.run(Instance(2, 4), config, node_limit=node_limit)
     assert rec.stats.timed_out == (node_limit is not None)
     assert rec.stats.solutions == len(solutions)
     assert RunRecord.from_csv(rec.to_csv()) == rec
+
+
+@EVERY_MODEL_KIND
+def test_record_pickle_round_trip(config):
+    # what a --jobs N sweep's workers send back
+    rec = cli.run(Instance(2, 4), config)[2]
+    assert pickle.loads(pickle.dumps(rec)) == rec
 
 
 GOLDEN_SOLVE = [

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
 import gc
 import hashlib
 import random
@@ -571,7 +570,8 @@ class TestSolveAll:
             seen.append(solution)
             assert stats.solutions == len(seen)  # counted before it is yielded
         assert seen == full
-        assert dataclasses.replace(stats, elapsed_ms=0) == dataclasses.replace(full_stats, elapsed_ms=0)
+        counts = lambda s: (s.nodes, s.failures, s.solutions, s.timed_out)
+        assert counts(stats) == counts(full_stats)
 
     def test_closing_the_search_keeps_its_counts(self):
         model = build_model(Instance(2, 7), VariantConfig("positional", sym="p"))
@@ -848,7 +848,7 @@ def test_the_trail_is_empty_at_every_mark_and_undo(monkeypatch, config, heuristi
     monkeypatch.setattr(Store, "undo_to_mark", checked_undo)
     nodes = failures = 0
     for instance in (Instance(2, 4), Instance(3, 6)):
-        model = build_model(instance, dataclasses.replace(config, heuristic=heuristic))
+        model = build_model(instance, VariantConfig(*config[:-1], heuristic))
         _, stats = solve_all(model)
         assert not stats.timed_out
         nodes += stats.nodes

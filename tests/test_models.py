@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import pytest
@@ -50,10 +49,21 @@ class TestInstance:
         assert Instance(3, 9).seq_length == 27
 
     def test_bounds(self):
-        with pytest.raises(ValueError):
-            Instance(1, 5)
-        with pytest.raises(ValueError):
+        # checked whether the fields are passed by position or by keyword
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            Instance(1, 3)
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            Instance(k=1, n=3)
+        with pytest.raises(ValueError, match="n must be at least 1"):
             Instance(2, 0)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            Instance(2, 3).k = 4
+
+    def test_sorted_by_k_then_n(self):
+        instances = [Instance(3, 2), Instance(2, 5), Instance(2, 3), Instance(4, 1)]
+        assert sorted(instances) == [Instance(2, 3), Instance(2, 5), Instance(3, 2), Instance(4, 1)]
 
 
 class TestVariantConfig:
@@ -64,8 +74,12 @@ class TestVariantConfig:
             VariantConfig("positional", cons="p", sym="p")
 
     def test_sym_requires_matching_viewpoint(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sym 'p' needs position variables"):
             VariantConfig("direct", sym="p")
+        with pytest.raises(ValueError, match="sym 'p' needs position variables"):
+            VariantConfig("direct", None, "p")
+        with pytest.raises(ValueError, match="sym 'p' needs position variables"):
+            VariantConfig(model="direct", sym="p")
         with pytest.raises(ValueError):
             VariantConfig("positional", sym="d")
         VariantConfig("channelled", branch="p", sym="d", cons="p")  # both present
@@ -73,6 +87,11 @@ class TestVariantConfig:
     def test_channelled_requires_branch_and_cons(self):
         with pytest.raises(ValueError):
             VariantConfig("channelled", sym="d")
+
+    def test_immutable(self):
+        config = VariantConfig("positional", sym="p")
+        with pytest.raises(AttributeError):
+            config.sym = "none"
 
 
 class TestBuildDirect:
@@ -314,7 +333,7 @@ class TestCrossViewpointAgreement:
         # them has the same solutions (none at all for k = 3 up to n = 6)
         for k, n in itertools.product((2, 3), range(2, 7)):
             model = build_model(Instance(k, n), DIRECT)
-            bare = dataclasses.replace(model, propagators=[
+            bare = model._replace(propagators=[
                 p for p in model.propagators if not isinstance(p, Occurrence)])
             assert len(bare.propagators) == len(model.propagators) - n
             assert solution_sequences(model) == solution_sequences(bare)
