@@ -10,6 +10,11 @@ sweep exits 0. `solve` streams: it holds one solution at a time, prints
 each as it is found under --print-solutions, and prints its summary
 line last.
 
+`solve --out` and `sweep` append each row to the CSV as its run ends, a
+sweep in run order: instances by k then n, then the --variant specs as
+given, under --jobs N too. A stopped sweep keeps its finished rows, and
+`--skip-existing` resumes it. `report` sorts the rows it reads.
+
 A CSV row is a `RunRecord`: the instance (k, n), the variant key (model,
 branch, sym, cons, heuristic) and the search's `SearchStats` (solutions,
 nodes, failures, time_ms = elapsed_ms, timed_out).
@@ -23,7 +28,7 @@ import os
 import sys
 from collections import namedtuple
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .engine import SearchStats, iter_solutions, solve_all
 from .heuristics import HeuristicKind
@@ -140,13 +145,19 @@ def _sweep_cell(task) -> RunRecord:
     return run(*task)[2]
 
 
-def _write_csv(path: Path, records: list[RunRecord]) -> None:
-    records = sorted(records, key=RunRecord.sort_key)
-    with open(path, "w", newline="") as fh:
+def _append_rows(path: Path, records: Iterable[RunRecord]) -> None:
+    """Append each record's row to `path` as it comes, and flush it: a header
+    goes into an empty file, and a last line that has no line ending is
+    ended first. Raises OSError."""
+    with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
+        if fh.tell() == 0:
+            writer.writerow(CSV_FIELDS)
+        elif path.read_bytes()[-1:] not in b"\r\n":
+            fh.write("\r\n")
         for rec in records:
             writer.writerow(rec.to_csv())
+            fh.flush()  # in the file, not a buffer, before the next run starts
 
 
 def _error(message) -> int:
@@ -169,14 +180,23 @@ def _cannot_write(path, exc: OSError) -> int:
     return _error(f"cannot write {path}: {exc}")
 
 
-def _probe_writable(path: Path) -> None:
-    """Raise OSError unless `path` can be written. An existing file is
-    opened for appending and left as it was; a new one is removed again."""
-    if path.exists():
+def _read_out(path: Path) -> Optional[list[RunRecord]]:
+    """The rows of an --out file, or None after an error line unless the file
+    can be written and is new, empty or a langford CSV. It is left as it was."""
+    try:  # the write probe: an existing file is opened for appending, a new one removed again
+        if not path.exists():
+            open(path, "x").close()
+            path.unlink()
+            return []
         open(path, "a").close()
-    else:
-        open(path, "x").close()
-        path.unlink()
+    except OSError as exc:
+        _cannot_write(path, exc)
+        return None
+    try:
+        return _read_csv(path)
+    except (OSError, ValueError) as exc:
+        _error(exc)
+        return None
 
 
 def _read_csv(path: Path) -> list[RunRecord]:
@@ -205,17 +225,8 @@ def cmd_solve(parser, args) -> int:
     except ValueError as exc:
         return _error(exc)
     out = Path(args.out) if args.out else None
-    fresh = out is None or not out.exists() or out.stat().st_size == 0
-    if not fresh:
-        try:
-            _read_csv(out)  # append only to a CSV that report and sweep can read
-        except (OSError, ValueError) as exc:
-            return _error(exc)
-    if out:
-        try:
-            _probe_writable(out)  # before the search, whose result would be lost
-        except OSError as exc:
-            return _cannot_write(out, exc)
+    if out and _read_out(out) is None:  # before the search, whose result would be lost
+        return 1
     model = build_model(instance, config)
     stats = SearchStats()
     for sol in iter_solutions(model, stats, node_limit=args.node_limit, time_limit=args.timeout):
@@ -229,13 +240,7 @@ def cmd_solve(parser, args) -> int:
     if out:
         sys.stdout.flush()  # a row only for a solve whose output all went out
         try:
-            with open(out, "a", newline="") as fh:
-                writer = csv.writer(fh)
-                if fresh:
-                    writer.writerow(CSV_FIELDS)
-                elif out.read_bytes()[-1:] not in b"\r\n":
-                    fh.write("\r\n")  # end an unended last row
-                writer.writerow(RunRecord(instance, config, stats).to_csv())
+            _append_rows(out, [RunRecord(instance, config, stats)])
         except OSError as exc:
             return _cannot_write(out, exc)
     return 2 if stats.timed_out else 0
@@ -293,16 +298,9 @@ def cmd_sweep(parser, args) -> int:
     configs = _sweep_configs(parser, args)
 
     out = Path(args.out)
-    try:
-        _probe_writable(out)  # before the first cell, not after the whole grid
-    except OSError as exc:
-        return _cannot_write(out, exc)
-    try:  # refuse a file that is not a langford CSV before any cell runs, as solve does
-        read = _read_csv(out) if out.exists() else []
-    except (OSError, ValueError) as exc:
-        return _error(exc)
-    records = read if args.skip_existing else []  # every row kept is written back, repeats included
-    existing = {rec.sort_key() for rec in records}
+    if (read := _read_out(out)) is None:  # before the first cell, not after the whole grid
+        return 1
+    existing = {rec.sort_key() for rec in read} if args.skip_existing else set()
 
     tasks = [
         (instance, config, args.node_limit, args.timeout)
@@ -310,17 +308,18 @@ def cmd_sweep(parser, args) -> int:
         for key, (_, config) in configs.items()
         if (instance, *key) not in existing
     ]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loaded by a parallel sweep only
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records.extend(pool.map(_sweep_cell, tasks))
-    else:
-        records.extend(map(_sweep_cell, tasks))
     try:
-        _write_csv(out, records)
+        if not args.skip_existing:
+            out.write_bytes(b"")
+        if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor  # loaded by a parallel sweep only
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                _append_rows(out, pool.map(_sweep_cell, tasks))  # in task order
+        else:
+            _append_rows(out, map(_sweep_cell, tasks))
     except OSError as exc:
         return _cannot_write(out, exc)
-    print(f"wrote {len(records)} rows to {out}")
+    print(f"wrote {len(tasks)} rows to {out}")
     return 0
 
 
@@ -443,9 +442,10 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--node-limit", type=int)
     p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes (1: run in this one)")
     p_sweep.add_argument("--skip-existing", action="store_true", help="skip each cell that --out has "
-                         "a row for, finished or timed out, and keep every row read")
-    p_sweep.add_argument("--out", default="sweep.csv", help="CSV file to write; an existing one "
-                         "must be empty or a langford CSV, and is rewritten (no cell runs otherwise)")
+                         "a row for, finished or timed out; every row read stays in place")
+    p_sweep.add_argument("--out", default="sweep.csv", help="CSV file; an existing one must "
+                         "be empty or a langford CSV (no cell runs otherwise), and is appended "
+                         "to under --skip-existing, else emptied first")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_report = sub.add_parser("report", help="render a sweep CSV as markdown")

@@ -20,8 +20,7 @@ starts, the last n ids (only where the direct constraints are posted).
 `Instance`, `VariantConfig` and `Model` are named tuples, cheap to define
 at import: immutable, equal by value, ordered by their fields and
 hashable where their fields are. `__new__` checks an `Instance` or a
-`VariantConfig`, also when unpickled; `_replace` and `_make` skip it, so
-no code uses them on those two.
+`VariantConfig`, also when unpickled or made by `_replace`.
 """
 
 from __future__ import annotations
@@ -58,6 +57,10 @@ class Instance(namedtuple("Instance", "k n")):
         if n < 1:
             raise ValueError("n must be at least 1")
         return super().__new__(cls, k, n)
+
+    @classmethod
+    def _make(cls, iterable):  # through __new__, so that _replace checks too
+        return cls(*iterable)
 
     @property
     def seq_length(self) -> int:
@@ -104,6 +107,10 @@ class VariantConfig(namedtuple("VariantConfig", "model branch sym cons heuristic
             if model == "positional" and sym == "d":
                 raise ValueError("sym 'd' needs sequence variables")
         return super().__new__(cls, model, branch, sym, cons, heuristic)
+
+    @classmethod
+    def _make(cls, iterable):  # through __new__, so that _replace checks too
+        return cls(*iterable)
 
     def label(self) -> str:
         if self.model == "channelled":

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import os
 import pickle
 import re
@@ -27,6 +28,11 @@ HUGE_FIELD_ROW = "2,3,direct,,d,,static,1,0,0,1," + "x" * (csv.field_size_limit(
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def rows_less_time(path):
+    time_ms = CSV_FIELDS.index("time_ms")
+    return [row[:time_ms] + row[time_ms + 1:] for row in read_rows(path)]
 
 
 # Runs every subcommand but a parallel sweep, checks that none of them
@@ -429,6 +435,65 @@ class TestSweep:
         strip = lambda rows: [r[:10] + r[11:] for r in rows]  # drop time_ms
         assert strip(read_rows(serial)) == strip(read_rows(parallel))
 
+    def test_rows_are_written_in_run_order(self, tmp_path, capsys):
+        # instances by k then n, then the --variant flags as given, not
+        # sorted, and a process pool writes the same order
+        argv = ["sweep", "--k-min", "2", "--k-max", "3", "--n-min", "3", "--n-max", "4",
+                "--variant", "model=positional", "--variant", "model=direct"]
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs-{jobs}.csv"
+            assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+            assert [tuple(row[:3]) for row in read_rows(out)[1:]] == [
+                (k, n, model) for k in "23" for n in "34" for model in ("positional", "direct")]
+
+    def test_a_stopped_sweep_keeps_its_finished_rows_and_resumes(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # the third cell raises: the first two rows are on disk, and
+        # --skip-existing then writes the rows of an uninterrupted sweep
+        whole, out = tmp_path / "whole.csv", tmp_path / "stopped.csv"
+        argv = ["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "5",
+                "--variant", "model=direct", "--variant", "model=channelled,branch=p"]
+        assert main(argv + ["--out", str(whole)]) == 0
+        inner, calls = cli.run, []
+
+        def run(*task):
+            calls.append(task)
+            if len(calls) == 3:
+                raise RuntimeError("the third cell")
+            return inner(*task)
+
+        monkeypatch.setattr(cli, "run", run)
+        with pytest.raises(RuntimeError, match="the third cell"):
+            main(argv + ["--out", str(out)])
+        assert rows_less_time(out) == rows_less_time(whole)[:3]  # the header and two rows
+        monkeypatch.setattr(cli, "run", inner)
+        assert main(argv + ["--skip-existing", "--out", str(out)]) == 0
+        assert rows_less_time(out) == rows_less_time(whole)
+
+    def test_a_failed_row_write_keeps_the_rows_read(self, tmp_path, capsys, monkeypatch):
+        # a --skip-existing sweep whose first new row meets a full disk
+        # exits 1 and leaves the file as it was
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--k-min", "2", "--k-max", "2", "--n-min", "3", "--n-max", "4",
+                "--variant", "model=direct", "--out", str(out)]
+        assert main(argv) == 0
+        before = out.read_bytes()
+        capsys.readouterr()
+
+        def full_disk(*args, **kwargs):
+            fh = open(*args, **kwargs)
+
+            def write(text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(cli, "open", full_disk, raising=False)
+        assert main(argv + ["--variant", "model=positional", "--skip-existing"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert out.read_bytes() == before
+
     def test_only_a_parallel_sweep_loads_the_process_pool(self, tmp_path):
         # a fresh interpreter, so no earlier test has imported the pool
         src = Path(cli.__file__).resolve().parents[1]
@@ -486,6 +551,18 @@ class TestReport:
         assert main(["report", str(out)]) == 0
         row = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("| 02_04"))
         assert row == "| 02_04 | **34** |"
+
+    def test_report_does_not_depend_on_row_order(self, tmp_path, capsys):
+        # a sweep writes its rows in run order, and report sorts them
+        rows = [rec.to_csv() for rec in self.build_rows()]
+        reports = []
+        for order in (rows, rows[::-1]):
+            path = tmp_path / "runs.csv"
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([CSV_FIELDS, *order])
+            assert main(["report", str(path)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
 
     def test_report_cmd_round_trip(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

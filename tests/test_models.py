@@ -94,6 +94,18 @@ class TestVariantConfig:
             config.sym = "none"
 
 
+def test_replace_runs_the_checks_of_new():
+    # _replace builds through _make, which would skip __new__ in a plain named tuple
+    with pytest.raises(ValueError, match="k must be at least 2"):
+        Instance(2, 3)._replace(k=1)
+    with pytest.raises(ValueError, match="sym 'p' needs position variables"):
+        VariantConfig("direct", sym="d")._replace(sym="p")
+    assert Instance(2, 3)._replace(n=5) == Instance(2, 5)
+    config = VariantConfig("direct", sym="d")._replace(sym="none", heuristic="sdf")
+    assert config == VariantConfig("direct", sym="none", heuristic=HeuristicKind.SDF)
+    assert config.heuristic is HeuristicKind.SDF  # coerced by __new__
+
+
 class TestBuildDirect:
     def test_2_3_structure(self):
         model = build_model(Instance(2, 3), DIRECT)
